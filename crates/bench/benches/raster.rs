@@ -160,6 +160,42 @@ fn bench_textured_tri(c: &mut Criterion) {
     });
 }
 
+/// The browser's tile-composite shape at the hd panel size: a 256²
+/// RGBA tile texture stretched over a 1024×768 target by an indexed quad,
+/// white vertices, opaque — the textured span lane's hot case.
+fn bench_textured_quad(c: &mut Criterion) {
+    let tex = Image::new(256, 256, PixelFormat::Rgba8888);
+    tex.map_rows(|rows| {
+        for y in 0..256u32 {
+            for (x, px) in rows.row_mut(y).chunks_exact_mut(4).enumerate() {
+                px.copy_from_slice(&[x as u8, y as u8, (x as u8) ^ (y as u8), 255]);
+            }
+        }
+    });
+    let verts: Vec<Vertex> = [
+        ([-1.0f32, -1.0, 0.0], [0.0f32, 1.0]),
+        ([1.0, -1.0, 0.0], [1.0, 1.0]),
+        ([1.0, 1.0, 0.0], [1.0, 0.0]),
+        ([-1.0, 1.0, 0.0], [0.0, 0.0]),
+    ]
+    .iter()
+    .map(|&(p, uv)| Vertex::textured(p, uv))
+    .collect();
+    let indices = [0u32, 1, 2, 0, 2, 3];
+    let pipeline = Pipeline {
+        texture: Some(&tex),
+        ..Pipeline::default()
+    };
+    let img = Image::new(1024, 768, PixelFormat::Rgba8888);
+    c.bench_function("raster/textured_quad_1024x768", |b| {
+        b.iter(|| {
+            black_box(raster::draw_indexed(
+                &img, None, &verts, &indices, &pipeline,
+            ))
+        })
+    });
+}
+
 fn bench_blit(c: &mut Criterion) {
     // Same-format unscaled: the memcpy fast path (the SurfaceFlinger
     // full-screen post and the EAGL staging copy shape).
@@ -209,6 +245,7 @@ criterion_group!(
     bench_fullscreen_tri,
     bench_small_tri,
     bench_textured_tri,
+    bench_textured_quad,
     bench_blit,
 );
 criterion_main!(raster_plane);

@@ -1265,6 +1265,44 @@ impl AppGl {
     }
 }
 
+impl Drop for AppGl {
+    /// Releases what the session created on its device (DESIGN.md §5c):
+    /// the EAGL context with its drawable, EGL context, window surface and
+    /// DLR replica connection on Cycada; the EGL context and window
+    /// surface on Android; the EAGL context and drawable on native iOS.
+    /// There is no caller to report a failure to, so teardown errors are
+    /// swallowed and counted on `session-teardown-errors`.
+    fn drop(&mut self) {
+        let result = match &self.backend {
+            Backend::CycadaIos {
+                device, eagl_ctx, ..
+            } => device.eagl().destroy_context(self.tid, *eagl_ctx),
+            Backend::Android {
+                device,
+                ctx,
+                surface,
+                ..
+            } => {
+                let egl = device.egl();
+                let surface = egl.destroy_surface(self.tid, *surface);
+                let context = egl.destroy_context(*ctx);
+                surface.and(context).map_err(CycadaError::from)
+            }
+            Backend::NativeIos {
+                device, eagl_ctx, ..
+            } => device.stack().destroy_context(self.tid, *eagl_ctx),
+        };
+        if result.is_err() {
+            trace::bump(trace::Counter::SessionTeardownErrors);
+            trace::instant(
+                trace::Category::App,
+                "session_teardown_error",
+                self.tid.as_u64(),
+            );
+        }
+    }
+}
+
 impl fmt::Debug for AppGl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AppGl")

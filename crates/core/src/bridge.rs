@@ -15,6 +15,7 @@
 //! * the two **multi**-diplomat IOSurface binding functions live in
 //!   [`crate::IoSurfaceBridge`].
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -751,10 +752,10 @@ impl GlesBridge {
     ) -> Result<()> {
         let rb = self.row_bytes(tid);
         let bpp = format.bytes_per_pixel();
-        let prepared: Option<Vec<u8>> = data.map(|data| {
+        let prepared: Option<Cow<'_, [u8]>> = data.map(|data| {
             let mut out = repack_tight(data, width as usize, height as usize, bpp, rb.unpack);
             if format == TexFormat::Bgra {
-                swizzle_bgra_rgba(&mut out);
+                swizzle_bgra_rgba(out.to_mut());
             }
             self.charge_repack(out.len());
             out
@@ -787,7 +788,7 @@ impl GlesBridge {
         let bpp = format.bytes_per_pixel();
         let mut prepared = repack_tight(data, width as usize, height as usize, bpp, rb.unpack);
         if format == TexFormat::Bgra {
-            swizzle_bgra_rgba(&mut prepared);
+            swizzle_bgra_rgba(prepared.to_mut());
         }
         self.charge_repack(prepared.len());
         let android_format = if format == TexFormat::Bgra {
@@ -878,18 +879,25 @@ impl fmt::Debug for GlesBridge {
 }
 
 /// Repacks rows with stride `row_bytes` (0 = already tight) into a tight
-/// buffer.
-fn repack_tight(data: &[u8], width: usize, height: usize, bpp: usize, row_bytes: usize) -> Vec<u8> {
+/// buffer. Already-tight data is borrowed as it is; callers that must
+/// rewrite bytes (the BGRA swizzle) take ownership with `Cow::to_mut`.
+fn repack_tight(
+    data: &[u8],
+    width: usize,
+    height: usize,
+    bpp: usize,
+    row_bytes: usize,
+) -> Cow<'_, [u8]> {
     let tight_row = width * bpp;
     if row_bytes == 0 || row_bytes == tight_row {
-        return data.to_vec();
+        return Cow::Borrowed(data);
     }
     let mut out = Vec::with_capacity(tight_row * height);
     for row in 0..height {
         let start = row * row_bytes;
         out.extend_from_slice(&data[start..start + tight_row]);
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Spreads tight rows out to `row_bytes` stride (zero padding).
@@ -933,8 +941,9 @@ mod tests {
         assert_eq!(tight.len(), 16);
         assert_eq!(tight[0], 1);
         assert_eq!(tight[8], 2);
-        // Already tight: pass-through.
-        assert_eq!(repack_tight(&tight, 2, 2, 4, 0), tight);
+        // Already tight: borrowed pass-through, no copy.
+        assert!(matches!(repack_tight(&tight, 2, 2, 4, 0), Cow::Borrowed(b) if b == &tight[..]));
+        assert!(matches!(repack_tight(&tight, 2, 2, 4, 8), Cow::Borrowed(_)));
     }
 
     #[test]

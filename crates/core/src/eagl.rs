@@ -377,6 +377,12 @@ impl Eagl {
     // From-scratch methods (10)
     // ------------------------------------------------------------------
 
+    /// Number of live EAGL contexts on this device (every session that
+    /// has attached and not yet dropped holds one).
+    pub fn live_contexts(&self) -> usize {
+        self.contexts.lock().len()
+    }
+
     /// `-[EAGLContext initWithAPI:]` — a fresh sharegroup.
     ///
     /// # Errors

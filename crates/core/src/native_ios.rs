@@ -214,6 +214,30 @@ impl NativeIosStack {
         Ok(renderbuffer)
     }
 
+    /// Native `-[EAGLContext dealloc]`: forgets the record, destroys the
+    /// vendor context and releases the drawable's IOSurface. Any thread
+    /// the context was current on is left with no current context.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycadaError::Eagl`] for unknown contexts and
+    /// [`CycadaError::IoSurface`] if the drawable's release fails.
+    pub fn destroy_context(&self, tid: SimTid, ctx: u32) -> Result<()> {
+        let record = self
+            .contexts
+            .lock()
+            .remove(&ctx)
+            .ok_or_else(|| CycadaError::Eagl(format!("unknown EAGLContext {ctx}")))?;
+        self.current.lock().retain(|_, c| *c != ctx);
+        self.gles.destroy_context(record.ctx);
+        if let Some(d) = record.drawable {
+            self.iosurface
+                .release(tid, &d.iosurface)
+                .map_err(CycadaError::from)?;
+        }
+        Ok(())
+    }
+
     /// Native `presentRenderbuffer:` — the hardware-assisted path: one
     /// opaque Mach IPC call to IOMobileFramebuffer flips the drawable's
     /// IOSurface onto the panel.

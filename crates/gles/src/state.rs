@@ -646,7 +646,7 @@ impl GlesContext {
                 self.record_error(GlError::InvalidValue);
                 return;
             }
-            unpack_into(&image, data, stride, bpp);
+            unpack_rows(&image, data, stride, (0, 0, width, height));
             self.device.charge_upload((width as u64) * (height as u64) * bpp as u64);
         } else {
             self.device.charge_upload(0);
@@ -691,16 +691,30 @@ impl GlesContext {
             return;
         }
         let bpp = format.bytes_per_pixel();
+        let needed = match (width, height) {
+            (0, _) | (_, 0) => 0,
+            (w, h) => stride * (h as usize - 1) + w as usize * bpp,
+        };
+        if data.len() < needed {
+            self.record_error(GlError::InvalidValue);
+            return;
+        }
         let pf = format.pixel_format();
-        image.map_rows(|rows| {
-            for row in 0..height as usize {
-                for col in 0..width as usize {
-                    let off = row * stride + col * bpp;
-                    let color = pf.decode(&data[off..off + bpp]);
-                    rows.set_pixel(x + col as u32, y + row as u32, color);
+        if pf == image.format() {
+            // Same format: decode→encode is the byte identity, so whole
+            // rows move as they are.
+            unpack_rows(&image, data, stride, (x, y, width, height));
+        } else {
+            image.map_rows(|rows| {
+                for row in 0..height as usize {
+                    for col in 0..width as usize {
+                        let off = row * stride + col * bpp;
+                        let color = pf.decode(&data[off..off + bpp]);
+                        rows.set_pixel(x + col as u32, y + row as u32, color);
+                    }
                 }
-            }
-        });
+            });
+        }
         self.device
             .charge_upload(u64::from(width) * u64::from(height) * bpp as u64);
     }
@@ -1617,15 +1631,22 @@ impl fmt::Debug for GlesContext {
     }
 }
 
-fn unpack_into(image: &Image, data: &[u8], stride: usize, bpp: usize) {
-    let pf = image.format();
+/// Copies `rect = (x, y, width, height)` of client rows at `stride` into
+/// `image` when the upload is in the image's own format: per-pixel
+/// decode→encode is the byte identity within a format (asserted
+/// exhaustively by the raster plane's tests), so each row is one
+/// `copy_from_slice` under a single write guard.
+fn unpack_rows(image: &Image, data: &[u8], stride: usize, rect: (u32, u32, u32, u32)) {
+    let (x, y, width, height) = rect;
+    let bpp = image.format().bytes_per_pixel();
+    let (x0, len) = (x as usize * bpp, width as usize * bpp);
+    if len == 0 {
+        return;
+    }
     image.map_rows(|rows| {
-        for row in 0..image.height() as usize {
-            for col in 0..image.width() as usize {
-                let off = row * stride + col * bpp;
-                let color = pf.decode(&data[off..off + bpp]);
-                rows.set_pixel(col as u32, row as u32, color);
-            }
+        for row in 0..height {
+            let src = &data[row as usize * stride..][..len];
+            rows.row_mut(y + row)[x0..x0 + len].copy_from_slice(src);
         }
     });
 }
@@ -1786,6 +1807,24 @@ mod tests {
         c.draw_arrays(Primitive::Triangles, 0, 6);
         let fb = c.default_framebuffer().unwrap();
         assert_eq!(fb.pixel_rgba(16, 16).to_bytes(), [0, 255, 0, 255]);
+    }
+
+    #[test]
+    fn short_sub_image_data_is_invalid_value_not_a_panic() {
+        let mut c = ctx(GlesVersion::V1, ApiFlavor::Android);
+        let tex = c.gen_textures(1)[0];
+        c.bind_texture(tex);
+        c.tex_image_2d(2, 2, TexFormat::Rgba, Some(&[7; 16]));
+        // A 2x2 RGBA patch needs 16 bytes; 15 is one short.
+        c.tex_sub_image_2d(0, 0, 2, 2, TexFormat::Rgba, &[9; 15]);
+        assert_eq!(c.get_error(), GlError::InvalidValue);
+        assert_eq!(
+            c.texture_image(tex).unwrap().pixel_rgba(1, 1).to_bytes(),
+            [7; 4]
+        );
+        // Empty rects read nothing.
+        c.tex_sub_image_2d(1, 1, 0, 1, TexFormat::Rgba, &[]);
+        assert_eq!(c.get_error(), GlError::NoError);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cycada_gles::{
-    ApiFlavor, Capability, ClientState, GlesContext, GlesRegistry, GlesVersion, Primitive,
-    StdAvailability, TexFormat,
+    ApiFlavor, Capability, ClientState, GlError, GlesContext, GlesRegistry, GlesVersion,
+    PixelStoreParam, Primitive, StdAvailability, TexFormat,
 };
 use cycada_gpu::{GpuDevice, Image, PixelFormat};
 use cycada_sim::{GpuCostModel, VirtualClock};
@@ -18,8 +18,113 @@ fn ctx(version: GlesVersion, flavor: ApiFlavor, size: u32) -> GlesContext {
     c
 }
 
+const TEX_FORMATS: [TexFormat; 4] = [
+    TexFormat::Rgba,
+    TexFormat::Bgra,
+    TexFormat::Rgb565,
+    TexFormat::Alpha,
+];
+
+/// `len` pseudo-random bytes from `seed`.
+fn bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 56) as u8
+        })
+        .collect()
+}
+
+/// The unpack stride GL uses for a `width`-pixel upload: `APPLE_row_bytes`
+/// when set, else the row rounded up to the unpack alignment.
+fn unpack_stride(width: u32, bpp: usize, alignment: usize, row_bytes: usize) -> usize {
+    if row_bytes > 0 {
+        row_bytes
+    } else {
+        (width as usize * bpp).div_ceil(alignment) * alignment
+    }
+}
+
+/// The per-pixel oracle: decode every client pixel in `format` and encode
+/// it into `image` at `(x, y)` onwards.
+fn unpack_per_pixel(
+    image: &Image,
+    data: &[u8],
+    stride: usize,
+    format: TexFormat,
+    rect: (u32, u32, u32, u32),
+) {
+    let (x, y, w, h) = rect;
+    let (pf, bpp) = (format.pixel_format(), format.bytes_per_pixel());
+    for row in 0..h {
+        for col in 0..w {
+            let off = row as usize * stride + col as usize * bpp;
+            image.set_pixel(x + col, y + row, pf.decode(&data[off..off + bpp]));
+        }
+    }
+}
+
+/// An image's raw bytes, row padding excluded.
+fn raw_bytes(image: &Image) -> Vec<u8> {
+    image.read_rows(|rows| {
+        (0..image.height())
+            .flat_map(|y| rows.row(y).to_vec())
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn uploads_match_per_pixel_decode_encode(
+        formats in (0usize..4, 0usize..4),
+        size in (1u32..12, 1u32..12),
+        sub in (0u32..12, 0u32..12, 0u32..13, 0u32..13),
+        alignment in (0usize..4, 0usize..4),
+        row_pad in (0usize..6, 0usize..6),
+        seed: u64,
+    ) {
+        let (tex_format, sub_format) = (TEX_FORMATS[formats.0], TEX_FORMATS[formats.1]);
+        let (tw, th) = size;
+        let mut c = ctx(GlesVersion::V2, ApiFlavor::Ios, 8);
+        // Pixel-store state: alignment 1/2/4/8, APPLE_row_bytes off (pad 0)
+        // or a tight row plus 1..=5 bytes of padding.
+        let set_unpack = |c: &mut GlesContext, w: u32, bpp: usize, align: usize, pad: usize| {
+            let align = 1 << align;
+            let row_bytes = if pad == 0 { 0 } else { w as usize * bpp + pad };
+            c.pixel_store(PixelStoreParam::UnpackAlignment, align);
+            c.pixel_store(PixelStoreParam::UnpackRowBytesApple, row_bytes);
+            unpack_stride(w, bpp, align, row_bytes)
+        };
+
+        // glTexImage2D: the upload's format is the texture's.
+        let bpp = tex_format.bytes_per_pixel();
+        let stride = set_unpack(&mut c, tw, bpp, alignment.0, row_pad.0);
+        let full = bytes(seed, stride * (th as usize - 1) + tw as usize * bpp);
+        let tex = c.gen_textures(1)[0];
+        c.bind_texture(tex);
+        c.tex_image_2d(tw, th, tex_format, Some(&full));
+        let expect = Image::new(tw, th, tex_format.pixel_format());
+        unpack_per_pixel(&expect, &full, stride, tex_format, (0, 0, tw, th));
+        let image = c.texture_image(tex).unwrap();
+        prop_assert_eq!(raw_bytes(&image), raw_bytes(&expect));
+
+        // glTexSubImage2D over a random sub-rect, in any format.
+        let (x, y) = (sub.0 % tw, sub.1 % th);
+        let (w, h) = (sub.2 % (tw - x + 1), sub.3 % (th - y + 1));
+        let bpp = sub_format.bytes_per_pixel();
+        let stride = set_unpack(&mut c, w, bpp, alignment.1, row_pad.1);
+        let len = if w == 0 || h == 0 { 0 } else { stride * (h as usize - 1) + w as usize * bpp };
+        let patch = bytes(seed.rotate_left(17), len);
+        c.tex_sub_image_2d(x, y, w, h, sub_format, &patch);
+        unpack_per_pixel(&expect, &patch, stride, sub_format, (x, y, w, h));
+        prop_assert_eq!(c.get_error(), GlError::NoError);
+        prop_assert_eq!(raw_bytes(&image), raw_bytes(&expect));
+    }
 
     #[test]
     fn texture_upload_readback_round_trips(

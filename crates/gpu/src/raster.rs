@@ -495,10 +495,16 @@ struct TexView<'a> {
 }
 
 impl TexView<'_> {
+    /// Byte offset of the texel nearest to `(u, v)` (clamp-to-edge).
+    #[inline]
+    fn texel_offset(&self, u: f32, v: f32) -> usize {
+        let x = texel_index_trunc(u, self.width);
+        let y = texel_index_trunc(v, self.height);
+        y as usize * self.row_bytes + x as usize * self.bpp
+    }
+
     fn sample_nearest(&self, u: f32, v: f32) -> Rgba {
-        let x = texel_index(u, self.width);
-        let y = texel_index(v, self.height);
-        let off = y as usize * self.row_bytes + x as usize * self.bpp;
+        let off = self.texel_offset(u, v);
         self.format.decode(&self.bytes[off..off + self.bpp])
     }
 }
@@ -662,11 +668,12 @@ fn fill_band(
             let r2 = (yc - t.p0[1]) * d2;
             let row_off = (py - row0) as usize * geom.row_bytes;
             let depth_row = (py - row0) as usize * geom.width as usize;
-            // Branch-free span lane for the hot shape (opaque, untextured,
-            // no depth buffer, 4-byte format): find the covered interval
-            // with O(log W) evaluations of the exact per-pixel predicate,
-            // then fill it without any per-pixel test. Falls through to
-            // the scalar lane on non-finite edge terms.
+            // Branch-free span lane for the hot shapes (opaque, no depth
+            // test, 4-byte target, untextured or 4-byte texture): find the
+            // covered interval with O(log W) evaluations of the exact
+            // per-pixel predicate, then shade it without any per-pixel
+            // test. Falls through to the scalar lane on non-finite edge
+            // terms.
             if let Some(lane) = &lane {
                 if let Some(n) =
                     fill_row_span(bytes, row_off, t, (k0, k1, k2), (r0, r1, r2), lane)
@@ -731,31 +738,47 @@ fn fill_band(
 /// byte position: `ch[i]` holds the three per-vertex values whose
 /// interpolant lands at byte `i` of the pixel (so RGBA and BGRA share one
 /// packing loop with no per-pixel swizzle branch).
-struct SpanLane {
+struct SpanLane<'a> {
     ch: [[f32; 3]; 4],
     /// `Some(mask)` when every channel's coefficients are identically
     /// `±0.0` or identically `1.0` — flat primary colors, the dominant
-    /// fill shape (clears, UI quads, backdrops). `mask` has `0xFF` at the
-    /// all-ones byte positions. The fold is bit-exact: an all-zero
-    /// channel's products are `±0` or NaN (from `0 × ∞`), every one of
-    /// which quantizes to byte 0; an all-ones channel reduces to
+    /// fill shape (clears, UI quads, backdrops, white-modulated textured
+    /// quads). `mask` has `0xFF` at the all-ones byte positions. The fold
+    /// is bit-exact: an all-zero channel's products are `±0` or NaN (from
+    /// `0 × ∞`), every one of which quantizes to byte 0 (also after
+    /// modulation by a finite texel); an all-ones channel reduces to
     /// `(w0 + w1) + w2` because `x * 1.0` is exactly `x` in IEEE
     /// arithmetic (including for `-0.0`, infinities, and NaN).
     flat01_mask: Option<u32>,
+    /// The texture sampled by a textured span, if any.
+    tex: Option<TexLane<'a>>,
+}
+
+/// The texture half of a textured [`SpanLane`].
+struct TexLane<'a> {
+    view: &'a TexView<'a>,
+    /// `uv[0]` holds the three per-vertex `u` values, `uv[1]` the `v`s.
+    uv: [[f32; 3]; 2],
+    /// The texture's byte order differs from the target's (RGBA vs
+    /// BGRA): bytes 0 and 2 of each gathered texel swap so that byte `i`
+    /// of the texel modulates byte `i` of the interpolated color.
+    swap_rb: bool,
 }
 
 /// Decides whether a triangle can take the branch-free span lane and
 /// builds its byte-ordered coefficients. The lane requires opaque blend
-/// (no read-back of destination bytes), no texture, no depth buffer in
-/// play, and a 4-byte format; everything else takes the scalar lane.
-fn span_lane(
+/// (no read-back of destination bytes), no depth test in play, a 4-byte
+/// target format, and either no texture or an `Rgba8888`/`Bgra8888` one;
+/// everything else (alpha blending, depth testing, 565/A8 targets or
+/// textures) takes the scalar lane.
+fn span_lane<'a>(
     geom: &TargetGeom,
     t: &ScreenTri,
     depth_active: bool,
-    tex: Option<&TexView<'_>>,
+    tex: Option<&'a TexView<'a>>,
     pipeline: &Pipeline<'_>,
-) -> Option<SpanLane> {
-    if !matches!(pipeline.blend, BlendMode::Opaque) || tex.is_some() || depth_active {
+) -> Option<SpanLane<'a>> {
+    if !matches!(pipeline.blend, BlendMode::Opaque) || depth_active {
         return None;
     }
     let by = |f: fn(&Rgba) -> f32| [f(&t.c0), f(&t.c1), f(&t.c2)];
@@ -763,6 +786,20 @@ fn span_lane(
         PixelFormat::Rgba8888 => [by(|c| c.r), by(|c| c.g), by(|c| c.b), by(|c| c.a)],
         PixelFormat::Bgra8888 => [by(|c| c.b), by(|c| c.g), by(|c| c.r), by(|c| c.a)],
         _ => return None,
+    };
+    let tex = match tex {
+        None => None,
+        Some(view) => match view.format {
+            PixelFormat::Rgba8888 | PixelFormat::Bgra8888 => Some(TexLane {
+                view,
+                uv: [
+                    [t.uv0[0], t.uv1[0], t.uv2[0]],
+                    [t.uv0[1], t.uv1[1], t.uv2[1]],
+                ],
+                swap_rb: view.format != geom.format,
+            }),
+            _ => return None,
+        },
     };
     let mut flat01_mask = Some(0u32);
     for (i, c) in ch.iter().enumerate() {
@@ -775,7 +812,11 @@ fn span_lane(
             break;
         }
     }
-    Some(SpanLane { ch, flat01_mask })
+    Some(SpanLane {
+        ch,
+        flat01_mask,
+        tex,
+    })
 }
 
 /// The sub-interval of `[lo, hi)` on which `!(w(px) < 0.0)` holds, found
@@ -824,39 +865,27 @@ fn edge_interval(w: impl Fn(u32) -> f32, lo: u32, hi: u32) -> (u32, u32) {
     }
 }
 
-/// Width of the stack buffer the span lane shades into between stores.
-const SPAN_TILE: usize = 128;
-
-/// Fills one row's covered span without per-pixel branches. Returns the
-/// fragment count, or `None` when an edge term is non-finite — the caller
-/// then takes the scalar lane, which handles arbitrary values.
+/// The covered pixel interval `[lo, hi)` of one triangle row, or `None`
+/// when an edge term is non-finite (monotonicity, and with it the
+/// interval search, is then not guaranteed; callers fall back to testing
+/// every candidate with the scalar predicate). `lo >= hi` means the row
+/// covers nothing.
 ///
-/// Byte-identity with the scalar lane rests on two facts. First, each
-/// barycentric weight `w(px)` is a chain of rounded monotone functions of
-/// `px` (cast, add-constant, multiply-by-constant, divide-by-constant),
-/// and rounding preserves weak monotonicity, so per edge the covered set
-/// really is contiguous and [`edge_interval`] — which evaluates the exact
-/// per-pixel expressions — finds the same boundary a linear scan would.
-/// The finiteness guard matters: with every term finite and `area`
-/// nonzero, no intermediate can be NaN (the weights may still overflow to
-/// ±∞, which stays monotone and compares like the scalar lane). Second,
-/// the interior loop repeats the scalar lane's weight, interpolation, and
-/// [`quantize_unit`] expressions verbatim — it is the same arithmetic,
-/// merely restructured so the compiler can vectorize it: no coverage
-/// test, `i32` quantize casts, and packed `u32` stores.
+/// Each barycentric weight `w(px)` is a chain of rounded monotone
+/// functions of `px` (cast, add-constant, multiply-by-constant,
+/// divide-by-constant), and rounding preserves weak monotonicity, so per
+/// edge the covered set really is contiguous and [`edge_interval`] —
+/// which evaluates the exact per-pixel expressions — finds the same
+/// boundary a linear scan would. The finiteness guard matters: with every
+/// term finite and `area` nonzero, no intermediate can be NaN (the
+/// weights may still overflow to ±∞, which stays monotone and compares
+/// like the scalar lane).
 #[inline]
-fn fill_row_span(
-    bytes: &mut [u8],
-    row_off: usize,
-    t: &ScreenTri,
-    k: (f32, f32, f32),
-    r: (f32, f32, f32),
-    lane: &SpanLane,
-) -> Option<u64> {
+fn covered_span(t: &ScreenTri, k: (f32, f32, f32), r: (f32, f32, f32)) -> Option<(u32, u32)> {
     let (k0, k1, k2) = k;
     let (r0, r1, r2) = r;
     if t.min_x >= t.max_x {
-        return Some(0);
+        return Some((t.min_x, t.min_x));
     }
     if ![k0, k1, k2, r0, r1, r2, t.p0[0], t.p1[0], t.p2[0], t.area]
         .iter()
@@ -870,8 +899,35 @@ fn fill_row_span(
         edge_interval(|px| ((px as f32 + 0.5 - t.p2[0]) * k1 - r1) / t.area, t.min_x, t.max_x);
     let (l2, h2) =
         edge_interval(|px| ((px as f32 + 0.5 - t.p0[0]) * k2 - r2) / t.area, t.min_x, t.max_x);
-    let lo = l0.max(l1).max(l2);
-    let hi = h0.min(h1).min(h2);
+    Some((l0.max(l1).max(l2), h0.min(h1).min(h2)))
+}
+
+/// Width of the stack buffer the span lane shades into between stores.
+const SPAN_TILE: usize = 128;
+
+/// Fills one row's covered span without per-pixel branches. Returns the
+/// fragment count, or `None` when an edge term is non-finite — the caller
+/// then takes the scalar lane, which handles arbitrary values.
+///
+/// Byte-identity with the scalar lane rests on two facts. First,
+/// [`covered_span`] finds exactly the pixels the scalar lane's coverage
+/// test accepts. Second, the interior loops repeat the scalar lane's
+/// weight, interpolation, sampling and [`quantize_unit`] expressions
+/// verbatim — the same arithmetic, merely restructured so the compiler
+/// can vectorize it: no coverage test, `i32` quantize casts, and packed
+/// `u32` stores. Textured spans are shaded by [`shade_textured`].
+#[inline]
+fn fill_row_span(
+    bytes: &mut [u8],
+    row_off: usize,
+    t: &ScreenTri,
+    k: (f32, f32, f32),
+    r: (f32, f32, f32),
+    lane: &SpanLane<'_>,
+) -> Option<u64> {
+    let (k0, k1, k2) = k;
+    let (r0, r1, r2) = r;
+    let (lo, hi) = covered_span(t, k, r)?;
     if lo >= hi {
         return Some(0);
     }
@@ -880,7 +936,9 @@ fn fill_row_span(
     while px < hi {
         let len = ((hi - px) as usize).min(SPAN_TILE);
         let mut buf = [0u32; SPAN_TILE];
-        if let Some(mask) = lane.flat01_mask {
+        if let Some(tex) = &lane.tex {
+            shade_textured(&mut buf[..len], px, t, k, r, lane, tex);
+        } else if let Some(mask) = lane.flat01_mask {
             // Flat 0/1 colors: one interpolant (the weight sum, which is
             // what every all-ones channel evaluates to) quantized once and
             // replicated across the pixel, zero channels masked off.
@@ -912,6 +970,94 @@ fn fill_row_span(
         px += len as u32;
     }
     Some(u64::from(hi - lo))
+}
+
+/// Shades `out.len()` (at most [`SPAN_TILE`]) covered pixels of a textured
+/// span starting at column `px0`, packed in the target's byte order.
+///
+/// Three stages over stack arrays, each a simple loop the compiler can
+/// vectorize: (1) the weights, the interpolated color and the texel byte
+/// offset; (2) the texel gather as `u32`s; (3) unpack, `/ 255.0`,
+/// modulate, [`quantize_unit`] and pack. Every expression is the scalar
+/// lane's: the same weights and interpolants, the texel decode of
+/// `Rgba::from_bytes`, the product order of `Rgba::modulate`. The texel
+/// index uses [`texel_index_trunc`], equal to [`texel_index`] for every
+/// input. With flat 0/1 vertex colors each all-ones channel is the weight
+/// sum and each all-zero channel is masked to byte 0 after packing (see
+/// [`SpanLane::flat01_mask`]).
+// Index loops over parallel stack arrays are the shape that vectorizes.
+#[allow(clippy::needless_range_loop)]
+fn shade_textured(
+    out: &mut [u32],
+    px0: u32,
+    t: &ScreenTri,
+    k: (f32, f32, f32),
+    r: (f32, f32, f32),
+    lane: &SpanLane<'_>,
+    tex: &TexLane<'_>,
+) {
+    let (k0, k1, k2) = k;
+    let (r0, r1, r2) = r;
+    let len = out.len();
+    let view = tex.view;
+
+    // Stage 1: weights, interpolated color, texel offsets.
+    let mut w = [[0.0f32; SPAN_TILE]; 3];
+    for i in 0..len {
+        let xc = (px0 + i as u32) as f32 + 0.5;
+        w[0][i] = ((xc - t.p1[0]) * k0 - r0) / t.area;
+        w[1][i] = ((xc - t.p2[0]) * k1 - r1) / t.area;
+        w[2][i] = ((xc - t.p0[0]) * k2 - r2) / t.area;
+    }
+    let interp = |c: &[f32; 3], dst: &mut [f32; SPAN_TILE]| {
+        for i in 0..len {
+            dst[i] = w[0][i] * c[0] + w[1][i] * c[1] + w[2][i] * c[2];
+        }
+    };
+    let mut col = [[0.0f32; SPAN_TILE]; 4];
+    let flat = lane.flat01_mask.is_some();
+    if flat {
+        for i in 0..len {
+            col[0][i] = w[0][i] + w[1][i] + w[2][i];
+        }
+    } else {
+        for (dst, c) in col.iter_mut().zip(&lane.ch) {
+            interp(c, dst);
+        }
+    }
+    let mut tc = [[0.0f32; SPAN_TILE]; 2];
+    interp(&tex.uv[0], &mut tc[0]);
+    interp(&tex.uv[1], &mut tc[1]);
+    let mut at = [0usize; SPAN_TILE];
+    for i in 0..len {
+        at[i] = view.texel_offset(tc[0][i], tc[1][i]);
+    }
+
+    // Stage 2: gather.
+    let mut texel = [0u32; SPAN_TILE];
+    for i in 0..len {
+        let b = &view.bytes[at[i]..at[i] + 4];
+        texel[i] = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+    if tex.swap_rb {
+        for v in &mut texel[..len] {
+            *v = (*v & 0xFF00_FF00) | (*v >> 16 & 0xFF) | (*v & 0xFF) << 16;
+        }
+    }
+
+    // Stage 3: unpack, modulate, quantize, pack.
+    let mask = lane.flat01_mask.unwrap_or(u32::MAX);
+    out.fill(0);
+    for c in 0..4 {
+        let src = &col[if flat { 0 } else { c }];
+        for i in 0..len {
+            let unit = f32::from((texel[i] >> (8 * c)) as u8) / 255.0;
+            out[i] |= u32::from(quantize_unit(unit * src[i])) << (8 * c);
+        }
+    }
+    for v in out.iter_mut() {
+        *v &= mask;
+    }
 }
 
 /// Computes the exact [`RasterMetrics`] that [`draw_indexed_tiled`] (or
@@ -956,25 +1102,11 @@ pub fn coverage_metrics(
 /// Counts the covered pixels of one triangle row with the span lane's
 /// interval search, or the scalar predicate when a term is non-finite.
 fn row_coverage(t: &ScreenTri, k: (f32, f32, f32), r: (f32, f32, f32)) -> u64 {
-    let (k0, k1, k2) = k;
-    let (r0, r1, r2) = r;
-    if t.min_x >= t.max_x {
-        return 0;
-    }
-    if [k0, k1, k2, r0, r1, r2, t.p0[0], t.p1[0], t.p2[0], t.area]
-        .iter()
-        .all(|v| v.is_finite())
-    {
-        let (l0, h0) =
-            edge_interval(|px| ((px as f32 + 0.5 - t.p1[0]) * k0 - r0) / t.area, t.min_x, t.max_x);
-        let (l1, h1) =
-            edge_interval(|px| ((px as f32 + 0.5 - t.p2[0]) * k1 - r1) / t.area, t.min_x, t.max_x);
-        let (l2, h2) =
-            edge_interval(|px| ((px as f32 + 0.5 - t.p0[0]) * k2 - r2) / t.area, t.min_x, t.max_x);
-        let lo = l0.max(l1).max(l2);
-        let hi = h0.min(h1).min(h2);
+    if let Some((lo, hi)) = covered_span(t, k, r) {
         return u64::from(hi.saturating_sub(lo));
     }
+    let (k0, k1, k2) = k;
+    let (r0, r1, r2) = r;
     let mut n = 0u64;
     for px in t.min_x..t.max_x {
         let xc = px as f32 + 0.5;
@@ -1321,6 +1453,21 @@ fn encode_fast(fmt: PixelFormat, color: Rgba, out: &mut [u8]) {
 fn texel_index(coord: f32, size: u32) -> u32 {
     let scaled = (coord.clamp(0.0, 1.0) * size as f32).floor() as u32;
     scaled.min(size.saturating_sub(1))
+}
+
+/// [`texel_index`] without the `floor()` call, which lowers to a libm
+/// call on baseline x86-64 (the same problem [`quantize_unit`] avoids for
+/// `round()`).
+///
+/// Bit-for-bit equivalence: after the clamp the scaled coordinate is
+/// non-negative (or NaN), so the truncating cast *is* the floor, and both
+/// casts send NaN to 0. The `size - 1` clamp is applied to the integer
+/// after the cast, so NaN stays at texel 0 — clamping the float with
+/// `f32::min` first would turn NaN into the last texel. Asserted against
+/// [`texel_index`] over a sweep of the f32 bit space by tests.
+#[inline]
+fn texel_index_trunc(coord: f32, size: u32) -> u32 {
+    ((coord.clamp(0.0, 1.0) * size as f32) as u32).min(size.saturating_sub(1))
 }
 
 fn sample_nearest(tex: &Image, u: f32, v: f32) -> Rgba {
@@ -2044,6 +2191,79 @@ mod tests {
         assert_eq!(texel_index(2.5, 8), 7);
         // Degenerate zero-size images saturate to texel 0.
         assert_eq!(texel_index(0.7, 0), 0);
+    }
+
+    #[test]
+    fn texel_index_trunc_matches_texel_index_across_the_f32_space() {
+        let sizes = [
+            0u32,
+            1,
+            2,
+            3,
+            7,
+            9,
+            64,
+            255,
+            256,
+            1024,
+            4097,
+            (1 << 24) + 1,
+            u32::MAX,
+        ];
+        let specials = [
+            0.0f32,
+            -0.0,
+            1.0,
+            0.5,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            f32::EPSILON,
+            1.0 - f32::EPSILON,
+            -1.0,
+            2.0,
+        ];
+        for size in sizes {
+            for v in specials {
+                assert_eq!(
+                    texel_index_trunc(v, size),
+                    texel_index(v, size),
+                    "{v:?} @ {size}"
+                );
+            }
+            // The neighbourhood of every texel boundary n/size.
+            for n in 0..=size.min(300) {
+                let base = n as f32 / size.max(1) as f32;
+                for ulps in -3i32..=3 {
+                    let v = f32::from_bits((base.to_bits() as i32).wrapping_add(ulps) as u32);
+                    assert_eq!(
+                        texel_index_trunc(v, size),
+                        texel_index(v, size),
+                        "{v:?} @ {size}"
+                    );
+                }
+            }
+        }
+        // Prime-stride sweep of the whole bit space (NaN payloads,
+        // subnormals, huge magnitudes of both signs).
+        let mut bits = 0u32;
+        loop {
+            let v = f32::from_bits(bits);
+            for size in [1u32, 9, 256] {
+                assert_eq!(
+                    texel_index_trunc(v, size),
+                    texel_index(v, size),
+                    "{bits:#010x} @ {size}"
+                );
+            }
+            let (next, overflow) = bits.overflowing_add(4_093);
+            if overflow {
+                break;
+            }
+            bits = next;
+        }
     }
 
     #[test]

@@ -21,6 +21,47 @@ fn arb_vertex() -> impl Strategy<Value = Vertex> {
         .prop_map(|(x, y, z, color)| Vertex::colored([x, y, z], color))
 }
 
+/// A texture coordinate: mostly in a band around `[0, 1]` (so the clamp
+/// to the edges is exercised), sometimes `±∞` or NaN.
+fn arb_uv_coord() -> impl Strategy<Value = f32> {
+    (0u8..16, -1.5f32..2.5).prop_map(|(pick, v)| match pick {
+        0 => f32::INFINITY,
+        1 => f32::NEG_INFINITY,
+        2 => f32::NAN,
+        _ => v,
+    })
+}
+
+/// [`arb_vertex`] plus a texture coordinate.
+fn arb_textured_vertex() -> impl Strategy<Value = Vertex> {
+    (arb_vertex(), arb_uv_coord(), arb_uv_coord()).prop_map(|(v, u, t)| Vertex { uv: [u, t], ..v })
+}
+
+/// A 1–9 × 1–9 texture in any of the four formats, filled with random
+/// texel bytes.
+fn arb_texture() -> impl Strategy<Value = Image> {
+    (1u32..10, 1u32..10, 0u8..4, any::<u64>()).prop_map(|(w, h, f, seed)| {
+        let format = [
+            PixelFormat::Rgba8888,
+            PixelFormat::Bgra8888,
+            PixelFormat::Rgb565,
+            PixelFormat::Alpha8,
+        ][usize::from(f)];
+        let tex = Image::new(w, h, format);
+        let mut x = seed | 1;
+        for ty in 0..h {
+            for tx in 0..w {
+                // xorshift64: four texel bytes per step.
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                tex.set_pixel(tx, ty, Rgba::from_bytes((x as u32).to_le_bytes()));
+            }
+        }
+        tex
+    })
+}
+
 proptest! {
     #[test]
     fn rgba_bytes_round_trip(r: u8, g: u8, b: u8, a: u8) {
@@ -153,20 +194,24 @@ proptest! {
 
     #[test]
     fn span_rasterizer_matches_reference_on_triangle_soups(
-        verts in prop::collection::vec(arb_vertex(), 3..24),
+        verts in prop::collection::vec(arb_textured_vertex(), 3..24),
+        texture in prop::option::of(arb_texture()),
         alpha_blend: bool,
         depth_test: bool,
+        bgra_target: bool,
         w in 1u32..40, h in 1u32..40,
     ) {
         let n = verts.len() / 3 * 3;
         let indices: Vec<u32> = (0..n as u32).collect();
         let pipeline = Pipeline {
+            texture: texture.as_ref(),
             blend: if alpha_blend { BlendMode::Alpha } else { BlendMode::Opaque },
             depth_test,
             ..Pipeline::default()
         };
-        let fast = Image::new(w, h, PixelFormat::Rgba8888);
-        let slow = Image::new(w, h, PixelFormat::Rgba8888);
+        let format = if bgra_target { PixelFormat::Bgra8888 } else { PixelFormat::Rgba8888 };
+        let fast = Image::new(w, h, format);
+        let slow = Image::new(w, h, format);
         let mut fast_depth = raster::depth_buffer_for(&fast);
         let mut slow_depth = raster::depth_buffer_for(&slow);
         let mf = raster::draw_indexed(
@@ -176,7 +221,10 @@ proptest! {
             &slow, Some(&mut slow_depth), &verts[..n], &indices, &pipeline,
         );
         prop_assert_eq!(mf, ms);
-        prop_assert_eq!(fast.to_rgba_vec(), slow.to_rgba_vec());
+        let raw = |img: &Image| img.read_rows(|rows| {
+            (0..img.height()).flat_map(|y| rows.row(y).to_vec()).collect::<Vec<u8>>()
+        });
+        prop_assert_eq!(raw(&fast), raw(&slow));
         prop_assert_eq!(fast_depth, slow_depth);
     }
 

@@ -185,11 +185,15 @@ pub enum Counter {
     FleetTasksStolen,
     /// Fleet tasks that finished after their per-task wall deadline.
     FleetDeadlineMisses,
+    /// Teardown errors swallowed when a session's `AppGl` drops. Always
+    /// on: there is no caller to report to, and each bump is a context,
+    /// surface or drawable the shared device may still be holding.
+    SessionTeardownErrors,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 29] = [
         Counter::DiplomatCalls,
         Counter::PersonaSwitches,
         Counter::ImpersonationsBegun,
@@ -218,6 +222,7 @@ impl Counter {
         Counter::PresentTeardownSkips,
         Counter::FleetTasksStolen,
         Counter::FleetDeadlineMisses,
+        Counter::SessionTeardownErrors,
     ];
 
     /// Stable kebab-case name (used in summaries and exports).
@@ -251,6 +256,7 @@ impl Counter {
             Counter::PresentTeardownSkips => "present-teardown-skips",
             Counter::FleetTasksStolen => "fleet-tasks-stolen",
             Counter::FleetDeadlineMisses => "fleet-deadline-misses",
+            Counter::SessionTeardownErrors => "session-teardown-errors",
         }
     }
 }

@@ -12,8 +12,9 @@
 
 use std::sync::{Arc, Barrier};
 
-use cycada::{AppGl, CycadaDevice};
+use cycada::{AndroidDevice, AppGl, CycadaDevice, IosDevice};
 use cycada_gles::{GlesVersion, Primitive, TexFormat};
+use cycada_sim::trace::{self, Counter};
 use cycada_sim::{Nanos, Platform};
 
 const W: u32 = 48;
@@ -161,5 +162,80 @@ fn attach_reuses_the_shared_stack() {
     assert!(
         attach_cost < 1_000_000,
         "attach charged {attach_cost} ns — did it re-boot the stack?"
+    );
+}
+
+#[test]
+fn dropped_sessions_release_their_device_resources() {
+    // Regression: a dropped AppGl used to leave its EAGL record, drawable
+    // IOSurface, EGL window surface and replica connection on the shared
+    // device forever (~72 KiB per 48x32 session, ~12 MiB at 1024x768).
+    // Counts, not RSS: every attach -> present -> drop cycle must return
+    // the device's live-object counts to their baseline.
+    let errors_before = trace::counter(Counter::SessionTeardownErrors);
+
+    let device = CycadaDevice::boot_with_display(Some((W, H))).unwrap();
+    let counts = || {
+        (
+            device.eagl().live_contexts(),
+            device.gralloc().live_buffers(),
+            device.iosurface_bridge().live_surfaces(),
+            device.egl().connection_count(),
+            device.linker().replica_count(),
+        )
+    };
+    let cycle = |i: usize| {
+        let mut app = AppGl::attach_cycada(&device, GlesVersion::V1).unwrap();
+        let tex = drive_setup(&mut app, seed(i));
+        drive_frames(&mut app, tex, seed(i), 1);
+        app
+    };
+    // One warm-up cycle: the device creates its default EGL connection
+    // lazily, on first use, and keeps it.
+    drop(cycle(0));
+    let baseline = counts();
+    for i in 1..=100 {
+        let app = cycle(i);
+        assert_ne!(counts(), baseline, "a live session holds device resources");
+        drop(app);
+        assert_eq!(
+            counts(),
+            baseline,
+            "cycle {i} leaked (eagl contexts, gralloc buffers, iosurfaces, connections, replicas)"
+        );
+    }
+
+    let android = AndroidDevice::boot_with_display(Platform::StockAndroid, Some((W, H))).unwrap();
+    let baseline = android.gralloc().live_buffers();
+    for i in 0..10 {
+        let mut app = AppGl::attach_android(&android, GlesVersion::V1).unwrap();
+        let tex = drive_setup(&mut app, seed(i));
+        drive_frames(&mut app, tex, seed(i), 1);
+        drop(app);
+        assert_eq!(
+            android.gralloc().live_buffers(),
+            baseline,
+            "android cycle {i} leaked buffers"
+        );
+    }
+
+    let ios = IosDevice::boot_with_display(Some((W, H))).unwrap();
+    let baseline = ios.stack().coresurface().live_surfaces();
+    for i in 0..10 {
+        let mut app = AppGl::attach_native_ios(&ios, GlesVersion::V1).unwrap();
+        let tex = drive_setup(&mut app, seed(i));
+        drive_frames(&mut app, tex, seed(i), 1);
+        drop(app);
+        assert_eq!(
+            ios.stack().coresurface().live_surfaces(),
+            baseline,
+            "native iOS cycle {i} leaked IOSurfaces"
+        );
+    }
+
+    assert_eq!(
+        trace::counter(Counter::SessionTeardownErrors),
+        errors_before,
+        "teardown must not fail on healthy sessions"
     );
 }
