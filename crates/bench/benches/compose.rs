@@ -36,11 +36,11 @@ fn bench_scene(c: &mut Criterion, scene: Scene, damage: bool) {
     // stays outside the measurement: each iteration is FRAMES
     // steady-state present cycles against a warm tile memo.
     let mut run = SceneRun::new(scene);
-    run.flinger().gpu().set_damage_tracking(damage);
+    cycada_sim::damage::set_tracking(damage);
     c.bench_function(&name, |b| {
         b.iter(|| black_box(run.run(FRAMES).frames));
     });
-    run.flinger().gpu().set_damage_tracking(true);
+    cycada_sim::damage::set_tracking(true);
 }
 
 fn bench_compose(c: &mut Criterion) {

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the raster plane: per-pixel-lock reference vs the
-//! span-based single-lock paths, serial vs tiled.
+//! span-based single-lock paths.
 //!
 //! The pre-refactor rasterizer paid a full `RwLock` round-trip per pixel
 //! (`Image::set_pixel` → `SharedBuffer::write`), so a 1280×800 clear was
@@ -8,9 +8,7 @@
 //! scene, same bytes out (asserted by the equivalence tests), different
 //! locking and inner loop. `raster/*_reference` cases run the preserved
 //! per-pixel implementation as the baseline the ISSUE's ≥5× criterion is
-//! judged against. `*_tiled_*` cases go through the pixel-count
-//! profitability gate (`tiling_profitable`); `*_forced_bands_*` bypass it
-//! to keep the raw banding overhead measurable on any host.
+//! judged against.
 //!
 //! Run `CRITERION_JSON_OUT=$(pwd)/BENCH_raster.json cargo bench --bench
 //! raster` from the repo root to refresh the committed results file (the
@@ -20,7 +18,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cycada_gpu::raster::{self, Pipeline, RasterThreads, Rect};
+use cycada_gpu::raster::{self, Pipeline, Rect};
 use cycada_gpu::{Image, PixelFormat, Rgba, Vertex};
 
 const W: u32 = 640;
@@ -80,38 +78,9 @@ fn bench_fullscreen_tri(c: &mut Criterion) {
     c.bench_function("raster/fullscreen_tri_spans", |b| {
         b.iter(|| black_box(raster::draw_indexed(&img, None, &verts, &indices, &pipeline)))
     });
-    // The gated entry point: `draw_indexed_tiled` bands only when the
-    // estimated pixel count clears `TILE_MIN_PIXELS` AND the host has ≥2
-    // cores (`tiling_profitable`), so on a single-core runner these now
-    // match `_spans` instead of losing to it.
-    for threads in [2usize, 4] {
-        c.bench_function(&format!("raster/fullscreen_tri_tiled_{threads}"), |b| {
-            b.iter(|| {
-                black_box(raster::draw_indexed_tiled(
-                    &img,
-                    None,
-                    &verts,
-                    &indices,
-                    &pipeline,
-                    RasterThreads(threads),
-                ))
-            })
-        });
-        // The ungated banding machinery, kept measurable on any host: the
-        // overhead the profitability gate exists to avoid.
-        c.bench_function(&format!("raster/fullscreen_tri_forced_bands_{threads}"), |b| {
-            b.iter(|| {
-                black_box(raster::draw_indexed_forced_bands(
-                    &img, None, &verts, &indices, &pipeline, threads,
-                ))
-            })
-        });
-    }
 }
 
-/// A draw far below `TILE_MIN_PIXELS`: the profitability gate must route
-/// it to the serial span path, so `_tiled_gated` tracks `_spans` instead
-/// of paying band setup for a handful of pixels.
+/// A draw covering a handful of pixels: per-draw setup dominates.
 fn bench_small_tri(c: &mut Criterion) {
     let verts = vec![
         Vertex::colored([-0.1, -0.1, 0.0], Rgba::RED),
@@ -123,18 +92,6 @@ fn bench_small_tri(c: &mut Criterion) {
     let img = Image::new(W, H, PixelFormat::Rgba8888);
     c.bench_function("raster/small_tri_spans", |b| {
         b.iter(|| black_box(raster::draw_indexed(&img, None, &verts, &indices, &pipeline)))
-    });
-    c.bench_function("raster/small_tri_tiled_gated", |b| {
-        b.iter(|| {
-            black_box(raster::draw_indexed_tiled(
-                &img,
-                None,
-                &verts,
-                &indices,
-                &pipeline,
-                RasterThreads(4),
-            ))
-        })
     });
 }
 

@@ -3,7 +3,7 @@
 //!
 //! The baselines under `tests/baselines/` were captured before the raster
 //! plane landed (the per-pixel-lock rasterizer), so these tests pin the
-//! paper's Tables 1–3 and Figures 5–10 across the span/tiled fast paths:
+//! paper's Tables 1–3 and Figures 5–10 across the span fast paths:
 //! any byte of drift in pixel hashes, frame counts, or virtual-time
 //! figures fails the suite. Regenerate a baseline on purpose with
 //! `cargo run --release --bin <name> > crates/bench/tests/baselines/<name>.txt`

@@ -4,7 +4,7 @@
 //! code shape, the trace seqlock, `SlotTable` chunk-boundary churn, and
 //! the DESIGN.md §5f parallel-plane seams (sharded kernel thread table,
 //! sharded gralloc registry, the flinger present queue, GPU fence slots
-//! and the record-then-execute path).
+//! and racing clears).
 
 use std::sync::Arc;
 
@@ -402,8 +402,8 @@ fn seqlock_writer_overwrite_mid_snapshot_is_discarded() {
 
 // ---------------------------------------------------------------------
 // Parallel-plane seams (DESIGN.md §5f): sharded kernel thread table,
-// sharded gralloc registry, flinger present queue, GPU fences and the
-// record-then-execute path
+// sharded gralloc registry, flinger present queue, GPU fences and
+// racing clears
 // ---------------------------------------------------------------------
 
 #[test]
@@ -602,7 +602,7 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
                 // damage plane disabled, using fresh source images.
                 let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
                 let oracle = SurfaceFlinger::new(Display::new(4, 2), gpu);
-                oracle.gpu().set_damage_tracking(false);
+                cycada_sim::damage::set_tracking(false);
                 let oa = Image::new(4, 2, PixelFormat::Rgba8888);
                 oa.fill(Rgba::RED);
                 let ob = Image::new(3, 2, PixelFormat::Rgba8888);
@@ -617,7 +617,7 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
                         }
                     }
                 }
-                oracle.gpu().set_damage_tracking(true);
+                cycada_sim::damage::set_tracking(true);
                 let got = sf2.display().scanout().read(|s| s.to_vec());
                 let want = oracle.display().scanout().read(|s| s.to_vec());
                 assert_eq!(got, want, "tile path diverged from full recomposition");
@@ -627,12 +627,12 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
 }
 
 #[test]
-fn gpu_record_execute_clear_is_target_atomic() {
-    // Two recorded clears of the same target race their deferred
-    // execution. Each fill happens under one buffer-guard acquisition, so
-    // the final image is uniformly one of the two colors — a torn mix
-    // means the record path broke per-target atomicity.
-    use cycada_gpu::{CommandRecorder, DrawClass, GpuDevice, Image, PixelFormat, Rgba};
+fn gpu_clear_is_target_atomic() {
+    // Two clears of the same target race. Each fill happens under one
+    // buffer-guard acquisition, so the final image is uniformly one of
+    // the two colors — a torn mix means a clear broke per-target
+    // atomicity.
+    use cycada_gpu::{DrawClass, GpuDevice, Image, PixelFormat, Rgba};
     use cycada_sim::{GpuCostModel, VirtualClock};
 
     let report = Checker::new()
@@ -643,11 +643,7 @@ fn gpu_record_execute_clear_is_target_atomic() {
             let clearer = |color: Rgba| {
                 let gpu = gpu.clone();
                 let target = target.clone();
-                move || {
-                    let mut rec = CommandRecorder::new();
-                    gpu.record_clear(&mut rec, &target, color, DrawClass::TwoD);
-                    gpu.execute(rec.finish());
-                }
+                move || gpu.clear(&target, color, DrawClass::TwoD)
             };
             let t = target.clone();
             Model::new()
@@ -659,11 +655,11 @@ fn gpu_record_execute_clear_is_target_atomic() {
                     let green: Vec<u8> = [0, 255, 0, 255].repeat(4);
                     assert!(
                         bytes == red || bytes == green,
-                        "racing recorded clears tore the target: {bytes:?}"
+                        "racing clears tore the target: {bytes:?}"
                     );
                 })
         })
-        .expect("recorded clears must stay per-target atomic");
+        .expect("clears must stay per-target atomic");
     assert!(report.complete);
 }
 

@@ -297,23 +297,10 @@ impl Eagl {
         };
         // Stage the BGRA drawable into an RGBA texture source, render it
         // into the default framebuffer, then swap — the full unoptimized
-        // path of §5. With recording on (the default), the two render
-        // diplomats charge identically but defer their byte work into a
-        // command list built lock-free on this thread; the list executes
-        // under per-buffer guards before `eglSwapBuffers` reads the back
-        // buffer, so the swapped pixels are identical either way
+        // path of §5. Each step's byte work runs inside its diplomat
         // (DESIGN.md §5f).
-        let device = self.egl_bridge.device_for_thread(tid)?;
-        if device.recording() {
-            let mut rec = cycada_gpu::CommandRecorder::new();
-            self.egl_bridge
-                .copy_tex_buf_record(tid, &drawable_image, &staging, &mut rec)?;
-            self.egl_bridge.draw_fbo_tex_record(tid, &staging, &mut rec)?;
-            device.execute(rec.finish());
-        } else {
-            self.egl_bridge.copy_tex_buf(tid, &drawable_image, &staging)?;
-            self.egl_bridge.draw_fbo_tex(tid, &staging)?;
-        }
+        self.egl_bridge.copy_tex_buf(tid, &drawable_image, &staging)?;
+        self.egl_bridge.draw_fbo_tex(tid, &staging)?;
         self.egl_bridge.swap_buffers(tid, window_surface)?;
         Ok(())
     }

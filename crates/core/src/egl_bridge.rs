@@ -186,34 +186,6 @@ impl EglBridge {
         })
     }
 
-    /// Record-mode [`EglBridge::draw_fbo_tex`]: the **same** diplomat with
-    /// the same virtual-time charges (diplomat overhead, draw accounting),
-    /// but the quad's byte work is appended to `rec` instead of rasterized
-    /// — the caller replays it with [`cycada_gpu::GpuDevice::execute`]
-    /// before the frame is swapped (DESIGN.md §5f).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycadaError::Egl`] if the thread has no current context.
-    pub fn draw_fbo_tex_record(
-        &self,
-        tid: SimTid,
-        src: &Image,
-        rec: &mut cycada_gpu::CommandRecorder,
-    ) -> Result<u64> {
-        let egl = self.egl.clone();
-        self.call(tid, fn_id!("aegl_bridge_draw_fbo_tex"), || {
-            let gles = egl.gles_for_thread(tid)?;
-            Ok(gles.with_current(tid, |c| {
-                let saved = c.bound_framebuffer();
-                c.bind_framebuffer(0);
-                let frags = c.record_fullscreen_image(rec, src);
-                c.bind_framebuffer(saved);
-                frags
-            }))
-        })
-    }
-
     /// Copies pixels between two GPU images (renderbuffer ↔ texture
     /// staging in the present path).
     ///
@@ -233,45 +205,6 @@ impl EglBridge {
             );
             Ok(())
         })
-    }
-
-    /// Record-mode [`EglBridge::copy_tex_buf`]: same diplomat, same
-    /// charges, byte copy deferred into `rec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycadaError::Egl`] if the thread has no current context.
-    pub fn copy_tex_buf_record(
-        &self,
-        tid: SimTid,
-        src: &Image,
-        dst: &Image,
-        rec: &mut cycada_gpu::CommandRecorder,
-    ) -> Result<()> {
-        let egl = self.egl.clone();
-        self.call(tid, fn_id!("aegl_bridge_copy_tex_buf"), || {
-            let gles = egl.gles_for_thread(tid)?;
-            gles.device().record_blit(
-                rec,
-                src,
-                cycada_gpu::raster::Rect::of_image(src),
-                dst,
-                cycada_gpu::raster::Rect::of_image(dst),
-                cycada_gpu::DrawClass::TwoD,
-            );
-            Ok(())
-        })
-    }
-
-    /// The GPU device behind the calling thread's current connection
-    /// (used by EAGL to consult the recording gate and replay command
-    /// lists).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycadaError::Egl`] if the thread has no current context.
-    pub fn device_for_thread(&self, tid: SimTid) -> Result<Arc<cycada_gpu::GpuDevice>> {
-        Ok(self.egl.gles_for_thread(tid)?.device().clone())
     }
 
     /// Reads the calling thread's `EGL_multi_context` TLS values (for

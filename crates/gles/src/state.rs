@@ -1434,14 +1434,20 @@ impl GlesContext {
         );
         // GL clips primitives to the clip volume, which the viewport maps
         // to this pixel rectangle (GL viewport y counts from the bottom).
+        // Edges are computed in i64 so no origin/extent pair can overflow,
+        // then clamped to the non-negative quadrant.
         let (vx, vy, vw, vh) = self.viewport;
         let clip = if vw > 0 && vh > 0 {
-            let y_top = target.height().saturating_sub(vy.max(0) as u32 + vh);
+            let edge = |v: i64| v.clamp(0, i64::from(u32::MAX)) as u32;
+            let height = i64::from(target.height());
+            let (left, right) = (edge(i64::from(vx)), edge(i64::from(vx) + i64::from(vw)));
+            let top = edge(height - i64::from(vy) - i64::from(vh));
+            let bottom = edge(height - i64::from(vy));
             Some(cycada_gpu::raster::Rect {
-                x: vx.max(0) as u32,
-                y: y_top,
-                w: vw,
-                h: vh,
+                x: left,
+                y: top,
+                w: right - left,
+                h: bottom - top,
             })
         } else {
             None
@@ -1559,25 +1565,6 @@ impl GlesContext {
         };
         self.device
             .fullscreen_image(&target, image, self.draw_class)
-            .fragments
-    }
-
-    /// [`GlesContext::draw_fullscreen_image`] with the byte work deferred:
-    /// the render target is resolved and all costs/stats charged *now*, on
-    /// the issuing thread, while the rasterization is appended to `rec`
-    /// for a later [`cycada_gpu::GpuDevice::execute`] (DESIGN.md §5f).
-    /// Returns fragments shaded, exactly as the immediate path would.
-    pub fn record_fullscreen_image(
-        &mut self,
-        rec: &mut cycada_gpu::CommandRecorder,
-        image: &Image,
-    ) -> u64 {
-        let Some(target) = self.render_target() else {
-            self.record_error(GlError::InvalidFramebufferOperation);
-            return 0;
-        };
-        self.device
-            .record_fullscreen_image(rec, &target, image, self.draw_class)
             .fragments
     }
 

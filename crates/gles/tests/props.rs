@@ -25,6 +25,20 @@ const TEX_FORMATS: [TexFormat; 4] = [
     TexFormat::Alpha,
 ];
 
+/// A small viewport origin, or an `i32` extreme for the two ends of `v`.
+fn viewport_origin(v: i32) -> i32 {
+    match v {
+        ..-2 => i32::MIN,
+        7.. => i32::MAX,
+        v => v,
+    }
+}
+
+/// A small viewport extent, or `u32::MAX` at the top of `v`.
+fn viewport_extent(v: u32) -> u32 {
+    if v < 7 { v } else { u32::MAX }
+}
+
 /// `len` pseudo-random bytes from `seed`.
 fn bytes(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed | 1;
@@ -184,21 +198,37 @@ proptest! {
 
     #[test]
     fn draws_never_touch_pixels_outside_the_viewport(
-        vx in 0i32..6, vy in 0i32..6, vw in 1u32..6, vh in 1u32..6,
+        vx in (-3i32..9).prop_map(viewport_origin),
+        vy in (-3i32..9).prop_map(viewport_origin),
+        vw in (1u32..9).prop_map(viewport_extent),
+        vh in (1u32..9).prop_map(viewport_extent),
     ) {
-        let mut c = ctx(GlesVersion::V1, ApiFlavor::Android, 12);
-        c.set_viewport(vx, vy, vw, vh);
-        c.set_client_state(ClientState::VertexArray, true);
-        c.client_pointer(ClientState::VertexArray, 2,
-            &[-1.0, -1.0, 3.0, -1.0, -1.0, 3.0]);
-        c.color4f(1.0, 0.0, 0.0, 1.0);
-        c.draw_arrays(Primitive::Triangles, 0, 3);
-        let fb = c.default_framebuffer().unwrap();
-        // GL viewport y counts from the bottom of the surface.
-        let y_top = 12 - (vy as u32 + vh);
+        // The triangle overhangs the clip volume on every side, so only
+        // the viewport clip bounds what it writes.
+        let draw = |reference: bool| {
+            let device = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+            device.set_reference_raster(reference);
+            let mut c = GlesContext::new(GlesVersion::V1, ApiFlavor::Android, device);
+            c.set_default_framebuffer(Some(Image::new(12, 12, PixelFormat::Rgba8888)));
+            c.set_viewport(vx, vy, vw, vh);
+            c.set_client_state(ClientState::VertexArray, true);
+            c.client_pointer(ClientState::VertexArray, 2,
+                &[-5.0, -5.0, 15.0, -5.0, -5.0, 15.0]);
+            c.color4f(1.0, 0.0, 0.0, 1.0);
+            c.draw_arrays(Primitive::Triangles, 0, 3);
+            c.default_framebuffer().unwrap()
+        };
+        let fb = draw(false);
+        prop_assert_eq!(
+            fb.to_rgba_vec(), draw(true).to_rgba_vec(), "span and reference lanes diverged"
+        );
+        let (vx, vy) = (i64::from(vx), i64::from(vy));
+        let (vw, vh) = (i64::from(vw), i64::from(vh));
         for y in 0..12u32 {
             for x in 0..12u32 {
-                let inside = x >= vx as u32 && x < vx as u32 + vw && y >= y_top && y < y_top + vh;
+                // GL viewport y counts from the bottom of the surface.
+                let (gx, gy) = (i64::from(x), 11 - i64::from(y));
+                let inside = gx >= vx && gx < vx + vw && gy >= vy && gy < vy + vh;
                 let lit = fb.pixel_rgba(x, y).to_bytes() != [0, 0, 0, 0];
                 if !inside {
                     prop_assert!(!lit, "pixel ({x},{y}) outside viewport was written");

@@ -6,15 +6,11 @@
 //! are per-field atomics, fences live in a [`SlotTable`] (per-slot locks,
 //! lock-free dense lookup), and pixel work serializes only on the target
 //! image's own buffer guard — so sessions driving disjoint render targets
-//! never contend on the device. The record/execute split
-//! ([`GpuDevice::record_blit`] / [`GpuDevice::execute`]) lets the present
-//! chain build an immutable command list lock-free on the issuing thread
-//! (charging all virtual time there, keeping per-session meters exact) and
-//! defer the byte work to a single rasterization pass under per-buffer
-//! guards.
+//! never contend on the device. Every command charges its virtual time on
+//! the calling thread, which keeps per-session meters exact.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cycada_sim::check::{self, Access};
 use cycada_sim::slots::SlotTable;
@@ -23,8 +19,7 @@ use cycada_sim::{trace, GpuCostModel, Nanos, VirtualClock};
 use crate::fence::{Fence, FenceCondition, FenceId};
 use crate::format::{PixelFormat, Rgba};
 use crate::image::Image;
-use crate::raster::{self, Pipeline, RasterMetrics, RasterThreads, Rect, Vertex};
-use crate::record::{CommandList, CommandRecorder, GpuCommand};
+use crate::raster::{self, Pipeline, RasterMetrics, Rect, Vertex};
 
 /// Whether work goes down the 2D (vector/canvas) or 3D path. The two paths
 /// have different relative efficiency per device (Figure 6: the iPad is
@@ -141,9 +136,7 @@ const QUAD_INDICES: [u32; 6] = [0, 1, 2, 3, 4, 5];
 pub struct GpuDevice {
     clock: VirtualClock,
     cost: GpuCostModel,
-    raster_threads: AtomicUsize,
     reference_raster: AtomicBool,
-    recording: AtomicBool,
     next_fence: AtomicU64,
     submitted_seq: AtomicU64,
     retired_seq: AtomicU64,
@@ -157,9 +150,7 @@ impl GpuDevice {
         GpuDevice {
             clock,
             cost,
-            raster_threads: AtomicUsize::new(1),
             reference_raster: AtomicBool::new(false),
-            recording: AtomicBool::new(true),
             next_fence: AtomicU64::new(0),
             submitted_seq: AtomicU64::new(0),
             retired_seq: AtomicU64::new(0),
@@ -180,56 +171,6 @@ impl GpuDevice {
     /// Whether draws are routed through the reference rasterizer.
     pub fn reference_raster(&self) -> bool {
         self.reference_raster.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables present-chain command recording (on by
-    /// default). When enabled, callers that support it (the EAGL present
-    /// chain) build a [`CommandRecorder`] list lock-free on the issuing
-    /// thread and defer the byte work to one [`GpuDevice::execute`] pass;
-    /// when disabled they perform every command immediately. Pixels,
-    /// stats and virtual time are identical either way — the differential
-    /// fuzzer runs both modes.
-    pub fn set_recording(&self, on: bool) {
-        self.recording.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether present-chain command recording is enabled.
-    pub fn recording(&self) -> bool {
-        self.recording.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables damage tracking (default on) — the
-    /// compositor plane's kill switch (DESIGN.md §5g). The gate is
-    /// process-wide (damage journals live on the shared buffers, not
-    /// on any one device); this method mirrors
-    /// [`GpuDevice::set_recording`]'s surface for callers holding a
-    /// device handle. Off forces every composition down the full
-    /// recomposition path: output bytes and metered virtual time are
-    /// identical either way, only host wall time changes.
-    pub fn set_damage_tracking(&self, on: bool) {
-        cycada_sim::damage::set_tracking(on);
-    }
-
-    /// Whether damage tracking is enabled (process-wide).
-    pub fn damage_tracking(&self) -> bool {
-        cycada_sim::damage::tracking()
-    }
-
-    /// Sets how many scoped worker threads draw commands may rasterize
-    /// with (default 1, i.e. serial).
-    ///
-    /// Tiling affects *host* wall time only: pixel output is byte-identical
-    /// for any count (see [`RasterThreads`]) and virtual-time costs are
-    /// charged from [`RasterMetrics`], so every simulated figure is
-    /// unchanged. Tiling engages only for draws whose estimated fill work
-    /// clears [`raster::TILE_MIN_PIXELS`] on a multicore host.
-    pub fn set_raster_threads(&self, threads: RasterThreads) {
-        self.raster_threads.store(threads.count(), Ordering::Relaxed);
-    }
-
-    /// The current draw-command worker count.
-    pub fn raster_threads(&self) -> RasterThreads {
-        RasterThreads(self.raster_threads.load(Ordering::Relaxed))
     }
 
     /// The device's cost model.
@@ -303,12 +244,9 @@ impl GpuDevice {
             };
             raster::reference::draw_indexed(target, depth, vertices, idx, pipeline)
         } else {
-            let threads = self.raster_threads();
             match indices {
-                Some(idx) => {
-                    raster::draw_indexed_tiled(target, depth, vertices, idx, pipeline, threads)
-                }
-                None => raster::draw_triangles_tiled(target, depth, vertices, pipeline, threads),
+                Some(idx) => raster::draw_indexed(target, depth, vertices, idx, pipeline),
+                None => raster::draw_triangles(target, depth, vertices, pipeline),
             }
         };
 
@@ -359,6 +297,7 @@ impl GpuDevice {
         self.submit();
         self.stats.draws.fetch_add(1, Ordering::Relaxed);
         let metrics = raster::coverage_metrics(target, &quad, &QUAD_INDICES, &pipeline);
+        Self::probe_target_contention(target);
         raster::blit(src, Rect::of_image(src), target, Rect::of_image(target));
         self.charge_draw(metrics, class);
         metrics
@@ -385,13 +324,18 @@ impl GpuDevice {
     /// Panics if either rectangle is out of bounds.
     pub fn blit(&self, src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect, class: DrawClass) {
         self.charge_blit_pixels(Self::blit_pixels(src_rect, dst_rect), class);
-        self.blit_bytes(src, src_rect, dst, dst_rect);
+        Self::probe_target_contention(dst);
+        if self.reference_raster() {
+            raster::reference::blit(src, src_rect, dst, dst_rect);
+        } else {
+            raster::blit(src, src_rect, dst, dst_rect);
+        }
     }
 
     /// The accounting half of a blit: submits the command, counts it and
     /// charges `pixels` of copy cost — on the calling thread, which is
     /// what keeps per-session virtual time exact when the byte work is
-    /// deferred (recorded present chains, the flinger's present queue).
+    /// deferred (the flinger's present queue).
     pub fn charge_blit_pixels(&self, pixels: u64, class: DrawClass) {
         self.submit();
         self.stats.blits.fetch_add(1, Ordering::Relaxed);
@@ -400,126 +344,10 @@ impl GpuDevice {
         );
     }
 
-    /// The byte half of a blit: performs the copy under the two buffer
-    /// guards, charging nothing. Pair with [`GpuDevice::charge_blit_pixels`]
-    /// on the issuing thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either rectangle is out of bounds.
-    pub fn blit_bytes(&self, src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect) -> u64 {
-        if self.reference_raster() {
-            raster::reference::blit(src, src_rect, dst, dst_rect)
-        } else {
-            raster::blit(src, src_rect, dst, dst_rect)
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Command recording (record on the issuing thread, execute deferred)
-    // ------------------------------------------------------------------
-
-    /// Records a clear: charges exactly what [`GpuDevice::clear`] charges
-    /// (on this thread, now) and defers the fill to execution.
-    pub fn record_clear(
-        &self,
-        rec: &mut CommandRecorder,
-        target: &Image,
-        color: Rgba,
-        class: DrawClass,
-    ) {
-        self.submit();
-        self.stats.clears.fetch_add(1, Ordering::Relaxed);
-        self.charge_clear(target, class);
-        rec.push(GpuCommand::Clear {
-            target: target.clone(),
-            color,
-        });
-    }
-
-    /// Records a blit: charges exactly what [`GpuDevice::blit`] charges
-    /// (on this thread, now) and defers the copy to execution.
-    pub fn record_blit(
-        &self,
-        rec: &mut CommandRecorder,
-        src: &Image,
-        src_rect: Rect,
-        dst: &Image,
-        dst_rect: Rect,
-        class: DrawClass,
-    ) {
-        self.charge_blit_pixels(Self::blit_pixels(src_rect, dst_rect), class);
-        rec.push(GpuCommand::Blit {
-            src: src.clone(),
-            src_rect,
-            dst: dst.clone(),
-            dst_rect,
-        });
-    }
-
-    /// Records a full-screen textured-quad draw. Metrics are computed
-    /// exactly (count-only rasterization) and charged on this thread;
-    /// the byte work is deferred. Shapes outside the identity lane
-    /// execute immediately instead — same pixels, charges and stats, so
-    /// callers need not care which happened.
-    pub fn record_fullscreen_image(
-        &self,
-        rec: &mut CommandRecorder,
-        target: &Image,
-        src: &Image,
-        class: DrawClass,
-    ) -> RasterMetrics {
-        if !self.fullscreen_identity_eligible(target, src) {
-            return self.fullscreen_image(target, src, class);
-        }
-        self.submit();
-        self.stats.draws.fetch_add(1, Ordering::Relaxed);
-        let quad = fullscreen_quad();
-        let pipeline = Pipeline {
-            texture: Some(src),
-            ..Pipeline::default()
-        };
-        let metrics = raster::coverage_metrics(target, &quad, &QUAD_INDICES, &pipeline);
-        self.charge_draw(metrics, class);
-        rec.push(GpuCommand::FullscreenImage {
-            src: src.clone(),
-            target: target.clone(),
-        });
-        metrics
-    }
-
-    /// Executes a recorded command list: pure byte work, serialized only
-    /// on each target's own buffer guard. All virtual time and stats were
-    /// charged at record time on the issuing thread, so execution can run
-    /// anywhere without perturbing any session's meter.
-    pub fn execute(&self, list: CommandList) {
-        for cmd in list.into_commands() {
-            match cmd {
-                GpuCommand::Clear { target, color } => {
-                    Self::probe_target_contention(&target);
-                    target.fill(color);
-                }
-                GpuCommand::Blit {
-                    src,
-                    src_rect,
-                    dst,
-                    dst_rect,
-                } => {
-                    Self::probe_target_contention(&dst);
-                    self.blit_bytes(&src, src_rect, &dst, dst_rect);
-                }
-                GpuCommand::FullscreenImage { src, target } => {
-                    Self::probe_target_contention(&target);
-                    self.blit_bytes(&src, Rect::of_image(&src), &target, Rect::of_image(&target));
-                }
-            }
-        }
-    }
-
     /// Trace-plane probe: about to take a command target's byte guard,
-    /// observe whether another thread holds it right now — the lock wait
-    /// the record/execute split keeps off the issuing thread. One
-    /// uncontended `try_write` when free; a counter bump when not.
+    /// observe whether another thread holds it right now and count it as
+    /// a `device-lock-waits`. One uncontended `try_write` when free; a
+    /// counter bump when not.
     fn probe_target_contention(target: &Image) {
         if target.buffer().try_write_guard().is_none() {
             trace::bump(trace::Counter::DeviceLockWaits);
@@ -784,28 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn raster_threads_change_neither_pixels_nor_virtual_time() {
-        let verts = vec![
-            Vertex::colored([-1.0, -1.0, 0.1], Rgba::RED),
-            Vertex::colored([3.0, -1.0, 0.5], Rgba::GREEN),
-            Vertex::colored([-1.0, 3.0, 0.9], Rgba::BLUE),
-        ];
-        let render = |threads: usize| {
-            let gpu = device();
-            gpu.set_raster_threads(crate::raster::RasterThreads(threads));
-            let img = Image::new(31, 17, PixelFormat::Rgba8888);
-            gpu.draw(&img, None, &verts, None, &Pipeline::default(), DrawClass::ThreeD);
-            (img.to_rgba_vec(), gpu.clock().now_ns())
-        };
-        let (serial_pixels, serial_ns) = render(1);
-        for n in [2, 4, 8] {
-            let (pixels, ns) = render(n);
-            assert_eq!(pixels, serial_pixels, "pixels diverged at {n} threads");
-            assert_eq!(ns, serial_ns, "virtual time diverged at {n} threads");
-        }
-    }
-
-    #[test]
     fn blit_converts_between_images() {
         let gpu = device();
         let src = Image::new(2, 2, PixelFormat::Rgba8888);
@@ -814,6 +620,29 @@ mod tests {
         gpu.blit(&src, Rect::of_image(&src), &dst, Rect::of_image(&dst), DrawClass::TwoD);
         assert_eq!(dst.pixel_rgba(7, 7).to_bytes(), [0, 255, 0, 255]);
         assert_eq!(gpu.stats().blits, 1);
+    }
+
+    #[test]
+    fn blit_into_a_held_target_counts_a_device_lock_wait() {
+        let gpu = device();
+        let src = Image::new(4, 4, PixelFormat::Rgba8888);
+        src.fill(Rgba::GREEN);
+        let dst = Image::new(4, 4, PixelFormat::Rgba8888);
+        let guard = dst.buffer().write_guard();
+        let before = trace::counter(trace::Counter::DeviceLockWaits);
+        std::thread::scope(|s| {
+            let blit = s.spawn(|| {
+                gpu.blit(&src, Rect::of_image(&src), &dst, Rect::of_image(&dst), DrawClass::TwoD);
+            });
+            // The blit probes before it blocks on the guard, so the bump
+            // is observable while this thread still holds it.
+            while trace::counter(trace::Counter::DeviceLockWaits) == before {
+                std::thread::yield_now();
+            }
+            drop(guard);
+            blit.join().expect("blit thread");
+        });
+        assert_eq!(dst.pixel_rgba(3, 3).to_bytes(), [0, 255, 0, 255]);
     }
 
     /// Deterministic speckle so every pixel of a test image differs.
@@ -905,62 +734,6 @@ mod tests {
         assert_eq!(span_dst.to_rgba_vec(), ref_dst.to_rgba_vec());
         assert_eq!(span_gpu.clock().now_ns(), ref_gpu.clock().now_ns());
         assert_eq!(span_gpu.stats(), ref_gpu.stats());
-    }
-
-    #[test]
-    fn record_then_execute_matches_immediate() {
-        // A recorded present chain (clear + blit + fullscreen draw) must
-        // leave identical bytes, stats and virtual time to the immediate
-        // path — with all charges landing at record time.
-        let src = Image::new(64, 48, PixelFormat::Bgra8888);
-        speckle(&src, 3);
-        let staging_rec = Image::new(64, 48, PixelFormat::Rgba8888);
-        let staging_imm = Image::new(64, 48, PixelFormat::Rgba8888);
-        let back_rec = Image::new(64, 48, PixelFormat::Rgba8888);
-        let back_imm = Image::new(64, 48, PixelFormat::Rgba8888);
-
-        let rec_gpu = device();
-        let mut rec = CommandRecorder::new();
-        rec_gpu.record_clear(&mut rec, &back_rec, Rgba::BLUE, DrawClass::TwoD);
-        rec_gpu.record_blit(
-            &mut rec,
-            &src,
-            Rect::of_image(&src),
-            &staging_rec,
-            Rect::of_image(&staging_rec),
-            DrawClass::TwoD,
-        );
-        let m_rec = rec_gpu.record_fullscreen_image(
-            &mut rec,
-            &back_rec,
-            &staging_rec,
-            DrawClass::TwoD,
-        );
-        let charged_at_record = rec_gpu.clock().now_ns();
-        let stats_at_record = rec_gpu.stats();
-        // Nothing has been rasterized yet…
-        assert_eq!(back_rec.pixel_rgba(0, 0).to_bytes(), [0, 0, 0, 0]);
-        rec_gpu.execute(rec.finish());
-        // …and execution charges nothing further.
-        assert_eq!(rec_gpu.clock().now_ns(), charged_at_record);
-        assert_eq!(rec_gpu.stats(), stats_at_record);
-
-        let imm_gpu = device();
-        imm_gpu.clear(&back_imm, Rgba::BLUE, DrawClass::TwoD);
-        imm_gpu.blit(
-            &src,
-            Rect::of_image(&src),
-            &staging_imm,
-            Rect::of_image(&staging_imm),
-            DrawClass::TwoD,
-        );
-        let m_imm = imm_gpu.fullscreen_image(&back_imm, &staging_imm, DrawClass::TwoD);
-
-        assert_eq!(m_rec, m_imm);
-        assert_eq!(back_rec.to_rgba_vec(), back_imm.to_rgba_vec());
-        assert_eq!(staging_rec.to_rgba_vec(), staging_imm.to_rgba_vec());
-        assert_eq!(rec_gpu.clock().now_ns(), imm_gpu.clock().now_ns());
-        assert_eq!(rec_gpu.stats(), imm_gpu.stats());
     }
 
     #[test]

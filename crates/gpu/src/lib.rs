@@ -36,11 +36,9 @@ mod format;
 mod image;
 pub mod math;
 pub mod raster;
-pub mod record;
 
 pub use device::{DrawClass, GpuDevice, GpuStats};
 pub use fence::{Fence, FenceCondition, FenceId};
 pub use format::{PixelFormat, Rgba};
 pub use image::{Image, Rows, RowsMut};
-pub use raster::{BlendMode, Pipeline, RasterThreads, Vertex};
-pub use record::{CommandList, CommandRecorder, GpuCommand};
+pub use raster::{BlendMode, Pipeline, Vertex};

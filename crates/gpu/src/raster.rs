@@ -13,10 +13,11 @@
 //! draw takes one write guard on the target (plus one read guard on the
 //! texture) and then works on plain byte slices. Triangle fills are
 //! span-based — per-row edge terms are hoisted so the per-candidate test
-//! is one multiply-subtract per edge — and may run tile-parallel over
-//! disjoint horizontal bands ([`draw_indexed_tiled`]). Every path is
-//! byte-identical to the per-pixel [`reference`] rasterizer, which is kept
-//! as the executable specification and asserted against by property tests.
+//! is one multiply-subtract per edge — and run serially, triangle by
+//! triangle in submission order. Every path is byte-identical to the
+//! per-pixel [`reference`] rasterizer, which is kept as the executable
+//! specification (asserted against by property tests) and as the
+//! fallback for a texture that aliases its render target.
 
 use crate::format::{PixelFormat, Rgba};
 use crate::image::Image;
@@ -207,63 +208,9 @@ impl From<cycada_sim::damage::DamageRect> for Rect {
     }
 }
 
-/// How many scoped worker threads a draw may rasterize with.
-///
-/// `RasterThreads(1)` (the default) is fully serial. `RasterThreads(n)`
-/// partitions the target into `n` disjoint horizontal bands, each rendered
-/// by its own scoped thread. Bands never share a row, every band processes
-/// triangles in submission order, and each pixel belongs to exactly one
-/// band — so the bytes written are identical to the serial schedule for
-/// any `n` (asserted by tests). Virtual-time costs are charged from
-/// [`RasterMetrics`], not wall time, so parallelism never changes the
-/// simulated figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RasterThreads(pub usize);
-
-impl RasterThreads {
-    /// The effective worker count (at least 1).
-    pub fn count(self) -> usize {
-        self.0.max(1)
-    }
-}
-
-impl Default for RasterThreads {
-    fn default() -> Self {
-        RasterThreads(1)
-    }
-}
-
 /// Allocates a depth buffer (initialized to the far plane) for `target`.
 pub fn depth_buffer_for(target: &Image) -> Vec<f32> {
     vec![f32::INFINITY; target.pixel_count() as usize]
-}
-
-/// Minimum estimated fragment workload (summed triangle bounding-box
-/// pixels) below which band tiling is skipped and the draw runs serial.
-///
-/// Measured on the `fullscreen_tri` bench shape: a scoped worker costs
-/// roughly 15–30 µs to spawn and join, while the span lane fills on the
-/// order of a pixel per nanosecond — so a band must cover ≳30 k pixels
-/// before its thread pays for itself, and the crossover for the whole draw
-/// sits around 10⁵ pixels. Below this bound `RasterThreads(2/4)` was
-/// strictly slower than serial (the `BENCH_raster.json` non-win).
-pub const TILE_MIN_PIXELS: u64 = 1 << 17;
-
-/// The host's available parallelism, sampled once. Band tiling can only
-/// lose on a single-core host, so the gate consults this alongside
-/// [`TILE_MIN_PIXELS`].
-fn host_parallelism() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    })
-}
-
-/// Whether splitting `est_pixels` of fill work into bands is expected to
-/// beat the serial schedule on this host. Purely a wall-time heuristic:
-/// pixel output and virtual time are identical either way.
-pub fn tiling_profitable(est_pixels: u64) -> bool {
-    est_pixels >= TILE_MIN_PIXELS && host_parallelism() >= 2
 }
 
 /// Draws a triangle list: every 3 vertices form one triangle.
@@ -277,19 +224,8 @@ pub fn draw_triangles(
     vertices: &[Vertex],
     pipeline: &Pipeline<'_>,
 ) -> RasterMetrics {
-    draw_triangles_tiled(target, depth, vertices, pipeline, RasterThreads(1))
-}
-
-/// [`draw_triangles`], optionally tile-parallel (see [`draw_indexed_tiled`]).
-pub fn draw_triangles_tiled(
-    target: &Image,
-    depth: Option<&mut [f32]>,
-    vertices: &[Vertex],
-    pipeline: &Pipeline<'_>,
-    threads: RasterThreads,
-) -> RasterMetrics {
     let indices: Vec<u32> = (0..vertices.len() as u32).collect();
-    draw_indexed_tiled(target, depth, vertices, &indices, pipeline, threads)
+    draw_indexed(target, depth, vertices, &indices, pipeline)
 }
 
 /// Draws an indexed triangle list (serial span rasterizer: one lock for
@@ -305,59 +241,6 @@ pub fn draw_indexed(
     vertices: &[Vertex],
     indices: &[u32],
     pipeline: &Pipeline<'_>,
-) -> RasterMetrics {
-    draw_indexed_tiled(target, depth, vertices, indices, pipeline, RasterThreads(1))
-}
-
-/// Draws an indexed triangle list, optionally tile-parallel.
-///
-/// The target is split into `threads` disjoint horizontal bands rendered
-/// by scoped threads; see [`RasterThreads`] for the determinism argument.
-/// Output bytes, depth values and [`RasterMetrics`] are identical for any
-/// thread count. Tiling only engages when the estimated fill work clears
-/// [`TILE_MIN_PIXELS`] on a multicore host ([`tiling_profitable`]);
-/// smaller draws run serial regardless of `threads`, because the band
-/// spawn/join overhead exceeds the fill time.
-///
-/// # Panics
-///
-/// Panics if an index is out of range, or if `pipeline.depth_test` is set
-/// with a depth buffer of the wrong size.
-pub fn draw_indexed_tiled(
-    target: &Image,
-    depth: Option<&mut [f32]>,
-    vertices: &[Vertex],
-    indices: &[u32],
-    pipeline: &Pipeline<'_>,
-    threads: RasterThreads,
-) -> RasterMetrics {
-    draw_indexed_impl(target, depth, vertices, indices, pipeline, threads.count(), true)
-}
-
-/// [`draw_indexed_tiled`] with an explicit band count and no
-/// profitability gate — the multi-band schedule must stay byte-identical
-/// even on hosts/draws where the public gate would pick the serial path,
-/// and tests exercise it through this entry.
-#[doc(hidden)]
-pub fn draw_indexed_forced_bands(
-    target: &Image,
-    depth: Option<&mut [f32]>,
-    vertices: &[Vertex],
-    indices: &[u32],
-    pipeline: &Pipeline<'_>,
-    bands: usize,
-) -> RasterMetrics {
-    draw_indexed_impl(target, depth, vertices, indices, pipeline, bands, false)
-}
-
-fn draw_indexed_impl(
-    target: &Image,
-    mut depth: Option<&mut [f32]>,
-    vertices: &[Vertex],
-    indices: &[u32],
-    pipeline: &Pipeline<'_>,
-    workers: usize,
-    gate: bool,
 ) -> RasterMetrics {
     if let Some(d) = depth.as_deref() {
         assert_eq!(
@@ -411,72 +294,11 @@ fn draw_indexed_impl(
     let mut guard = target.buffer().write_guard_noting(damage.into());
     let bytes = &mut guard[..geom.row_bytes * height as usize];
 
-    let mut bands = workers.max(1).min(height.max(1) as usize);
-    if gate && bands > 1 {
-        let est: u64 = tris
-            .iter()
-            .map(|t| u64::from(t.max_x - t.min_x) * u64::from(t.max_y - t.min_y))
-            .sum();
-        if !tiling_profitable(est) {
-            bands = 1;
-        }
-    }
-    if bands <= 1 {
-        metrics.fragments = fill_band(
-            bytes,
-            depth.as_deref_mut(),
-            0,
-            height,
-            &geom,
-            &tris,
-            tex_view.as_ref(),
-            pipeline,
-        );
-        return metrics;
-    }
-
-    // Deterministic partition: band i covers `base` rows, the first
-    // `extra` bands one row more — contiguous, disjoint, in row order.
-    let base = height as usize / bands;
-    let extra = height as usize % bands;
-    let mut band_rows = Vec::with_capacity(bands);
-    let mut y = 0u32;
-    for i in 0..bands {
-        let rows = (base + usize::from(i < extra)) as u32;
-        band_rows.push((y, y + rows));
-        y += rows;
-    }
-
-    let fragments: u64 = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(bands);
-        let mut rest_bytes = bytes;
-        let mut rest_depth = depth;
-        let tris = &tris;
-        let geom = &geom;
-        let tex_view = tex_view.as_ref();
-        for &(row0, row1) in &band_rows {
-            let rows = (row1 - row0) as usize;
-            let (band_bytes, tail) = rest_bytes.split_at_mut(rows * geom.row_bytes);
-            rest_bytes = tail;
-            let band_depth = match rest_depth.take() {
-                Some(d) => {
-                    let (head, tail) = d.split_at_mut(rows * geom.width as usize);
-                    rest_depth = Some(tail);
-                    Some(head)
-                }
-                None => None,
-            };
-            handles.push(s.spawn(move || {
-                fill_band(band_bytes, band_depth, row0, row1, geom, tris, tex_view, pipeline)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("raster band")).sum()
-    });
-    metrics.fragments = fragments;
+    metrics.fragments = fill_triangles(bytes, depth, &geom, &tris, tex_view.as_ref(), pipeline);
     metrics
 }
 
-/// Per-draw target geometry shared by every band.
+/// Per-draw target geometry.
 struct TargetGeom {
     width: u32,
     row_bytes: usize,
@@ -545,8 +367,8 @@ fn prepare_triangles(
         Some(c) => (
             c.x.min(target.width()),
             c.y.min(target.height()),
-            (c.x + c.w).min(target.width()),
-            (c.y + c.h).min(target.height()),
+            c.right().min(target.width()),
+            c.bottom().min(target.height()),
         ),
         None => (0, 0, target.width(), target.height()),
     };
@@ -618,11 +440,9 @@ fn prepare_triangles(
     tris
 }
 
-/// Rasterizes every prepared triangle into one horizontal band.
-///
-/// `bytes` covers exactly rows `[row0, row1)` of the target and `depth`
-/// (when present) the same rows of the depth buffer, so bands can run on
-/// separate threads without overlapping writes. Returns fragments shaded.
+/// Rasterizes every prepared triangle, in submission order, into the
+/// target's `bytes` and (when present) its `depth` buffer. Returns
+/// fragments shaded.
 ///
 /// Span math: for the edge function through `a`,`b` the reference
 /// rasterizer evaluates, at each pixel center `(X, Y)`,
@@ -635,12 +455,9 @@ fn prepare_triangles(
 /// are exactly those of the reference. A naive DDA (`e += dx` stepping)
 /// would be faster still but accumulates float rounding and breaks the
 /// byte-identical contract; see DESIGN.md §5b.
-#[allow(clippy::too_many_arguments)]
-fn fill_band(
+fn fill_triangles(
     bytes: &mut [u8],
     mut depth: Option<&mut [f32]>,
-    row0: u32,
-    row1: u32,
     geom: &TargetGeom,
     tris: &[ScreenTri],
     tex: Option<&TexView<'_>>,
@@ -649,8 +466,6 @@ fn fill_band(
     let mut fragments = 0u64;
     let depth_active = pipeline.depth_test && depth.is_some();
     for t in tris {
-        let min_y = t.min_y.max(row0);
-        let max_y = t.max_y.min(row1);
         // Triangle-invariant edge factors: k = b.y - a.y, d = b.x - a.x
         // for the edges (p1,p2), (p2,p0), (p0,p1).
         let k0 = t.p2[1] - t.p1[1];
@@ -660,14 +475,14 @@ fn fill_band(
         let k2 = t.p1[1] - t.p0[1];
         let d2 = t.p1[0] - t.p0[0];
         let lane = span_lane(geom, t, depth_active, tex, pipeline);
-        for py in min_y..max_y {
+        for py in t.min_y..t.max_y {
             let yc = py as f32 + 0.5;
             // Row-invariant second products of the three edge functions.
             let r0 = (yc - t.p1[1]) * d0;
             let r1 = (yc - t.p2[1]) * d1;
             let r2 = (yc - t.p0[1]) * d2;
-            let row_off = (py - row0) as usize * geom.row_bytes;
-            let depth_row = (py - row0) as usize * geom.width as usize;
+            let row_off = py as usize * geom.row_bytes;
+            let depth_row = py as usize * geom.width as usize;
             // Branch-free span lane for the hot shapes (opaque, no depth
             // test, 4-byte target, untextured or 4-byte texture): find the
             // covered interval with O(log W) evaluations of the exact
@@ -1060,14 +875,14 @@ fn shade_textured(
     }
 }
 
-/// Computes the exact [`RasterMetrics`] that [`draw_indexed_tiled`] (or
+/// Computes the exact [`RasterMetrics`] that [`draw_indexed`] (or
 /// [`reference::draw_indexed`]) would report for this draw, without
 /// touching any pixel or depth bytes.
 ///
-/// This is what lets the device charge a recorded draw's virtual-time cost
-/// on the *issuing* thread while the byte work is deferred: coverage does
-/// not depend on blending, texturing or the depth test (the fill loops
-/// count a fragment *before* the depth reject), so the count is a pure
+/// This is what lets the device's identity lane charge a full-screen quad
+/// exactly while its bytes come from a row copy: coverage does not depend
+/// on blending, texturing or the depth test (the fill loops count a
+/// fragment *before* the depth reject), so the count is a pure
 /// function of the prepared triangles. Each row's count is found with the
 /// same [`edge_interval`] search the span lane uses — O(log W) evaluations
 /// of the exact per-pixel predicate — falling back to a scalar predicate
@@ -1516,8 +1331,8 @@ pub mod reference {
             Some(c) => (
                 c.x.min(target.width()),
                 c.y.min(target.height()),
-                (c.x + c.w).min(target.width()),
-                (c.y + c.h).min(target.height()),
+                c.right().min(target.width()),
+                c.bottom().min(target.height()),
             ),
             None => (0, 0, target.width(), target.height()),
         };
@@ -1905,65 +1720,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn tiled_output_is_byte_identical_for_any_thread_count() {
-        let serial = Image::new(40, 31, PixelFormat::Rgba8888);
-        let mut serial_depth = depth_buffer_for(&serial);
-        let pipeline = Pipeline { depth_test: true, ..Pipeline::default() };
-        let indices = [0u32, 1, 2, 3, 4, 5];
-        let m0 = draw_indexed(&serial, Some(&mut serial_depth), &scene(), &indices, &pipeline);
-        for n in [1usize, 2, 4, 8, 64] {
-            // Forced bands: the profitability gate would run a draw this
-            // small serial, but the banded schedule itself must stay
-            // byte-identical on any host.
-            let tiled = Image::new(40, 31, PixelFormat::Rgba8888);
-            let mut tiled_depth = depth_buffer_for(&tiled);
-            let m = draw_indexed_forced_bands(
-                &tiled,
-                Some(&mut tiled_depth),
-                &scene(),
-                &indices,
-                &pipeline,
-                n,
-            );
-            assert_eq!(m, m0, "metrics diverged at {n} bands");
-            assert_eq!(
-                tiled.to_rgba_vec(),
-                serial.to_rgba_vec(),
-                "pixels diverged at {n} bands"
-            );
-            assert_eq!(
-                tiled_depth.to_vec(),
-                serial_depth,
-                "depth diverged at {n} bands"
-            );
-            // The gated public entry must agree with the serial draw too,
-            // whichever band count it picks.
-            let gated = Image::new(40, 31, PixelFormat::Rgba8888);
-            let mut gated_depth = depth_buffer_for(&gated);
-            let mg = draw_indexed_tiled(
-                &gated,
-                Some(&mut gated_depth),
-                &scene(),
-                &indices,
-                &pipeline,
-                RasterThreads(n),
-            );
-            assert_eq!(mg, m0, "gated metrics diverged at {n} threads");
-            assert_eq!(gated.to_rgba_vec(), serial.to_rgba_vec());
-            assert_eq!(gated_depth, serial_depth);
-        }
-    }
-
-    #[test]
-    fn tiling_gate_uses_pixel_threshold_and_host_cores() {
-        // Small draws never tile; huge draws tile only on multicore hosts.
-        assert!(!tiling_profitable(0));
-        assert!(!tiling_profitable(TILE_MIN_PIXELS - 1));
-        assert_eq!(tiling_profitable(TILE_MIN_PIXELS), host_parallelism() >= 2);
-        assert_eq!(tiling_profitable(u64::MAX), host_parallelism() >= 2);
     }
 
     #[test]

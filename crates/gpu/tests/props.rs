@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use cycada_gpu::math::Mat4;
-use cycada_gpu::raster::{self, Pipeline, RasterThreads, Rect};
+use cycada_gpu::raster::{self, Pipeline, Rect};
 use cycada_gpu::{BlendMode, Image, PixelFormat, Rgba, Vertex};
 
 fn arb_color() -> impl Strategy<Value = Rgba> {
@@ -226,29 +226,6 @@ proptest! {
         });
         prop_assert_eq!(raw(&fast), raw(&slow));
         prop_assert_eq!(fast_depth, slow_depth);
-    }
-
-    #[test]
-    fn tiled_rasterizer_is_byte_identical_across_thread_counts(
-        verts in prop::collection::vec(arb_vertex(), 3..15),
-        w in 1u32..32, h in 1u32..32,
-    ) {
-        let n = verts.len() / 3 * 3;
-        let indices: Vec<u32> = (0..n as u32).collect();
-        let pipeline = Pipeline { blend: BlendMode::Alpha, ..Pipeline::default() };
-        let serial = Image::new(w, h, PixelFormat::Rgba8888);
-        let m1 = raster::draw_indexed(&serial, None, &verts[..n], &indices, &pipeline);
-        for threads in [2usize, 4, 8] {
-            let tiled = Image::new(w, h, PixelFormat::Rgba8888);
-            let m = raster::draw_indexed_tiled(
-                &tiled, None, &verts[..n], &indices, &pipeline, RasterThreads(threads),
-            );
-            prop_assert_eq!(m, m1, "metrics diverged at {} threads", threads);
-            prop_assert_eq!(
-                tiled.to_rgba_vec(), serial.to_rgba_vec(),
-                "pixels diverged at {} threads", threads
-            );
-        }
     }
 
     #[test]

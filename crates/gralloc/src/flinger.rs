@@ -20,7 +20,7 @@
 //! later blit fully covers the tile (occluded — every flinger blit is
 //! an opaque overwrite, so coverage alone suffices). Everything falls
 //! back to full recomposition when damage tracking is off
-//! ([`cycada_gpu::GpuDevice::set_damage_tracking`]), when a blit's
+//! ([`cycada_sim::damage::set_tracking`]), when a blit's
 //! source aliases the scanout, or when the gate epoch moved. Output
 //! bytes and metered virtual time are identical on-vs-off by
 //! construction: all charging happens at enqueue, and the tile path

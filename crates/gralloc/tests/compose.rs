@@ -84,7 +84,7 @@ fn run_script(
     frames: usize,
     damage_tracking: bool,
 ) -> (Vec<u8>, u64) {
-    sf.gpu().set_damage_tracking(damage_tracking);
+    cycada_sim::damage::set_tracking(damage_tracking);
     let images: Vec<Image> = layers
         .iter()
         .map(|l| {
@@ -109,7 +109,7 @@ fn run_script(
         sf.composite(&stack);
     }
     let charged = sf.gpu().clock().now_ns() - start;
-    sf.gpu().set_damage_tracking(true);
+    cycada_sim::damage::set_tracking(true);
     (sf.display().scanout().read(|b| b.to_vec()), charged)
 }
 
@@ -150,10 +150,10 @@ fn mid_run_kill_switch_stays_byte_identical() {
     let stack: [(&Image, Rect); 2] =
         [(&bg, Rect { x: 0, y: 0, w: PANEL, h: PANEL }), (&badge, Rect { x: 4, y: 4, w: 8, h: 8 })];
     sf.composite(&stack);
-    sf.gpu().set_damage_tracking(false);
+    cycada_sim::damage::set_tracking(false);
     badge.fill(Rgba::GREEN);
     sf.composite(&stack);
-    sf.gpu().set_damage_tracking(true);
+    cycada_sim::damage::set_tracking(true);
     // With tracking re-enabled the memo's old epoch must not let the
     // badge tile skip: its bytes changed while the journal was frozen.
     badge.fill(Rgba::BLUE);

@@ -177,9 +177,9 @@ impl SceneRun {
 /// restoring the default (on) afterwards.
 pub fn run_scene(scene: Scene, frames: u64, damage_tracking: bool) -> SceneReport {
     let mut run = SceneRun::new(scene);
-    run.flinger().gpu().set_damage_tracking(damage_tracking);
+    cycada_sim::damage::set_tracking(damage_tracking);
     let report = run.run(frames);
-    run.flinger().gpu().set_damage_tracking(true);
+    cycada_sim::damage::set_tracking(true);
     report
 }
 

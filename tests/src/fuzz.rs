@@ -8,7 +8,7 @@
 //!
 //! 1. **Diplomat path** — [`AppGl::attach_cycada`] sessions on a booted
 //!    [`CycadaDevice`]: every call crosses the diplomatic bridge,
-//!    persona switches, the replica vendor stack, and the tiled
+//!    persona switches, the replica vendor stack, and the span
 //!    rasterizer.
 //! 2. **Reference path** — a bare [`GlesContext`] per script context on
 //!    a private [`GpuDevice`] with
@@ -17,17 +17,13 @@
 //!
 //! The differ asserts byte-identical canonical-RGBA framebuffers and
 //! equal per-draw fragment counts, then re-runs the diplomat path on a
-//! fresh device **with command recording disabled** and asserts the
-//! metered virtual time and pixels repeat exactly — one pass checks
-//! both the determinism contract the figure regenerators rely on and
-//! the DESIGN.md §5f contract that the record-then-execute present
-//! plane is indistinguishable from immediate rasterization.
-//!
-//! A third diplomat run then disables the compositor damage plane
-//! (DESIGN.md §5g) and asserts pixels, scanout bytes, and virtual time
-//! still repeat exactly — tile-wise composition with clean/occlusion
-//! skips must be indistinguishable from full recomposition, including
-//! under the scissored partial-redraw ops the generator emits.
+//! fresh device **with the compositor damage plane disabled**
+//! (DESIGN.md §5g) and asserts pixels, scanout bytes, and metered
+//! virtual time repeat exactly — one pass checks both the determinism
+//! contract the figure regenerators rely on and that tile-wise
+//! composition with clean/occlusion skips is indistinguishable from
+//! full recomposition, including under the scissored partial-redraw
+//! ops the generator emits.
 //!
 //! Failures shrink with a ddmin-style [`shrink`] pass to a minimal
 //! script that still fails, printed in replayable form.
@@ -383,57 +379,34 @@ fn quad_arrays(rect: [f32; 4]) -> ([f32; 18], [f32; 12]) {
 }
 
 /// Runs `script` through the full diplomat path: one booted
-/// [`CycadaDevice`], one attached [`AppGl`] session per context, with
-/// the device's present-plane command recording left at its default
-/// (enabled).
+/// [`CycadaDevice`], one attached [`AppGl`] session per context.
 ///
 /// # Errors
 ///
 /// Returns a description of the first failing call.
 pub fn run_diplomat(script: &Script) -> Result<RunResult, String> {
-    run_diplomat_mode(script, true)
+    run_diplomat_planes(script, true)
 }
 
-/// [`run_diplomat`] with the GPU's present-plane command recording
-/// forced on or off. Both modes must produce identical pixels, fragment
-/// counts and virtual time — [`check_script`] exercises them
-/// differentially.
+/// [`run_diplomat`] with the compositor damage plane forced on or off
+/// (DESIGN.md §5g). The kill switch is process-wide, so it is restored
+/// to its default (on) before returning.
 ///
 /// # Errors
 ///
 /// Returns a description of the first failing call.
-pub fn run_diplomat_mode(script: &Script, recording: bool) -> Result<RunResult, String> {
-    run_diplomat_planes(script, recording, true)
-}
-
-/// [`run_diplomat_mode`] with the compositor damage plane forced on or
-/// off as well (DESIGN.md §5g). The kill switch is process-wide, so it
-/// is restored to its default (on) before returning.
-///
-/// # Errors
-///
-/// Returns a description of the first failing call.
-pub fn run_diplomat_planes(
-    script: &Script,
-    recording: bool,
-    damage_tracking: bool,
-) -> Result<RunResult, String> {
-    let result = run_diplomat_inner(script, recording, damage_tracking);
+pub fn run_diplomat_planes(script: &Script, damage_tracking: bool) -> Result<RunResult, String> {
+    let result = run_diplomat_inner(script, damage_tracking);
     if !damage_tracking {
         cycada_sim::damage::set_tracking(true);
     }
     result
 }
 
-fn run_diplomat_inner(
-    script: &Script,
-    recording: bool,
-    damage_tracking: bool,
-) -> Result<RunResult, String> {
+fn run_diplomat_inner(script: &Script, damage_tracking: bool) -> Result<RunResult, String> {
     let device = CycadaDevice::boot_with_display(Some((WIDTH, HEIGHT)))
         .map_err(|e| format!("boot: {e}"))?;
-    device.gpu().set_recording(recording);
-    device.gpu().set_damage_tracking(damage_tracking);
+    cycada_sim::damage::set_tracking(damage_tracking);
     let mut apps = Vec::with_capacity(script.versions.len());
     for (i, v) in script.versions.iter().enumerate() {
         apps.push(
@@ -813,34 +786,12 @@ pub fn check_script(script: &Script) -> Result<(), String> {
             ));
         }
     }
-    // Determinism of the metered plane AND record/immediate equivalence:
-    // a second fresh diplomat run with present-plane recording disabled
-    // must repeat pixels and virtual time exactly (the first run used
-    // the default record-then-execute path).
-    let again = run_diplomat_mode(script, false)
-        .map_err(|e| format!("diplomat re-run (recording off) failed: {e}"))?;
-    if again.frames != diplomat.frames {
-        return Err(
-            "diplomat re-run with recording disabled produced different pixels".into(),
-        );
-    }
-    if again.session_ns != diplomat.session_ns {
-        return Err(format!(
-            "diplomat re-run with recording disabled metered different virtual time: \
-             recorded {:?} vs immediate {:?}",
-            diplomat.session_ns, again.session_ns
-        ));
-    }
-    if again.scanout != diplomat.scanout {
-        return Err(
-            "diplomat re-run with recording disabled produced a different scanout".into(),
-        );
-    }
-    // Third diplomat run with the compositor damage plane disabled
-    // (DESIGN.md §5g): tile-wise composition with clean/occlusion skips
-    // must be indistinguishable — pixels, scanout bytes, and metered
-    // virtual time — from full recomposition.
-    let undamaged = run_diplomat_planes(script, true, false)
+    // Determinism of the metered plane AND damage on/off equivalence: a
+    // second fresh diplomat run with the compositor damage plane disabled
+    // (DESIGN.md §5g) must repeat pixels, scanout bytes, and metered
+    // virtual time exactly — tile-wise composition with clean/occlusion
+    // skips is indistinguishable from full recomposition.
+    let undamaged = run_diplomat_planes(script, false)
         .map_err(|e| format!("diplomat re-run (damage off) failed: {e}"))?;
     if undamaged.frames != diplomat.frames {
         return Err(

@@ -1,10 +1,10 @@
 //! Differential GLES conformance fuzzing: seeded random call scripts
 //! executed through the full diplomat path and through the reference
 //! rasterizer must produce byte-identical framebuffers, equal per-draw
-//! fragment counts, and — across a recording-enabled and a
-//! recording-disabled diplomat run (DESIGN.md §5f) — identical pixels
-//! and metered virtual time. Failures shrink to a minimal replayable
-//! script before the test panics.
+//! fragment counts, and — across a damage-tracked and a damage-off
+//! diplomat run (DESIGN.md §5g) — identical pixels, scanout and metered
+//! virtual time. Failures shrink to a minimal replayable script before
+//! the test panics.
 //!
 //! Case count: 24 under `cargo test` (debug), 200 in release CI;
 //! `CYCADA_FUZZ_CASES` overrides both (the nightly long run sets it to
