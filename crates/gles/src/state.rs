@@ -168,6 +168,13 @@ fn align_up(v: usize, a: usize) -> usize {
     v.div_ceil(a) * a
 }
 
+/// Whether the `w`x`h` rect at `(x, y)` lies inside a `width`x`height`
+/// image. Summed in `u64` so extreme origins and extents cannot wrap.
+fn rect_fits(x: u32, y: u32, w: u32, h: u32, width: u32, height: u32) -> bool {
+    u64::from(x) + u64::from(w) <= u64::from(width)
+        && u64::from(y) + u64::from(h) <= u64::from(height)
+}
+
 /// One GLES rendering context.
 pub struct GlesContext {
     version: GlesVersion,
@@ -686,7 +693,7 @@ impl GlesContext {
             self.record_error(GlError::InvalidOperation);
             return;
         };
-        if x + width > image.width() || y + height > image.height() {
+        if !rect_fits(x, y, width, height, image.width(), image.height()) {
             self.record_error(GlError::InvalidValue);
             return;
         }
@@ -1583,7 +1590,7 @@ impl GlesContext {
             self.record_error(GlError::InvalidFramebufferOperation);
             return 0;
         };
-        if x + width > target.width() || y + height > target.height() {
+        if !rect_fits(x, y, width, height, target.width(), target.height()) {
             self.record_error(GlError::InvalidValue);
             return 0;
         }

@@ -39,6 +39,14 @@ fn viewport_extent(v: u32) -> u32 {
     if v < 7 { v } else { u32::MAX }
 }
 
+/// Four out-of-bounds rects whose origin plus extent reaches or passes
+/// `u32::MAX` on one axis: origin `1 + a`, extent `u32::MAX - b`, and the
+/// two swapped.
+fn far_rects((a, b): (u32, u32)) -> [(u32, u32, u32, u32); 4] {
+    let (o, e) = (1 + a, u32::MAX - b);
+    [(o, 0, e, 1), (0, o, 1, e), (e, 0, o, 1), (0, e, 1, o)]
+}
+
 /// `len` pseudo-random bytes from `seed`.
 fn bytes(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed | 1;
@@ -100,6 +108,7 @@ proptest! {
         sub in (0u32..12, 0u32..12, 0u32..13, 0u32..13),
         alignment in (0usize..4, 0usize..4),
         row_pad in (0usize..6, 0usize..6),
+        far in (0u32..3, 0u32..3),
         seed: u64,
     ) {
         let (tex_format, sub_format) = (TEX_FORMATS[formats.0], TEX_FORMATS[formats.1]);
@@ -138,11 +147,19 @@ proptest! {
         unpack_per_pixel(&expect, &patch, stride, sub_format, (x, y, w, h));
         prop_assert_eq!(c.get_error(), GlError::NoError);
         prop_assert_eq!(raw_bytes(&image), raw_bytes(&expect));
+
+        // Origins and extents near u32::MAX are rejected, never wrapped.
+        for (x, y, w, h) in far_rects(far) {
+            c.tex_sub_image_2d(x, y, w, h, sub_format, &patch);
+            prop_assert_eq!(c.get_error(), GlError::InvalidValue);
+        }
+        prop_assert_eq!(raw_bytes(&image), raw_bytes(&expect));
     }
 
     #[test]
     fn texture_upload_readback_round_trips(
         w in 1u32..8, h in 1u32..8,
+        far in (0u32..3, 0u32..3),
         seed: u64,
     ) {
         let mut c = ctx(GlesVersion::V2, ApiFlavor::Ios, 16);
@@ -165,6 +182,15 @@ proptest! {
                 );
             }
         }
+
+        // Readbacks at origins and extents near u32::MAX are rejected
+        // and leave the output untouched.
+        let mut out = vec![7u8; 3];
+        for (x, y, rw, rh) in far_rects(far) {
+            prop_assert_eq!(c.read_pixels(x, y, rw, rh, TexFormat::Rgba, &mut out), 0);
+            prop_assert_eq!(c.get_error(), GlError::InvalidValue);
+        }
+        prop_assert_eq!(out, vec![7u8; 3]);
     }
 
     #[test]

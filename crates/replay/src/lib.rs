@@ -15,8 +15,9 @@
 //!   `session_virtual_ns` at meter close and stream end.
 //!
 //! A divergence is reported as a typed [`ReplayError::Diverged`] and can
-//! be ddmin-shrunk ([`shrink_divergence`], the PR 5 shrinker idiom) into
-//! a minimal `.cyt` that still reproduces it.
+//! be ddmin-shrunk ([`shrink_divergence`], a predicate over the one
+//! shrinker, [`shrink_calls`]) into a minimal `.cyt` that still
+//! reproduces it.
 //!
 //! [`replay_on_device`] replays onto an *existing shared device* instead
 //! — the fleet plane's fifth scenario kind (`replay:<path>`), fanning a
@@ -32,8 +33,17 @@
 //! returned; the replaying session gets its own. `create-texture` calls
 //! carry the recorded name, and the replayer maintains a recorded→live
 //! map. A call referencing an unknown recorded name is skipped rather
-//! than failed — the fuzzer's convention — so every subsequence of a
-//! stream stays executable, which is what lets ddmin converge.
+//! than failed, so every subsequence of a stream stays executable, which
+//! is what lets ddmin converge.
+//!
+//! # Sessions
+//!
+//! A stream drives its header session (id 0) until a [`MARK_SESSION`]
+//! marker selects another. An id not seen before attaches a new session
+//! with the marker's GLES version on the same Cycada device — the same
+//! unknown-name convention, so dropping any marker leaves an executable
+//! stream. Each session keeps its own texture map and metered region;
+//! only the selected session's scope is open.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -57,6 +67,11 @@ pub use cycada_sim::replay::{
 pub use cycada_sim::replay::{Call as ReplayCall, Stream as ReplayStream};
 
 pub mod corpus;
+
+/// Marker call: the calls that follow go to session `args[0]`, attached
+/// on first use as a new `AppGl::attach_cycada` session of GLES version
+/// `args[1]` on the replay device. The header session is id 0.
+pub const MARK_SESSION: &str = "cyt:session";
 
 // ----------------------------------------------------------------------
 // Options and errors
@@ -214,9 +229,9 @@ impl From<std::io::Error> for ReplayError {
 /// What a completed (non-diverging) replay produced.
 #[derive(Debug)]
 pub struct ReplayOutcome {
-    /// Final framebuffer digest.
+    /// Final framebuffer digest of the header session.
     pub digest: u64,
-    /// Final metered virtual nanoseconds of the replayed session.
+    /// Final metered virtual nanoseconds of the header session.
     pub metered_ns: Nanos,
     /// Calls executed.
     pub calls: usize,
@@ -226,6 +241,8 @@ pub struct ReplayOutcome {
     pub attach_wall_ns: u64,
     /// Wall nanoseconds between consecutive presents.
     pub present_wall_ns: Vec<u64>,
+    /// Fragments shaded by each executed draw call, in stream order.
+    pub frags: Vec<u64>,
     /// The re-recorded stream when [`ReplayOptions::rerecord`] was set.
     pub rerecording: Option<Stream>,
 }
@@ -234,12 +251,27 @@ pub struct ReplayOutcome {
 // Replay entry points
 // ----------------------------------------------------------------------
 
-fn gles_version(stream: &Stream) -> Result<GlesVersion, ReplayError> {
-    match stream.meta.gles {
-        1 => Ok(GlesVersion::V1),
-        2 => Ok(GlesVersion::V2),
-        other => Err(ReplayError::Session(format!("bad GLES version code {other}"))),
+/// The `.cyt` wire code of a GLES version (header and `cyt:session`).
+pub fn gles_code(version: GlesVersion) -> u8 {
+    match version {
+        GlesVersion::V1 => 1,
+        GlesVersion::V2 => 2,
     }
+}
+
+/// The GLES version a `.cyt` wire code names, if any.
+pub fn gles_from_code(code: u64) -> Option<GlesVersion> {
+    match code {
+        1 => Some(GlesVersion::V1),
+        2 => Some(GlesVersion::V2),
+        _ => None,
+    }
+}
+
+fn gles_version(stream: &Stream) -> Result<GlesVersion, ReplayError> {
+    gles_from_code(u64::from(stream.meta.gles)).ok_or_else(|| {
+        ReplayError::Session(format!("bad GLES version code {}", stream.meta.gles))
+    })
 }
 
 /// Replays `stream` on a freshly booted private device per its header —
@@ -247,14 +279,14 @@ fn gles_version(stream: &Stream) -> Result<GlesVersion, ReplayError> {
 pub fn replay_stream(stream: &Stream, opts: &ReplayOptions) -> Result<ReplayOutcome, ReplayError> {
     let version = gles_version(stream)?;
     let started = Instant::now();
-    let mut app = AppGl::boot_with_display(
+    let app = AppGl::boot_with_display(
         stream.meta.platform,
         version,
         Some((stream.meta.width, stream.meta.height)),
     )
     .map_err(|e| ReplayError::Session(format!("boot failed: {e}")))?;
     let attach_wall_ns = started.elapsed().as_nanos() as u64;
-    drive(&mut app, stream, opts, attach_wall_ns)
+    drive(app, stream, opts, attach_wall_ns)
 }
 
 /// Replays `stream` as a fresh session attached to an existing shared
@@ -274,7 +306,7 @@ pub fn replay_on_device(
     }
     let version = gles_version(stream)?;
     let started = Instant::now();
-    let mut app = AppGl::attach_cycada(device, version)
+    let app = AppGl::attach_cycada(device, version)
         .map_err(|e| ReplayError::Session(format!("attach failed: {e}")))?;
     let attach_wall_ns = started.elapsed().as_nanos() as u64;
     if (app.width(), app.height()) != (stream.meta.width, stream.meta.height) {
@@ -286,7 +318,7 @@ pub fn replay_on_device(
             stream.meta.height
         )));
     }
-    drive(&mut app, stream, opts, attach_wall_ns)
+    drive(app, stream, opts, attach_wall_ns)
 }
 
 /// Reads, decodes, and [`replay_stream`]s a `.cyt` file.
@@ -338,11 +370,30 @@ fn payload_u32s(call: &Call, index: usize, name: &str) -> Result<Vec<u32>, Repla
         .collect())
 }
 
-/// Drives every call of `stream` through `app`. The session and scope
-/// discipline mirrors the recording harness exactly; see module docs for
-/// what is checked when.
+/// One replayed session: the header session (recorded id 0) or one a
+/// `cyt:session` marker attached.
+struct Session {
+    /// Recorded session id.
+    id: u64,
+    app: AppGl,
+    /// Recorded→live texture names.
+    texmap: HashMap<u64, u32>,
+    /// Inside this session's `cyt:meter-begin`…`cyt:meter-end`.
+    metering: bool,
+}
+
+impl Session {
+    fn new(id: u64, app: AppGl) -> Session {
+        Session { id, app, texmap: HashMap::new(), metering: false }
+    }
+}
+
+/// Drives every call of `stream` through `app` (the header session) and
+/// any sessions the stream's `cyt:session` markers attach. The session
+/// and scope discipline mirrors the recording harness exactly; see
+/// module docs for what is checked when.
 fn drive(
-    app: &mut AppGl,
+    app: AppGl,
     stream: &Stream,
     opts: &ReplayOptions,
     attach_wall_ns: u64,
@@ -354,16 +405,46 @@ fn drive(
     let _guard = rerec.as_ref().map(|r| r.attach());
 
     let base = VirtualClock::thread_charged_ns();
-    let mut texmap: HashMap<u64, u32> = HashMap::new();
+    let mut sessions = vec![Session::new(0, app)];
+    let mut cur = 0usize;
     let mut scope: Option<SessionScope> = None;
     let mut presents = 0usize;
+    let mut frags = Vec::new();
     let mut present_wall_ns = Vec::new();
     let mut last_present = Instant::now();
 
     for (index, call) in stream.calls.iter().enumerate() {
         let name = stream.name_of(call);
         let a = |k: usize| call.args.get(k).copied().unwrap_or(0);
+        if name == MARK_SESSION {
+            let device = match sessions[0].app.cycada_device() {
+                Some(device) if stream.meta.platform == Platform::CycadaIos => device.clone(),
+                _ => {
+                    return Err(ReplayError::Session(format!(
+                        "call {index}: {MARK_SESSION} needs a Cycada iOS stream, not {:?}",
+                        stream.meta.platform
+                    )))
+                }
+            };
+            scope = None;
+            cur = match sessions.iter().position(|s| s.id == a(0)) {
+                Some(i) => i,
+                None => {
+                    let version = gles_from_code(a(1))
+                        .ok_or_else(|| malformed(index, name, "bad GLES version code"))?;
+                    let app = AppGl::attach_cycada(&device, version).map_err(session_err)?;
+                    sessions.push(Session::new(a(0), app));
+                    sessions.len() - 1
+                }
+            };
+            if sessions[cur].metering {
+                scope = Some(sessions[cur].app.session_scope());
+            }
+            mark(MARK_SESSION, &[a(0), a(1)]);
+        }
+        let Session { app, texmap, metering, .. } = &mut sessions[cur];
         match name {
+            MARK_SESSION => {} // switched above
             op::CLEAR => {
                 let mut r = arg_f32(a(0));
                 if opts.fault == Some(Fault::WrongClearColor) {
@@ -396,7 +477,7 @@ fn drive(
                     .ok_or_else(|| malformed(index, name, "bad primitive code"))?;
                 let xyz = payload_f32s(call, index, name)?;
                 let color = [arg_f32(a(1)), arg_f32(a(2)), arg_f32(a(3)), arg_f32(a(4))];
-                app.draw(mode, &xyz, color).map_err(session_err)?;
+                frags.push(app.draw(mode, &xyz, color).map_err(session_err)?);
             }
             op::CREATE_TEXTURE => {
                 let format = TexFormat::from_code(a(2) as u8)
@@ -424,26 +505,26 @@ fn drive(
             }
             op::TEX_QUAD => {
                 if let Some(&tex) = texmap.get(&a(0)) {
-                    app.draw_textured_quad(
+                    frags.push(app.draw_textured_quad(
                         tex,
                         arg_f32(a(1)),
                         arg_f32(a(2)),
                         arg_f32(a(3)),
                         arg_f32(a(4)),
                     )
-                    .map_err(session_err)?;
+                    .map_err(session_err)?);
                 }
             }
             op::TEX_QUAD_INDEXED => {
                 if let Some(&tex) = texmap.get(&a(0)) {
-                    app.draw_textured_quad_indexed(
+                    frags.push(app.draw_textured_quad_indexed(
                         tex,
                         arg_f32(a(1)),
                         arg_f32(a(2)),
                         arg_f32(a(3)),
                         arg_f32(a(4)),
                     )
-                    .map_err(session_err)?;
+                    .map_err(session_err)?);
                 }
             }
             op::FLUSH => app.flush().map_err(session_err)?,
@@ -489,9 +570,11 @@ fn drive(
             }
             MARK_METER_BEGIN => {
                 mark(MARK_METER_BEGIN, &[]);
+                *metering = true;
                 scope = Some(app.session_scope());
             }
             MARK_METER_END => {
+                *metering = false;
                 scope = None;
                 let ns = app.session_virtual_ns();
                 mark(MARK_METER_END, &[ns]);
@@ -529,8 +612,9 @@ fn drive(
     }
     drop(scope);
 
-    let digest = app.render_hash().map_err(session_err)?;
-    let metered_ns = app.session_virtual_ns();
+    let header = &sessions[0].app;
+    let digest = header.render_hash().map_err(session_err)?;
+    let metered_ns = header.session_virtual_ns();
     drop(_guard);
     Ok(ReplayOutcome {
         digest,
@@ -539,6 +623,7 @@ fn drive(
         presents,
         attach_wall_ns,
         present_wall_ns,
+        frags,
         rerecording: rerec.map(|r| r.stream()),
     })
 }
@@ -567,10 +652,7 @@ pub fn record_scenario(
     .map_err(|e| format!("record boot failed: {e}"))?;
     let meta = StreamMeta {
         platform: Platform::CycadaIos,
-        gles: match scenario.gles_version() {
-            GlesVersion::V1 => 1,
-            GlesVersion::V2 => 2,
-        },
+        gles: gles_code(scenario.gles_version()),
         width: display.0,
         height: display.1,
         seed,
@@ -600,46 +682,27 @@ pub fn record_scenario(
 // Shrinking
 // ----------------------------------------------------------------------
 
-/// Delta-debugging shrink of a pixel-diverging stream (the PR 5 ddmin
-/// idiom): repeatedly removes call chunks (halving the chunk size down
-/// to single calls) while the replay still reports a
-/// [`DivergenceKind::Pixels`] divergence, then compacts the string
-/// table. Timestamp checks are off while shrinking — removing calls
-/// legitimately shifts every later timestamp — and the same fault (if
-/// any) is injected into every candidate replay.
+/// Delta-debugging shrink (ddmin): repeatedly removes call chunks,
+/// halving the chunk size down to single calls, while `fails` still
+/// holds, then compacts the string table. The result is 1-minimal:
+/// removing any single remaining call makes `fails` false. Returns the
+/// input unchanged when it does not fail to begin with.
 ///
-/// Returns the input unchanged when it does not pixel-diverge to begin
-/// with. The result is 1-minimal: removing any single remaining call
-/// makes the divergence disappear.
-pub fn shrink_divergence(stream: &Stream, opts: &ReplayOptions) -> Stream {
-    let probe = ReplayOptions {
-        check_timestamps: false,
-        rerecord: false,
-        ..opts.clone()
-    };
-    let diverges = |calls: &[Call]| -> bool {
-        let cand = Stream {
-            meta: stream.meta.clone(),
-            names: stream.names.clone(),
-            calls: calls.to_vec(),
-        };
-        matches!(
-            replay_stream(&cand, &probe),
-            Err(ReplayError::Diverged(Divergence { kind: DivergenceKind::Pixels, .. }))
-        )
-    };
-    if !diverges(&stream.calls) {
+/// Candidates stay executable because replay skips calls naming unknown
+/// textures and attaches sessions on first use (module docs).
+pub fn shrink_calls(stream: &Stream, fails: impl Fn(&Stream) -> bool) -> Stream {
+    if !fails(stream) {
         return stream.clone();
     }
-    let mut calls = stream.calls.clone();
-    let mut chunk = calls.len().max(1);
-    while chunk >= 1 {
+    let mut cur = stream.clone();
+    let mut chunk = cur.calls.len().max(1);
+    loop {
         let mut i = 0;
-        while i < calls.len() {
-            let mut cand = calls.clone();
-            cand.drain(i..(i + chunk).min(cand.len()));
-            if diverges(&cand) {
-                calls = cand;
+        while i < cur.calls.len() {
+            let mut cand = cur.clone();
+            cand.calls.drain(i..(i + chunk).min(cand.calls.len()));
+            if fails(&cand) {
+                cur = cand;
             } else {
                 i += chunk;
             }
@@ -649,7 +712,25 @@ pub fn shrink_divergence(stream: &Stream, opts: &ReplayOptions) -> Stream {
         }
         chunk /= 2;
     }
-    let mut out = Stream { meta: stream.meta.clone(), names: stream.names.clone(), calls };
-    out.compact();
-    out
+    cur.compact();
+    cur
+}
+
+/// [`shrink_calls`] with a pixel-divergence predicate: a candidate fails
+/// while its replay still reports a [`DivergenceKind::Pixels`]
+/// divergence. Timestamp checks are off while shrinking — removing calls
+/// legitimately shifts every later timestamp — and the same fault (if
+/// any) is injected into every candidate replay.
+pub fn shrink_divergence(stream: &Stream, opts: &ReplayOptions) -> Stream {
+    let probe = ReplayOptions {
+        check_timestamps: false,
+        rerecord: false,
+        ..opts.clone()
+    };
+    shrink_calls(stream, |cand| {
+        matches!(
+            replay_stream(cand, &probe),
+            Err(ReplayError::Diverged(Divergence { kind: DivergenceKind::Pixels, .. }))
+        )
+    })
 }

@@ -1,206 +1,210 @@
-//! Differential GLES conformance fuzzing.
+//! Differential GLES conformance fuzzing over `.cyt` call streams.
 //!
-//! A seeded generator produces random GLES call scripts — one or two
-//! contexts on a shared device (exercising EGL_multi_context / DLR when
-//! the contexts use different GLES versions), clears, colored and
-//! textured draws, transform-stack churn, capability toggles, flushes
-//! and presents. Each script is executed two ways:
+//! A seeded generator emits replay [`Stream`]s of `AppGl` calls — one or
+//! two sessions on a shared device (exercising EGL_multi_context / DLR
+//! when the sessions use different GLES versions; the second session is
+//! attached by a [`MARK_SESSION`] marker), clears, colored and textured
+//! draws, transform-stack churn, capability toggles, scissored partial
+//! redraws, flushes and presents. [`check_stream`] runs a stream three
+//! times:
 //!
-//! 1. **Diplomat path** — [`AppGl::attach_cycada`] sessions on a booted
-//!    [`CycadaDevice`]: every call crosses the diplomatic bridge,
-//!    persona switches, the replica vendor stack, and the span
-//!    rasterizer.
-//! 2. **Reference path** — a bare [`GlesContext`] per script context on
-//!    a private [`GpuDevice`] with
-//!    [`GpuDevice::set_reference_raster`] enabled, so every draw runs
-//!    the per-pixel executable-specification rasterizer.
+//! 1. **Reference** — [`run_reference`] interprets the stream against a
+//!    bare [`GlesContext`] per session on a private [`GpuDevice`] with
+//!    [`GpuDevice::set_reference_raster`] enabled, so every draw runs the
+//!    per-pixel executable-specification rasterizer. It writes its own
+//!    framebuffer digest into every `app:present` and `cyt:end` call.
+//! 2. **Diplomat path** — [`replay_on_device`] on a freshly booted
+//!    [`CycadaDevice`]: every call crosses the diplomatic bridge, persona
+//!    switches, the replica vendor stack and the span rasterizer. Every
+//!    present must hash like the reference's, every draw must shade as
+//!    many fragments, and the replay re-records itself.
+//! 3. **Determinism** — the re-recording replays on a second fresh device
+//!    **with the compositor damage plane disabled** (DESIGN.md §5g) under
+//!    the full replay contract: pixels, every per-call virtual timestamp
+//!    and each session's metered nanoseconds repeat exactly, and both
+//!    devices scan out the same bytes. One pass checks both the
+//!    determinism contract the figure regenerators rely on and that
+//!    tile-wise composition with clean/occlusion skips is
+//!    indistinguishable from full recomposition.
 //!
-//! The differ asserts byte-identical canonical-RGBA framebuffers and
-//! equal per-draw fragment counts, then re-runs the diplomat path on a
-//! fresh device **with the compositor damage plane disabled**
-//! (DESIGN.md §5g) and asserts pixels, scanout bytes, and metered
-//! virtual time repeat exactly — one pass checks both the determinism
-//! contract the figure regenerators rely on and that tile-wise
-//! composition with clean/occlusion skips is indistinguishable from
-//! full recomposition, including under the scissored partial-redraw
-//! ops the generator emits.
-//!
-//! Failures shrink with a ddmin-style [`shrink`] pass to a minimal
-//! script that still fails, printed in replayable form.
+//! Failures shrink with [`cycada_replay::shrink_calls`] to a 1-minimal
+//! stream, which is an ordinary `.cyt` trace: `tests/corpus/fuzz/`
+//! commits the ones worth keeping as regressions.
 
-use std::fmt;
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use cycada::{AppGl, CycadaDevice};
+use cycada::CycadaDevice;
 use cycada_gles::{
     ApiFlavor, Capability, ClientState, GlesContext, GlesVersion, Primitive, TexFormat,
 };
 use cycada_gpu::math::Mat4;
 use cycada_gpu::{GpuDevice, Image, PixelFormat};
-use cycada_sim::{GpuCostModel, Nanos, SimRng, VirtualClock};
+use cycada_replay::{
+    gles_code, gles_from_code, replay_on_device, Fault, ReplayOptions, ReplayOutcome, MARK_SESSION,
+};
+use cycada_sim::replay::{
+    arg_f32, arg_i32, f32_arg, i32_arg, op, Call, Stream, StreamMeta, MARK_END,
+    MARK_METER_BEGIN, MARK_METER_END,
+};
+use cycada_sim::{GpuCostModel, Platform, SimRng, VirtualClock};
 
-/// Framebuffer size used by every fuzz case (small keeps 200 cases
-/// fast; large enough that tiled-raster tile boundaries land inside
-/// the target).
+/// Display size of every generated stream (small keeps 200 cases fast).
 pub const WIDTH: u32 = 64;
 /// See [`WIDTH`].
 pub const HEIGHT: u32 = 48;
 
-/// One GLES call (or short canned call sequence) against a single
-/// context. Texture references are *slot indices* into the list of
-/// textures created so far on that context; an out-of-range slot makes
-/// the op a no-op on both executors, which keeps every subsequence of a
-/// script executable — the property the shrinker relies on.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GlOp {
-    /// `glClearColor` + `glClear(COLOR|DEPTH)`.
-    Clear {
-        /// Clear color.
-        rgba: [f32; 4],
-    },
-    /// A colored primitive draw (the [`AppGl::draw`] call shape).
-    Draw {
-        /// Primitive topology.
-        mode: Primitive,
-        /// Flat `[x, y, z]*` vertex array.
-        xyz: Vec<f32>,
-        /// Flat color.
-        color: [f32; 4],
-    },
-    /// Create an 8x8 texture from deterministic pixel data.
-    CreateTexture {
-        /// Texel format.
-        format: TexFormat,
-    },
-    /// `glTexSubImage2D` into a previously created texture slot.
-    UpdateTexture {
-        /// Texture slot (index into the context's created textures).
-        slot: usize,
-        /// Sub-rect x within the 8x8 texture.
-        x: u32,
-        /// Sub-rect y.
-        y: u32,
-        /// Sub-rect width.
-        w: u32,
-        /// Sub-rect height.
-        h: u32,
-    },
-    /// Textured quad via `glDrawArrays` (the WebKit tile path).
-    TexQuad {
-        /// Texture slot.
-        slot: usize,
-        /// `[x0, y0, x1, y1]` in NDC.
-        rect: [f32; 4],
-    },
-    /// Textured quad via `glDrawElements`.
-    TexQuadIndexed {
-        /// Texture slot.
-        slot: usize,
-        /// `[x0, y0, x1, y1]` in NDC.
-        rect: [f32; 4],
-    },
-    /// `glTranslatef` / `u_mvp` update.
-    Translate {
-        /// Translation vector.
-        v: [f32; 3],
-    },
-    /// `glRotatef` about Z / `u_mvp` update.
-    Rotate {
-        /// Degrees about +Z.
-        degrees: f32,
-    },
-    /// `glScalef` / `u_mvp` update.
-    Scale {
-        /// Scale factors.
-        v: [f32; 3],
-    },
-    /// `glPushMatrix` (v1) / host-stack push (v2).
-    PushTransform,
-    /// `glPopMatrix` (v1) / host-stack pop (v2).
-    PopTransform,
-    /// `glLoadIdentity` / identity `u_mvp`.
-    LoadIdentity,
-    /// `glEnable` / `glDisable`.
-    SetCapability {
-        /// Which capability.
-        cap: Capability,
-        /// Enable or disable.
-        on: bool,
-    },
-    /// `glScissor` — with `Capability::ScissorTest` toggles in the
-    /// stream this produces partial-redraw frames, the workload the
-    /// damage-tracked compositor plane must handle bit-exactly
-    /// (DESIGN.md §5g).
-    Scissor {
-        /// Box origin x.
-        x: i32,
-        /// Box origin y.
-        y: i32,
-        /// Box width.
-        w: u32,
-        /// Box height.
-        h: u32,
-    },
-    /// `glFlush`.
-    Flush,
-    /// `presentRenderbuffer:` (diplomat path only; the reference path
-    /// has no compositor, so this is a timing-plane no-op there).
-    Present,
-}
+/// Texture edge used by every generated `create-texture` (fixed so
+/// sub-updates stay in bounds no matter which creates the shrinker
+/// removes).
+pub const TEX_EDGE: u32 = 8;
 
-/// One script step: an op addressed to one of the script's contexts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Step {
-    /// Index into [`Script::versions`].
-    pub ctx: usize,
-    /// The call.
-    pub op: GlOp,
-}
-
-/// A replayable fuzz case: the GLES version of each context plus the
-/// interleaved call sequence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Script {
-    /// One entry per context; two entries with different versions
-    /// exercise EGL_multi_context + DLR.
-    pub versions: Vec<GlesVersion>,
-    /// The interleaved calls.
-    pub steps: Vec<Step>,
-}
-
-impl fmt::Display for Script {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "contexts: {:?}", self.versions)?;
-        for (i, s) in self.steps.iter().enumerate() {
-            writeln!(f, "  [{i:3}] ctx{} {:?}", s.ctx, s.op)?;
-        }
-        Ok(())
-    }
-}
-
-/// Texture edge used by every `CreateTexture` (fixed so sub-updates
-/// stay in bounds no matter which creates the shrinker removes).
-const TEX_EDGE: u32 = 8;
-
-fn bytes_per_texel(format: TexFormat) -> usize {
-    match format {
-        TexFormat::Rgba | TexFormat::Bgra => 4,
-        TexFormat::Rgb565 => 2,
-        TexFormat::Alpha => 1,
-    }
-}
-
-/// Deterministic texel bytes for a `(format, w, h, tag)` tuple — both
-/// executors call this, so texture contents always agree. Rows are
+/// Deterministic texel bytes for a `(format, w, h, tag)` tuple. Rows are
 /// padded to the default `GL_UNPACK_ALIGNMENT` of 4, which sub-image
 /// uploads honor when reading source rows.
 fn tex_bytes(format: TexFormat, w: u32, h: u32, tag: u64) -> Vec<u8> {
-    let bpp = bytes_per_texel(format);
+    let bpp = format.bytes_per_pixel();
     let stride = (w as usize * bpp).div_ceil(4) * 4;
     let n = (h as usize - 1) * stride + w as usize * bpp;
     (0..n)
         .map(|i| ((i as u64).wrapping_mul(73).wrapping_add(tag.wrapping_mul(151)) % 251) as u8)
         .collect()
+}
+
+fn f32_args(v: &[f32]) -> Vec<u64> {
+    v.iter().map(|&x| f32_arg(x)).collect()
+}
+
+// ---------------------------------------------------------------------
+// Call helpers
+// ---------------------------------------------------------------------
+
+/// Builds a stream call by call. Session `i` runs GLES `versions[i]`;
+/// session 0 is the header session and the others attach through
+/// [`MARK_SESSION`] on first use. Every session opens with
+/// `cyt:meter-begin`; [`StreamBuilder::finish`] closes each with
+/// `cyt:meter-end` and `cyt:end`. Recorded texture names run 1..n per
+/// session. Digests and timestamps are left 0: [`check_stream`] takes
+/// them from the reference and the first replay.
+#[derive(Debug, Clone)]
+pub struct StreamBuilder {
+    stream: Stream,
+    versions: Vec<GlesVersion>,
+    /// Formats of each opened session's textures (name = index + 1).
+    textures: Vec<Option<Vec<TexFormat>>>,
+    current: usize,
+}
+
+impl StreamBuilder {
+    /// A stream of `versions.len()` sessions on a [`WIDTH`]x[`HEIGHT`]
+    /// Cycada device, with session 0 selected.
+    pub fn new(seed: u64, versions: &[GlesVersion]) -> StreamBuilder {
+        let meta = StreamMeta {
+            platform: Platform::CycadaIos,
+            gles: gles_code(versions[0]),
+            width: WIDTH,
+            height: HEIGHT,
+            seed,
+            label: "fuzz".to_owned(),
+        };
+        let mut b = StreamBuilder {
+            stream: Stream { meta, names: Vec::new(), calls: Vec::new() },
+            versions: versions.to_vec(),
+            textures: vec![None; versions.len()],
+            current: 0,
+        };
+        b.on(0);
+        b
+    }
+
+    /// Selects `session` for the calls that follow.
+    pub fn on(&mut self, session: usize) -> &mut Self {
+        if session != self.current {
+            self.current = session;
+            let gles = u64::from(gles_code(self.versions[session]));
+            self.call(MARK_SESSION, &[session as u64, gles], &[]);
+        }
+        if self.textures[session].is_none() {
+            self.textures[session] = Some(Vec::new());
+            self.call(MARK_METER_BEGIN, &[], &[]);
+        }
+        self
+    }
+
+    /// Appends one call to the selected session.
+    pub fn call(&mut self, name: &str, args: &[u64], payload: &[u8]) -> &mut Self {
+        let names = &mut self.stream.names;
+        let index = names.iter().position(|n| n == name).unwrap_or_else(|| {
+            names.push(name.to_owned());
+            names.len() - 1
+        });
+        self.stream.calls.push(Call {
+            name: index as u32,
+            vts: 0,
+            args: args.to_vec(),
+            payload: payload.to_vec(),
+        });
+        self
+    }
+
+    /// `AppGl::clear`.
+    pub fn clear(&mut self, rgba: [f32; 4]) -> &mut Self {
+        self.call(op::CLEAR, &f32_args(&rgba), &[])
+    }
+
+    /// `AppGl::draw` of a flat `[x, y, z]*` vertex array.
+    pub fn draw(&mut self, mode: Primitive, xyz: &[f32], color: [f32; 4]) -> &mut Self {
+        let mut args = vec![u64::from(mode.code())];
+        args.extend(f32_args(&color));
+        let payload: Vec<u8> = xyz.iter().flat_map(|v| v.to_le_bytes()).collect();
+        self.call(op::DRAW, &args, &payload)
+    }
+
+    /// Textures created so far in the selected session.
+    pub fn textures(&self) -> u64 {
+        self.textures[self.current].as_ref().map_or(0, |t| t.len() as u64)
+    }
+
+    /// `AppGl::create_texture` of a [`TEX_EDGE`]-square texture with
+    /// deterministic texels; its recorded name is [`Self::textures`].
+    pub fn create_texture(&mut self, format: TexFormat) -> &mut Self {
+        let textures = self.textures[self.current].get_or_insert_with(Vec::new);
+        let tag = textures.len() as u64;
+        textures.push(format);
+        let args = [TEX_EDGE.into(), TEX_EDGE.into(), format.code().into(), tag + 1];
+        self.call(op::CREATE_TEXTURE, &args, &tex_bytes(format, TEX_EDGE, TEX_EDGE, tag))
+    }
+
+    /// `AppGl::update_texture` of texture `name` (1-based) with
+    /// deterministic texels in the texture's own format.
+    pub fn update_texture(&mut self, name: u64, x: u32, y: u32, w: u32, h: u32) -> &mut Self {
+        let format = self.textures[self.current].as_ref().expect("selected session")
+            [name as usize - 1];
+        let args = [name, x.into(), y.into(), w.into(), h.into(), u64::from(format.code())];
+        self.call(op::UPDATE_TEXTURE, &args, &tex_bytes(format, w, h, name + 96))
+    }
+
+    /// `AppGl::draw_textured_quad[_indexed]` of texture `name` over
+    /// `[x0, y0, x1, y1]` in NDC.
+    pub fn tex_quad(&mut self, name: u64, rect: [f32; 4], indexed: bool) -> &mut Self {
+        let mut args = vec![name];
+        args.extend(f32_args(&rect));
+        let op = if indexed { op::TEX_QUAD_INDEXED } else { op::TEX_QUAD };
+        self.call(op, &args, &[])
+    }
+
+    /// Closes every opened session with `cyt:meter-end` and `cyt:end`.
+    pub fn finish(mut self) -> Stream {
+        for session in 0..self.versions.len() {
+            if self.textures[session].is_some() {
+                self.on(session)
+                    .call(MARK_METER_END, &[0], &[])
+                    .call(MARK_END, &[0, 0], &[]);
+            }
+        }
+        self.stream
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -225,8 +229,8 @@ fn gen_rect(rng: &mut SimRng) -> [f32; 4] {
     [x0, y0, x0 + unit(rng) + 0.1, y0 + unit(rng) + 0.1]
 }
 
-/// Generates the deterministic script for `seed`.
-pub fn generate(seed: u64) -> Script {
+/// Generates the deterministic stream for `seed`.
+pub fn generate(seed: u64) -> Stream {
     let mut rng = SimRng::new(seed ^ 0xF022_D1FF);
     let nctx = 1 + rng.below(2) as usize;
     let versions: Vec<GlesVersion> = (0..nctx)
@@ -238,25 +242,19 @@ pub fn generate(seed: u64) -> Script {
             }
         })
         .collect();
-    let mut tex_count = vec![0usize; nctx];
     let nops = 10 + rng.below(26) as usize;
-    let mut steps = Vec::with_capacity(nops + nctx);
-    // Every context starts from a known clear so leftover framebuffer
+    let mut b = StreamBuilder::new(seed, &versions);
+    // Every session starts from a known clear so leftover framebuffer
     // contents never alias between cases.
-    for (ctx, _) in versions.iter().enumerate() {
-        steps.push(Step {
-            ctx,
-            op: GlOp::Clear {
-                rgba: gen_color(&mut rng),
-            },
-        });
+    for ctx in 0..nctx {
+        let rgba = gen_color(&mut rng);
+        b.on(ctx).clear(rgba);
     }
     for _ in 0..nops {
         let ctx = rng.below(nctx as u64) as usize;
-        let op = match rng.below(17) {
-            0 => GlOp::Clear {
-                rgba: gen_color(&mut rng),
-            },
+        let textures = b.on(ctx).textures();
+        match rng.below(17) {
+            0 => b.clear(gen_color(&mut rng)),
             1..=3 => {
                 let mode = match rng.below(5) {
                     0 => Primitive::Triangles,
@@ -266,232 +264,72 @@ pub fn generate(seed: u64) -> Script {
                     _ => Primitive::Points,
                 };
                 let verts = 3 + rng.below(4) as usize;
-                let xyz = (0..verts * 3).map(|_| coord(&mut rng)).collect();
-                GlOp::Draw {
-                    mode,
-                    xyz,
-                    color: gen_color(&mut rng),
-                }
+                let xyz: Vec<f32> = (0..verts * 3).map(|_| coord(&mut rng)).collect();
+                b.draw(mode, &xyz, gen_color(&mut rng))
             }
-            4 => {
-                let format = match rng.below(3) {
-                    0 => TexFormat::Rgba,
-                    1 => TexFormat::Bgra,
-                    _ => TexFormat::Rgb565,
-                };
-                tex_count[ctx] += 1;
-                GlOp::CreateTexture { format }
-            }
-            5 if tex_count[ctx] > 0 => {
+            4 => b.create_texture(match rng.below(3) {
+                0 => TexFormat::Rgba,
+                1 => TexFormat::Bgra,
+                _ => TexFormat::Rgb565,
+            }),
+            5 if textures > 0 => {
                 let x = rng.below(u64::from(TEX_EDGE) - 1) as u32;
                 let y = rng.below(u64::from(TEX_EDGE) - 1) as u32;
-                GlOp::UpdateTexture {
-                    slot: rng.below(tex_count[ctx] as u64) as usize,
-                    x,
-                    y,
-                    w: 1 + rng.below(u64::from(TEX_EDGE - x) - 1) as u32,
-                    h: 1 + rng.below(u64::from(TEX_EDGE - y) - 1) as u32,
-                }
+                let name = 1 + rng.below(textures);
+                let w = 1 + rng.below(u64::from(TEX_EDGE - x) - 1) as u32;
+                let h = 1 + rng.below(u64::from(TEX_EDGE - y) - 1) as u32;
+                b.update_texture(name, x, y, w, h)
             }
-            6 | 7 if tex_count[ctx] > 0 => GlOp::TexQuad {
-                slot: rng.below(tex_count[ctx] as u64) as usize,
-                rect: gen_rect(&mut rng),
-            },
-            8 if tex_count[ctx] > 0 => GlOp::TexQuadIndexed {
-                slot: rng.below(tex_count[ctx] as u64) as usize,
-                rect: gen_rect(&mut rng),
-            },
-            9 => GlOp::Translate {
-                v: [coord(&mut rng), coord(&mut rng), 0.0],
-            },
-            10 => GlOp::Rotate {
-                degrees: rng.below(24) as f32 * 15.0,
-            },
-            11 => GlOp::Scale {
-                v: [
-                    0.25 + unit(&mut rng),
-                    0.25 + unit(&mut rng),
-                    1.0,
-                ],
-            },
-            12 => match rng.below(3) {
-                0 => GlOp::PushTransform,
-                1 => GlOp::PopTransform,
-                _ => GlOp::LoadIdentity,
-            },
-            13 => GlOp::SetCapability {
-                cap: match rng.below(3) {
+            6 | 7 if textures > 0 => {
+                let name = 1 + rng.below(textures);
+                b.tex_quad(name, gen_rect(&mut rng), false)
+            }
+            8 if textures > 0 => {
+                let name = 1 + rng.below(textures);
+                b.tex_quad(name, gen_rect(&mut rng), true)
+            }
+            9 => {
+                let v = [coord(&mut rng), coord(&mut rng), 0.0];
+                b.call(op::TRANSLATE, &f32_args(&v), &[])
+            }
+            10 => b.call(op::ROTATE, &[f32_arg(rng.below(24) as f32 * 15.0)], &[]),
+            11 => {
+                let v = [0.25 + unit(&mut rng), 0.25 + unit(&mut rng), 1.0];
+                b.call(op::SCALE, &f32_args(&v), &[])
+            }
+            12 => b.call([op::PUSH, op::POP, op::IDENTITY][rng.below(3) as usize], &[], &[]),
+            13 => {
+                let cap = match rng.below(3) {
                     0 => Capability::Blend,
                     1 => Capability::DepthTest,
                     _ => Capability::ScissorTest,
-                },
-                on: rng.below(2) == 0,
-            },
-            14 => GlOp::Flush,
+                };
+                let on = u64::from(rng.below(2) == 0);
+                b.call(op::CAPABILITY, &[u64::from(cap.code()), on], &[])
+            }
+            14 => b.call(op::FLUSH, &[], &[]),
             15 => {
                 // Partial-redraw box: small and occasionally hanging
                 // past the framebuffer edge (clamping must agree).
                 let x = rng.below(u64::from(WIDTH)) as i32 - 4;
                 let y = rng.below(u64::from(HEIGHT)) as i32 - 4;
-                GlOp::Scissor {
-                    x,
-                    y,
-                    w: 1 + rng.below(24) as u32,
-                    h: 1 + rng.below(24) as u32,
-                }
+                let (w, h) = (1 + rng.below(24), 1 + rng.below(24));
+                b.call(op::SCISSOR, &[i32_arg(x), i32_arg(y), w, h], &[])
             }
-            _ => GlOp::Present,
+            _ => b.call(op::PRESENT, &[0], &[]),
         };
-        steps.push(Step { ctx, op });
     }
-    Script { versions, steps }
+    b.finish()
 }
 
 // ---------------------------------------------------------------------
-// Executors
+// Reference interpreter
 // ---------------------------------------------------------------------
 
-/// What one executor produced for a script: canonical-RGBA framebuffer
-/// bytes per context, shaded-fragment counts per draw op (in step
-/// order), and per-context session virtual time (diplomat path only —
-/// zeros on the reference path, which has no session plane).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunResult {
-    /// Canonical RGBA bytes of each context's render target.
-    pub frames: Vec<Vec<u8>>,
-    /// Fragments shaded per draw-class op, in step order.
-    pub frags: Vec<u64>,
-    /// Per-context session virtual nanoseconds.
-    pub session_ns: Vec<Nanos>,
-    /// Display scanout bytes after the last step (diplomat path only —
-    /// empty on the reference path, which has no compositor).
-    pub scanout: Vec<u8>,
-}
-
-fn quad_arrays(rect: [f32; 4]) -> ([f32; 18], [f32; 12]) {
-    let [x0, y0, x1, y1] = rect;
-    (
-        [
-            x0, y0, 0.0, x1, y0, 0.0, x1, y1, 0.0, x0, y0, 0.0, x1, y1, 0.0, x0, y1, 0.0,
-        ],
-        [0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
-    )
-}
-
-/// Runs `script` through the full diplomat path: one booted
-/// [`CycadaDevice`], one attached [`AppGl`] session per context.
-///
-/// # Errors
-///
-/// Returns a description of the first failing call.
-pub fn run_diplomat(script: &Script) -> Result<RunResult, String> {
-    run_diplomat_planes(script, true)
-}
-
-/// [`run_diplomat`] with the compositor damage plane forced on or off
-/// (DESIGN.md §5g). The kill switch is process-wide, so it is restored
-/// to its default (on) before returning.
-///
-/// # Errors
-///
-/// Returns a description of the first failing call.
-pub fn run_diplomat_planes(script: &Script, damage_tracking: bool) -> Result<RunResult, String> {
-    let result = run_diplomat_inner(script, damage_tracking);
-    if !damage_tracking {
-        cycada_sim::damage::set_tracking(true);
-    }
-    result
-}
-
-fn run_diplomat_inner(script: &Script, damage_tracking: bool) -> Result<RunResult, String> {
-    let device = CycadaDevice::boot_with_display(Some((WIDTH, HEIGHT)))
-        .map_err(|e| format!("boot: {e}"))?;
-    cycada_sim::damage::set_tracking(damage_tracking);
-    let mut apps = Vec::with_capacity(script.versions.len());
-    for (i, v) in script.versions.iter().enumerate() {
-        apps.push(
-            AppGl::attach_cycada(&device, *v).map_err(|e| format!("attach ctx{i}: {e}"))?,
-        );
-    }
-    let mut textures: Vec<Vec<(u32, TexFormat)>> = vec![Vec::new(); apps.len()];
-    let mut frags = Vec::new();
-    for (i, step) in script.steps.iter().enumerate() {
-        let app = &mut apps[step.ctx];
-        let _scope = app.session_scope();
-        let err = |e| format!("step {i} ({:?}): {e}", step.op);
-        match &step.op {
-            GlOp::Clear { rgba } => app.clear(rgba[0], rgba[1], rgba[2], rgba[3]).map_err(err)?,
-            GlOp::Draw { mode, xyz, color } => {
-                frags.push(app.draw(*mode, xyz, *color).map_err(err)?);
-            }
-            GlOp::CreateTexture { format } => {
-                let tag = textures[step.ctx].len() as u64;
-                let data = tex_bytes(*format, TEX_EDGE, TEX_EDGE, tag);
-                let tex = app
-                    .create_texture(TEX_EDGE, TEX_EDGE, *format, &data)
-                    .map_err(err)?;
-                textures[step.ctx].push((tex, *format));
-            }
-            GlOp::UpdateTexture { slot, x, y, w, h } => {
-                if let Some(&(tex, format)) = textures[step.ctx].get(*slot) {
-                    let data = tex_bytes(format, *w, *h, *slot as u64 + 97);
-                    app.update_texture(tex, *x, *y, *w, *h, format, &data)
-                        .map_err(err)?;
-                }
-            }
-            GlOp::TexQuad { slot, rect } => {
-                if let Some(&(tex, _)) = textures[step.ctx].get(*slot) {
-                    frags.push(
-                        app.draw_textured_quad(tex, rect[0], rect[1], rect[2], rect[3])
-                            .map_err(err)?,
-                    );
-                }
-            }
-            GlOp::TexQuadIndexed { slot, rect } => {
-                if let Some(&(tex, _)) = textures[step.ctx].get(*slot) {
-                    frags.push(
-                        app.draw_textured_quad_indexed(tex, rect[0], rect[1], rect[2], rect[3])
-                            .map_err(err)?,
-                    );
-                }
-            }
-            GlOp::Translate { v } => app.translate(v[0], v[1], v[2]).map_err(err)?,
-            GlOp::Rotate { degrees } => app.rotate(*degrees).map_err(err)?,
-            GlOp::Scale { v } => app.scale(v[0], v[1], v[2]).map_err(err)?,
-            GlOp::PushTransform => app.push_transform().map_err(err)?,
-            GlOp::PopTransform => app.pop_transform().map_err(err)?,
-            GlOp::LoadIdentity => app.load_identity().map_err(err)?,
-            GlOp::SetCapability { cap, on } => app.set_capability(*cap, *on).map_err(err)?,
-            GlOp::Scissor { x, y, w, h } => app.set_scissor(*x, *y, *w, *h).map_err(err)?,
-            GlOp::Flush => app.flush().map_err(err)?,
-            GlOp::Present => app.present().map_err(err)?,
-        }
-    }
-    let mut frames = Vec::with_capacity(apps.len());
-    for (i, app) in apps.iter().enumerate() {
-        frames.push(
-            app.render_target()
-                .map_err(|e| format!("render_target ctx{i}: {e}"))?
-                .to_rgba_vec(),
-        );
-    }
-    let session_ns = apps.iter().map(AppGl::session_virtual_ns).collect();
-    let scanout = apps
-        .first()
-        .map(|app| app.display().scanout().read(|b| b.to_vec()))
-        .unwrap_or_default();
-    Ok(RunResult {
-        frames,
-        frags,
-        session_ns,
-        scanout,
-    })
-}
-
-/// Mirror of [`AppGl`]'s vendor-side call sequences against a bare
-/// [`GlesContext`] — the same calls `AppGl` issues through the bridge,
-/// replayed directly (no diplomat layer, no sessions, reference
-/// rasterizer).
+/// Mirror of [`cycada::AppGl`]'s vendor-side call sequences against a
+/// bare [`GlesContext`] — the same calls `AppGl` issues through the
+/// bridge, replayed directly (no diplomat layer, no sessions, reference
+/// rasterizer). One per stream session.
 struct RefCtx {
     c: GlesContext,
     version: GlesVersion,
@@ -499,14 +337,16 @@ struct RefCtx {
     mvp: Vec<Mat4>,
     mvp_loc: i32,
     color_loc: i32,
+    /// Recorded→live texture names.
+    texmap: HashMap<u64, u32>,
 }
 
 impl RefCtx {
-    fn new(version: GlesVersion, device: Arc<GpuDevice>) -> RefCtx {
-        let target = Image::new(WIDTH, HEIGHT, PixelFormat::Bgra8888);
+    fn new(version: GlesVersion, device: Arc<GpuDevice>, (w, h): (u32, u32)) -> RefCtx {
+        let target = Image::new(w, h, PixelFormat::Bgra8888);
         let mut c = GlesContext::new(version, ApiFlavor::Ios, device);
         c.set_default_framebuffer(Some(target.clone()));
-        c.set_viewport(0, 0, WIDTH, HEIGHT);
+        c.set_viewport(0, 0, w, h);
         let mut this = RefCtx {
             c,
             version,
@@ -514,6 +354,7 @@ impl RefCtx {
             mvp: vec![Mat4::identity()],
             mvp_loc: -1,
             color_loc: -1,
+            texmap: HashMap::new(),
         };
         match version {
             GlesVersion::V1 => {
@@ -540,176 +381,143 @@ impl RefCtx {
         this
     }
 
-    fn top(&self) -> Mat4 {
-        *self.mvp.last().expect("stack never empty")
+    /// Applies `m` to the top of the transform stack: `v1` forwards the
+    /// GL matrix call, `v2` re-uploads `u_mvp`.
+    fn transform(&mut self, m: Mat4, v1: impl FnOnce(&mut GlesContext)) {
+        let top = self.mvp.last_mut().expect("stack never empty");
+        *top = top.mul(&m);
+        self.sync_mvp(v1);
     }
 
-    fn upload_mvp(&mut self) {
-        let m = self.top();
-        self.c.uniform_matrix4(self.mvp_loc, m);
-    }
-
-    fn draw(&mut self, mode: Primitive, xyz: &[f32], color: [f32; 4]) -> u64 {
-        let count = xyz.len() / 3;
+    fn sync_mvp(&mut self, v1: impl FnOnce(&mut GlesContext)) {
         match self.version {
-            GlesVersion::V1 => {
-                self.c.color4f(color[0], color[1], color[2], color[3]);
-                self.c.client_pointer(ClientState::VertexArray, 3, xyz);
-                self.c.draw_arrays(mode, 0, count)
-            }
+            GlesVersion::V1 => v1(&mut self.c),
             GlesVersion::V2 => {
-                self.c
-                    .uniform4f(self.color_loc, color[0], color[1], color[2], color[3]);
-                self.c.vertex_attrib_pointer(0, 3, xyz);
-                self.c.draw_arrays(mode, 0, count)
+                let m = *self.mvp.last().expect("stack never empty");
+                self.c.uniform_matrix4(self.mvp_loc, m);
             }
         }
     }
 
-    fn tex_quad(&mut self, tex: u32, rect: [f32; 4], indexed: bool) -> u64 {
-        if indexed {
-            let [x0, y0, x1, y1] = rect;
-            let xyz = [x0, y0, 0.0, x1, y0, 0.0, x1, y1, 0.0, x0, y1, 0.0];
-            let uv = [0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0];
-            let indices = [0u32, 1, 2, 0, 2, 3];
-            match self.version {
-                GlesVersion::V1 => {
-                    let c = &mut self.c;
-                    c.bind_texture(tex);
-                    c.enable(Capability::Texture2D);
-                    c.set_client_state(ClientState::TexCoordArray, true);
-                    c.client_pointer(ClientState::TexCoordArray, 2, &uv);
-                    c.color4f(1.0, 1.0, 1.0, 1.0);
-                    c.client_pointer(ClientState::VertexArray, 3, &xyz);
-                    let frags = c.draw_elements(Primitive::Triangles, &indices);
-                    c.set_client_state(ClientState::TexCoordArray, false);
-                    c.disable(Capability::Texture2D);
-                    frags
-                }
-                GlesVersion::V2 => {
-                    let color_loc = self.color_loc;
-                    let c = &mut self.c;
-                    c.bind_texture(tex);
-                    c.uniform4f(color_loc, 1.0, 1.0, 1.0, 1.0);
-                    c.vertex_attrib_pointer(0, 3, &xyz);
-                    c.set_vertex_attrib_enabled(2, true);
-                    c.vertex_attrib_pointer(2, 2, &uv);
-                    c.draw_elements(Primitive::Triangles, &indices)
-                }
+    fn draw(&mut self, mode: Primitive, xyz: &[f32], [r, g, b, a]: [f32; 4]) -> u64 {
+        match self.version {
+            GlesVersion::V1 => {
+                self.c.color4f(r, g, b, a);
+                self.c.client_pointer(ClientState::VertexArray, 3, xyz);
             }
+            GlesVersion::V2 => {
+                self.c.uniform4f(self.color_loc, r, g, b, a);
+                self.c.vertex_attrib_pointer(0, 3, xyz);
+            }
+        }
+        self.c.draw_arrays(mode, 0, xyz.len() / 3)
+    }
+
+    fn tex_quad(&mut self, tex: u32, [x0, y0, x1, y1]: [f32; 4], indexed: bool) -> u64 {
+        // The arrays `AppGl::draw_textured_quad[_indexed]` send.
+        let (xyz, uv): (&[f32], &[f32]) = if indexed {
+            (
+                &[x0, y0, 0.0, x1, y0, 0.0, x1, y1, 0.0, x0, y1, 0.0],
+                &[0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+            )
         } else {
-            let (xyz, uv) = quad_arrays(rect);
-            match self.version {
-                GlesVersion::V1 => {
-                    let c = &mut self.c;
-                    c.bind_texture(tex);
-                    c.enable(Capability::Texture2D);
-                    c.set_client_state(ClientState::TexCoordArray, true);
-                    c.client_pointer(ClientState::TexCoordArray, 2, &uv);
-                    c.color4f(1.0, 1.0, 1.0, 1.0);
-                    c.client_pointer(ClientState::VertexArray, 3, &xyz);
-                    let frags = c.draw_arrays(Primitive::Triangles, 0, 6);
-                    c.set_client_state(ClientState::TexCoordArray, false);
-                    c.disable(Capability::Texture2D);
-                    frags
-                }
-                GlesVersion::V2 => {
-                    let color_loc = self.color_loc;
-                    let c = &mut self.c;
-                    c.bind_texture(tex);
-                    c.uniform4f(color_loc, 1.0, 1.0, 1.0, 1.0);
-                    c.vertex_attrib_pointer(0, 3, &xyz);
-                    c.set_vertex_attrib_enabled(2, true);
-                    c.vertex_attrib_pointer(2, 2, &uv);
-                    c.draw_arrays(Primitive::Triangles, 0, 6)
-                }
+            (
+                &[x0, y0, 0.0, x1, y0, 0.0, x1, y1, 0.0, x0, y0, 0.0, x1, y1, 0.0, x0, y1, 0.0],
+                &[0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+            )
+        };
+        let draw = |c: &mut GlesContext| {
+            if indexed {
+                c.draw_elements(Primitive::Triangles, &[0, 1, 2, 0, 2, 3])
+            } else {
+                c.draw_arrays(Primitive::Triangles, 0, 6)
+            }
+        };
+        let color_loc = self.color_loc;
+        let c = &mut self.c;
+        c.bind_texture(tex);
+        match self.version {
+            GlesVersion::V1 => {
+                c.enable(Capability::Texture2D);
+                c.set_client_state(ClientState::TexCoordArray, true);
+                c.client_pointer(ClientState::TexCoordArray, 2, uv);
+                c.color4f(1.0, 1.0, 1.0, 1.0);
+                c.client_pointer(ClientState::VertexArray, 3, xyz);
+                let frags = draw(c);
+                c.set_client_state(ClientState::TexCoordArray, false);
+                c.disable(Capability::Texture2D);
+                frags
+            }
+            GlesVersion::V2 => {
+                c.uniform4f(color_loc, 1.0, 1.0, 1.0, 1.0);
+                c.vertex_attrib_pointer(0, 3, xyz);
+                c.set_vertex_attrib_enabled(2, true);
+                c.vertex_attrib_pointer(2, 2, uv);
+                draw(c)
             }
         }
     }
 }
 
-/// Runs `script` against bare per-context [`GlesContext`]s on a private
-/// [`GpuDevice`] in reference-rasterizer mode.
+/// Interprets `stream` against bare per-session [`GlesContext`]s on a
+/// private [`GpuDevice`] in reference-rasterizer mode, mirroring how
+/// replay maps sessions and texture names. Returns the stream with every
+/// `app:present` and `cyt:end` digest replaced by the reference
+/// framebuffer's [`Image::pixel_hash`], and the fragments each executed
+/// draw shaded, in stream order.
 ///
 /// # Errors
 ///
-/// Returns a description of the first failing call (the reference path
-/// is infallible today; the signature matches [`run_diplomat`]).
-pub fn run_reference(script: &Script) -> Result<RunResult, String> {
+/// Returns a description of the first call the reference cannot run: an
+/// operation it does not model, or malformed arguments.
+pub fn run_reference(stream: &Stream) -> Result<(Stream, Vec<u64>), String> {
     let device = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
     device.set_reference_raster(true);
-    let mut ctxs: Vec<RefCtx> = script
-        .versions
-        .iter()
-        .map(|v| RefCtx::new(*v, device.clone()))
-        .collect();
-    let mut textures: Vec<Vec<(u32, TexFormat)>> = vec![Vec::new(); ctxs.len()];
+    let size = (stream.meta.width, stream.meta.height);
+    let header = gles_from_code(stream.meta.gles.into()).ok_or("bad header GLES version")?;
+    let mut sessions = vec![(0, RefCtx::new(header, device.clone(), size))];
+    let mut cur = 0;
+    let mut out = stream.clone();
     let mut frags = Vec::new();
-    for step in &script.steps {
-        let rc = &mut ctxs[step.ctx];
-        match &step.op {
-            GlOp::Clear { rgba } => {
-                rc.c.clear_color(rgba[0], rgba[1], rgba[2], rgba[3]);
+    for (index, call) in stream.calls.iter().enumerate() {
+        let name = stream.name_of(call);
+        let err = |detail: &str| format!("call {index} ({name}): {detail}");
+        let a = |k: usize| call.args.get(k).copied().unwrap_or(0);
+        let f = |k: usize| arg_f32(a(k));
+        if name == MARK_SESSION {
+            cur = match sessions.iter().position(|(id, _)| *id == a(0)) {
+                Some(i) => i,
+                None => {
+                    let version = gles_from_code(a(1)).ok_or_else(|| err("bad GLES version"))?;
+                    sessions.push((a(0), RefCtx::new(version, device.clone(), size)));
+                    sessions.len() - 1
+                }
+            };
+            continue;
+        }
+        let rc = &mut sessions[cur].1;
+        match name {
+            op::CLEAR => {
+                rc.c.clear_color(f(0), f(1), f(2), f(3));
                 rc.c.clear(true, true);
             }
-            GlOp::Draw { mode, xyz, color } => frags.push(rc.draw(*mode, xyz, *color)),
-            GlOp::CreateTexture { format } => {
-                let tag = textures[step.ctx].len() as u64;
-                let data = tex_bytes(*format, TEX_EDGE, TEX_EDGE, tag);
-                let tex = rc.c.gen_textures(1)[0];
-                rc.c.bind_texture(tex);
-                rc.c.tex_image_2d(TEX_EDGE, TEX_EDGE, *format, Some(&data));
-                textures[step.ctx].push((tex, *format));
-            }
-            GlOp::UpdateTexture { slot, x, y, w, h } => {
-                if let Some(&(tex, format)) = textures[step.ctx].get(*slot) {
-                    let data = tex_bytes(format, *w, *h, *slot as u64 + 97);
-                    rc.c.bind_texture(tex);
-                    rc.c.tex_sub_image_2d(*x, *y, *w, *h, format, &data);
+            op::SCISSOR => rc.c.set_scissor(arg_i32(a(0)), arg_i32(a(1)), a(2) as u32, a(3) as u32),
+            op::CAPABILITY => {
+                let cap = Capability::from_code(a(0) as u8).ok_or_else(|| err("bad capability"))?;
+                if a(1) != 0 {
+                    rc.c.enable(cap);
+                } else {
+                    rc.c.disable(cap);
                 }
             }
-            GlOp::TexQuad { slot, rect } => {
-                if let Some(&(tex, _)) = textures[step.ctx].get(*slot) {
-                    frags.push(rc.tex_quad(tex, *rect, false));
-                }
-            }
-            GlOp::TexQuadIndexed { slot, rect } => {
-                if let Some(&(tex, _)) = textures[step.ctx].get(*slot) {
-                    frags.push(rc.tex_quad(tex, *rect, true));
-                }
-            }
-            GlOp::Translate { v } => {
-                let top = rc.mvp.last_mut().expect("stack never empty");
-                *top = top.mul(&Mat4::translate(v[0], v[1], v[2]));
-                match rc.version {
-                    GlesVersion::V1 => rc.c.translate(v[0], v[1], v[2]),
-                    GlesVersion::V2 => rc.upload_mvp(),
-                }
-            }
-            GlOp::Rotate { degrees } => {
-                let top = rc.mvp.last_mut().expect("stack never empty");
-                *top = top.mul(&Mat4::rotate_z(*degrees));
-                match rc.version {
-                    GlesVersion::V1 => rc.c.rotate(*degrees, 0.0, 0.0, 1.0),
-                    GlesVersion::V2 => rc.upload_mvp(),
-                }
-            }
-            GlOp::Scale { v } => {
-                let top = rc.mvp.last_mut().expect("stack never empty");
-                *top = top.mul(&Mat4::scale(v[0], v[1], v[2]));
-                match rc.version {
-                    GlesVersion::V1 => rc.c.scale(v[0], v[1], v[2]),
-                    GlesVersion::V2 => rc.upload_mvp(),
-                }
-            }
-            GlOp::PushTransform => {
-                let top = rc.top();
+            op::PUSH => {
+                let top = *rc.mvp.last().expect("stack never empty");
                 rc.mvp.push(top);
                 if rc.version == GlesVersion::V1 {
                     rc.c.push_matrix();
                 }
             }
-            GlOp::PopTransform => {
+            op::POP => {
                 if rc.mvp.len() > 1 {
                     rc.mvp.pop();
                 }
@@ -717,157 +525,116 @@ pub fn run_reference(script: &Script) -> Result<RunResult, String> {
                     rc.c.pop_matrix();
                 }
             }
-            GlOp::LoadIdentity => {
+            op::ROTATE => rc.transform(Mat4::rotate_z(f(0)), |c| c.rotate(f(0), 0.0, 0.0, 1.0)),
+            op::TRANSLATE => {
+                rc.transform(Mat4::translate(f(0), f(1), f(2)), |c| c.translate(f(0), f(1), f(2)));
+            }
+            op::SCALE => rc.transform(Mat4::scale(f(0), f(1), f(2)), |c| c.scale(f(0), f(1), f(2))),
+            op::IDENTITY => {
                 *rc.mvp.last_mut().expect("stack never empty") = Mat4::identity();
-                match rc.version {
-                    GlesVersion::V1 => rc.c.load_identity(),
-                    GlesVersion::V2 => rc.upload_mvp(),
+                rc.sync_mvp(GlesContext::load_identity);
+            }
+            op::DRAW => {
+                let mode = Primitive::from_code(a(0) as u8).ok_or_else(|| err("bad primitive"))?;
+                let xyz: Vec<f32> = call
+                    .payload
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("len 4")))
+                    .collect();
+                frags.push(rc.draw(mode, &xyz, [f(1), f(2), f(3), f(4)]));
+            }
+            op::CREATE_TEXTURE => {
+                let format = TexFormat::from_code(a(2) as u8).ok_or_else(|| err("bad format"))?;
+                let tex = rc.c.gen_textures(1)[0];
+                rc.c.bind_texture(tex);
+                rc.c.tex_image_2d(a(0) as u32, a(1) as u32, format, Some(&call.payload));
+                rc.texmap.insert(a(3), tex);
+            }
+            op::UPDATE_TEXTURE => {
+                if let Some(&tex) = rc.texmap.get(&a(0)) {
+                    let format =
+                        TexFormat::from_code(a(5) as u8).ok_or_else(|| err("bad format"))?;
+                    let [x, y, w, h] = [1, 2, 3, 4].map(|k| a(k) as u32);
+                    rc.c.bind_texture(tex);
+                    rc.c.tex_sub_image_2d(x, y, w, h, format, &call.payload);
                 }
             }
-            GlOp::SetCapability { cap, on } => {
-                if *on {
-                    rc.c.enable(*cap);
-                } else {
-                    rc.c.disable(*cap);
+            op::TEX_QUAD | op::TEX_QUAD_INDEXED => {
+                if let Some(&tex) = rc.texmap.get(&a(0)) {
+                    let indexed = name == op::TEX_QUAD_INDEXED;
+                    frags.push(rc.tex_quad(tex, [f(1), f(2), f(3), f(4)], indexed));
                 }
             }
-            GlOp::Scissor { x, y, w, h } => rc.c.set_scissor(*x, *y, *w, *h),
-            GlOp::Flush | GlOp::Present => {}
+            op::PRESENT => out.calls[index].args = vec![rc.target.pixel_hash()],
+            MARK_END => out.calls[index].args = vec![rc.target.pixel_hash(), a(1)],
+            op::FLUSH | MARK_METER_BEGIN | MARK_METER_END => {}
+            other => return Err(err(&format!("the reference does not model {other}"))),
         }
     }
-    let frames = ctxs.iter().map(|rc| rc.target.to_rgba_vec()).collect();
-    let session_ns = vec![0; ctxs.len()];
-    Ok(RunResult {
-        frames,
-        frags,
-        session_ns,
-        scanout: Vec::new(),
-    })
+    Ok((out, frags))
 }
 
 // ---------------------------------------------------------------------
-// Differ + shrinker
+// Differ
 // ---------------------------------------------------------------------
 
-/// Executes `script` on both paths and checks the conformance and
-/// determinism contracts.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first divergence.
-pub fn check_script(script: &Script) -> Result<(), String> {
-    let diplomat = run_diplomat(script).map_err(|e| format!("diplomat path failed: {e}"))?;
-    let reference = run_reference(script).map_err(|e| format!("reference path failed: {e}"))?;
-    if diplomat.frags != reference.frags {
+/// Replays `stream` on a freshly booted Cycada device sized to its
+/// header; returns the outcome and the device's scanout bytes.
+fn replay_fresh(stream: &Stream, opts: &ReplayOptions) -> Result<(ReplayOutcome, Vec<u8>), String> {
+    let device = CycadaDevice::boot_with_display(Some((stream.meta.width, stream.meta.height)))
+        .map_err(|e| format!("boot: {e}"))?;
+    let outcome = replay_on_device(&device, stream, opts).map_err(|e| e.to_string())?;
+    let scanout = device.kernel().display().scanout().read(|b| b.to_vec());
+    Ok((outcome, scanout))
+}
+
+fn check(stream: &Stream, fault: Option<Fault>) -> Result<(), String> {
+    let (expected, ref_frags) =
+        run_reference(stream).map_err(|e| format!("reference path failed: {e}"))?;
+    let probe = ReplayOptions { check_timestamps: false, fault, rerecord: true, ..Default::default() };
+    let (diplomat, scanout) =
+        replay_fresh(&expected, &probe).map_err(|e| format!("diplomat path: {e}"))?;
+    if diplomat.frags != ref_frags {
         return Err(format!(
-            "fragment counts diverged: diplomat {:?} vs reference {:?}",
-            diplomat.frags, reference.frags
+            "fragment counts diverged: diplomat {:?} vs reference {ref_frags:?}",
+            diplomat.frags
         ));
     }
-    for (ctx, (d, r)) in diplomat
-        .frames
-        .iter()
-        .zip(reference.frames.iter())
-        .enumerate()
-    {
-        if d != r {
-            let first = d
-                .iter()
-                .zip(r.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            let px = first / 4;
-            return Err(format!(
-                "ctx{ctx} framebuffer diverged at pixel ({}, {}): diplomat {:?} vs reference {:?}",
-                px as u32 % WIDTH,
-                px as u32 / WIDTH,
-                &d[px * 4..px * 4 + 4],
-                &r[px * 4..px * 4 + 4],
-            ));
-        }
-    }
-    // Determinism of the metered plane AND damage on/off equivalence: a
-    // second fresh diplomat run with the compositor damage plane disabled
-    // (DESIGN.md §5g) must repeat pixels, scanout bytes, and metered
-    // virtual time exactly — tile-wise composition with clean/occlusion
-    // skips is indistinguishable from full recomposition.
-    let undamaged = run_diplomat_planes(script, false)
-        .map_err(|e| format!("diplomat re-run (damage off) failed: {e}"))?;
-    if undamaged.frames != diplomat.frames {
-        return Err(
-            "diplomat re-run with damage tracking disabled produced different pixels".into(),
-        );
-    }
-    if undamaged.scanout != diplomat.scanout {
-        return Err(
-            "diplomat re-run with damage tracking disabled produced a different scanout".into(),
-        );
-    }
-    if undamaged.session_ns != diplomat.session_ns {
-        return Err(format!(
-            "diplomat re-run with damage tracking disabled metered different virtual time: \
-             damage-on {:?} vs damage-off {:?}",
-            diplomat.session_ns, undamaged.session_ns
-        ));
+    // Determinism of the metered plane AND damage on/off equivalence: the
+    // re-recording carries this run's per-call and metered nanoseconds,
+    // and a replay with the damage plane off must repeat all of them.
+    let rerecording = diplomat.rerecording.expect("rerecord requested");
+    cycada_sim::damage::set_tracking(false);
+    let undamaged = replay_fresh(&rerecording, &ReplayOptions { fault, ..Default::default() });
+    cycada_sim::damage::set_tracking(true);
+    let (_, undamaged_scanout) =
+        undamaged.map_err(|e| format!("damage-off full-contract replay: {e}"))?;
+    if undamaged_scanout != scanout {
+        return Err("replay with damage tracking disabled produced a different scanout".into());
     }
     Ok(())
 }
 
-/// Delta-debugging shrink: repeatedly removes step chunks (halving the
-/// chunk size down to single steps) while `fails` still holds, then
-/// drops contexts no remaining step references. The result is
-/// 1-minimal: removing any single remaining step makes the failure
-/// disappear.
-pub fn shrink(script: &Script, fails: impl Fn(&Script) -> bool) -> Script {
-    let mut steps = script.steps.clone();
-    let mut chunk = steps.len().max(1);
-    while chunk >= 1 {
-        let mut i = 0;
-        while i < steps.len() {
-            let mut candidate = steps.clone();
-            candidate.drain(i..(i + chunk).min(candidate.len()));
-            let cand = Script {
-                versions: script.versions.clone(),
-                steps: candidate,
-            };
-            if fails(&cand) {
-                steps = cand.steps;
-            } else {
-                i += chunk;
-            }
-        }
-        if chunk == 1 {
-            break;
-        }
-        chunk /= 2;
-    }
-    let mut shrunk = Script {
-        versions: script.versions.clone(),
-        steps,
-    };
-    // Drop unreferenced contexts (highest first so indices stay valid),
-    // keeping the failure intact.
-    for ctx in (0..shrunk.versions.len()).rev() {
-        if shrunk.versions.len() == 1 || shrunk.steps.iter().any(|s| s.ctx == ctx) {
-            continue;
-        }
-        let mut cand = shrunk.clone();
-        cand.versions.remove(ctx);
-        for s in &mut cand.steps {
-            if s.ctx > ctx {
-                s.ctx -= 1;
-            }
-        }
-        if fails(&cand) {
-            shrunk = cand;
-        }
-    }
-    shrunk
+/// Runs `stream` through the reference and twice through the diplomat
+/// path (module docs), injecting `fault` into both diplomat replays. A
+/// panic anywhere counts as a failure, so panicking streams shrink too.
+///
+/// # Errors
+///
+/// Returns a human-readable description of the first divergence.
+pub fn check_stream(stream: &Stream, fault: Option<Fault>) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(|| check(stream, fault))).unwrap_or_else(|panic| {
+        cycada_sim::damage::set_tracking(true);
+        let msg = (panic.downcast_ref::<&str>().copied())
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+        Err(format!("panicked: {}", msg.unwrap_or("")))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cycada_replay::shrink_calls;
 
     #[test]
     fn generator_is_deterministic() {
@@ -878,43 +645,44 @@ mod tests {
     #[test]
     fn generated_scripts_start_with_clears_and_stay_in_bounds() {
         for seed in 0..20 {
-            let script = generate(seed);
-            assert!(!script.versions.is_empty() && script.versions.len() <= 2);
-            for (ctx, _) in script.versions.iter().enumerate() {
-                assert!(
-                    matches!(script.steps[ctx].op, GlOp::Clear { .. }),
-                    "seed {seed}: ctx{ctx} does not start with a clear"
-                );
-            }
-            for s in &script.steps {
-                assert!(s.ctx < script.versions.len());
-                if let GlOp::UpdateTexture { x, y, w, h, .. } = s.op {
+            let stream = generate(seed);
+            let mut session = 0;
+            let mut first_op: HashMap<u64, &str> = HashMap::new();
+            for call in &stream.calls {
+                let name = stream.name_of(call);
+                match name {
+                    MARK_SESSION => session = call.args[0],
+                    MARK_METER_BEGIN | MARK_METER_END | MARK_END => {}
+                    _ => {
+                        first_op.entry(session).or_insert(name);
+                    }
+                }
+                if name == op::UPDATE_TEXTURE {
+                    let [x, y, w, h] = [1, 2, 3, 4].map(|k| call.args[k] as u32);
                     assert!(x + w <= TEX_EDGE && y + h <= TEX_EDGE);
                 }
+            }
+            assert!(!first_op.is_empty() && first_op.len() <= 2);
+            for (session, name) in first_op {
+                assert_eq!(name, op::CLEAR, "seed {seed}: session {session} does not start with a clear");
             }
         }
     }
 
     #[test]
     fn shrinker_reaches_a_one_minimal_script() {
-        let script = generate(42);
-        // Synthetic failure: the script contains at least one rotate
-        // and at least one colored draw. The minimal script has
-        // exactly one of each.
-        let fails = |s: &Script| {
-            s.steps.iter().any(|st| matches!(st.op, GlOp::Rotate { .. }))
-                && s.steps.iter().any(|st| matches!(st.op, GlOp::Draw { .. }))
-        };
-        if !fails(&script) {
+        let stream = generate(42);
+        // Synthetic failure: the stream contains at least one rotate and
+        // at least one colored draw. The minimal stream has exactly one
+        // of each.
+        let has = |s: &Stream, name: &str| s.calls.iter().any(|c| s.name_of(c) == name);
+        let fails = |s: &Stream| has(s, op::ROTATE) && has(s, op::DRAW);
+        if !fails(&stream) {
             panic!("seed 42 no longer generates a rotate and a draw; pick a new seed");
         }
-        let shrunk = shrink(&script, fails);
+        let shrunk = shrink_calls(&stream, fails);
         assert!(fails(&shrunk));
-        assert_eq!(
-            shrunk.steps.len(),
-            2,
-            "expected exactly one rotate + one draw, got:\n{shrunk}"
-        );
-        assert_eq!(shrunk.versions.len(), 1, "unreferenced context kept");
+        assert_eq!(shrunk.calls.len(), 2, "expected exactly one rotate + one draw");
+        assert_eq!(shrunk.names.len(), 2, "string table not compacted");
     }
 }

@@ -7,8 +7,8 @@
 //! replication) in combination.
 //!
 //! The [`fuzz`] module is the differential GLES conformance fuzzer: it
-//! generates seeded random call scripts and executes them through both
-//! the full diplomat path and the reference rasterizer, asserting
-//! byte-identical framebuffers and deterministic metered virtual time.
+//! generates seeded random `.cyt` call streams and runs them through
+//! both the full diplomat path and the reference rasterizer, asserting
+//! byte-identical framebuffers and deterministic virtual time.
 
 pub mod fuzz;

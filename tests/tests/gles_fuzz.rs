@@ -1,17 +1,21 @@
-//! Differential GLES conformance fuzzing: seeded random call scripts
-//! executed through the full diplomat path and through the reference
-//! rasterizer must produce byte-identical framebuffers, equal per-draw
-//! fragment counts, and — across a damage-tracked and a damage-off
-//! diplomat run (DESIGN.md §5g) — identical pixels, scanout and metered
-//! virtual time. Failures shrink to a minimal replayable script before
-//! the test panics.
+//! Differential GLES conformance fuzzing: seeded `.cyt` call streams
+//! replayed through the full diplomat path must match the reference
+//! rasterizer's digest at every present and its per-draw fragment
+//! counts, and a damage-off replay of the re-recorded stream (DESIGN.md
+//! §5g) must repeat pixels, scanout, per-call and metered virtual time.
+//! Failures shrink to a minimal stream, written out as a `.cyt` file,
+//! before the test panics.
 //!
 //! Case count: 24 under `cargo test` (debug), 200 in release CI;
 //! `CYCADA_FUZZ_CASES` overrides both (the nightly long run sets it to
 //! several thousand).
 
-use cycada_gles::{Capability, GlesVersion, Primitive};
-use cycada_integration::fuzz::{check_script, generate, shrink, GlOp, Script, Step};
+use std::path::Path;
+
+use cycada_gles::{Capability, GlesVersion, Primitive, TexFormat};
+use cycada_integration::fuzz::{check_stream, generate, StreamBuilder};
+use cycada_replay::{f32_arg, i32_arg, shrink_calls, Fault, ReplayStream as Stream};
+use cycada_sim::replay::op;
 
 /// Base seed for the sweep; shifting it re-randomizes every case while
 /// keeping each CI run reproducible from the test log alone.
@@ -32,71 +36,104 @@ fn case_count() -> u64 {
 fn differential_seeded_sweep() {
     for i in 0..case_count() {
         let seed = BASE_SEED + i;
-        let script = generate(seed);
-        if let Err(err) = check_script(&script) {
-            let shrunk = shrink(&script, |s| check_script(s).is_err());
-            let final_err = check_script(&shrunk).expect_err("shrunk script must still fail");
+        let stream = generate(seed);
+        if let Err(err) = check_stream(&stream, None) {
+            let shrunk = shrink_calls(&stream, |s| check_stream(s, None).is_err());
+            let final_err = check_stream(&shrunk, None).expect_err("shrunk stream must still fail");
+            let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fuzz-failures");
+            let path = dir.join(format!("seed-{seed}.cyt"));
+            std::fs::create_dir_all(&dir)
+                .and_then(|()| std::fs::write(&path, shrunk.encode()))
+                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
             panic!(
                 "seed {seed} diverged: {err}\n\
-                 minimal failing script ({} of {} steps, error: {final_err}):\n{shrunk}",
-                shrunk.steps.len(),
-                script.steps.len(),
+                 minimal failing stream ({} of {} calls, error: {final_err}) written to {}",
+                shrunk.calls.len(),
+                stream.calls.len(),
+                path.display(),
             );
         }
     }
 }
 
-/// A hand-minimized script exercising every op class across a V1 and a
-/// V2 context — the committed regression artifact the shrinker's
-/// output is meant to look like, proving minimal scripts replay
-/// through the same entry point as fuzz cases.
+/// A hand-minimized stream exercising every op class across a V1 and a
+/// V2 session — the shape the shrinker's output takes, proving minimal
+/// streams check through the same entry point as fuzz cases.
 #[test]
 fn minimal_committed_script_replays_clean() {
-    let steps = [
-        (0, GlOp::Clear { rgba: [0.1, 0.2, 0.3, 1.0] }),
-        (1, GlOp::Clear { rgba: [0.9, 0.6, 0.0, 1.0] }),
-        (0, GlOp::CreateTexture { format: cycada_gles::TexFormat::Rgba }),
-        (0, GlOp::Rotate { degrees: 30.0 }),
-        (0, GlOp::PushTransform),
-        (0, GlOp::Scale { v: [0.5, 0.75, 1.0] }),
-        (
-            0,
-            GlOp::Draw {
-                mode: Primitive::Triangles,
-                xyz: vec![-0.8, -0.8, 0.0, 0.8, -0.8, 0.0, 0.0, 0.9, 0.0],
-                color: [1.0, 0.0, 0.25, 1.0],
-            },
-        ),
-        (0, GlOp::PopTransform),
-        (0, GlOp::TexQuad { slot: 0, rect: [-0.5, -0.5, 0.5, 0.5] }),
-        (1, GlOp::Translate { v: [0.25, -0.25, 0.0] }),
-        (
-            1,
-            GlOp::Draw {
-                mode: Primitive::TriangleFan,
-                xyz: vec![0.0, 0.0, 0.0, 0.7, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.7, 0.0],
-                color: [0.0, 0.5, 1.0, 0.75],
-            },
-        ),
-        (0, GlOp::UpdateTexture { slot: 0, x: 2, y: 2, w: 4, h: 4 }),
-        (0, GlOp::TexQuadIndexed { slot: 0, rect: [0.0, 0.0, 0.9, 0.9] }),
-        (0, GlOp::Present),
-        (1, GlOp::Present),
-        // Partial redraw: scissored clear then a second present — the
-        // damage-tracked compositor must recompose exactly this frame's
-        // dirty region (checked against the damage-off re-run).
-        (0, GlOp::SetCapability { cap: Capability::ScissorTest, on: true }),
-        (0, GlOp::Scissor { x: 8, y: 8, w: 16, h: 12 }),
-        (0, GlOp::Clear { rgba: [0.0, 1.0, 0.2, 1.0] }),
-        (0, GlOp::SetCapability { cap: Capability::ScissorTest, on: false }),
-        (0, GlOp::Present),
-    ];
-    let script = Script {
-        versions: vec![GlesVersion::V1, GlesVersion::V2],
-        steps: steps
-            .into_iter()
-            .map(|(ctx, op)| Step { ctx, op })
-            .collect(),
-    };
-    check_script(&script).expect("committed minimal script must replay clean");
+    let mut b = StreamBuilder::new(0, &[GlesVersion::V1, GlesVersion::V2]);
+    b.clear([0.1, 0.2, 0.3, 1.0]);
+    b.on(1).clear([0.9, 0.6, 0.0, 1.0]);
+    b.on(0)
+        .create_texture(TexFormat::Rgba)
+        .call(op::ROTATE, &[f32_arg(30.0)], &[])
+        .call(op::PUSH, &[], &[])
+        .call(op::SCALE, &[f32_arg(0.5), f32_arg(0.75), f32_arg(1.0)], &[])
+        .draw(
+            Primitive::Triangles,
+            &[-0.8, -0.8, 0.0, 0.8, -0.8, 0.0, 0.0, 0.9, 0.0],
+            [1.0, 0.0, 0.25, 1.0],
+        )
+        .call(op::POP, &[], &[])
+        .tex_quad(1, [-0.5, -0.5, 0.5, 0.5], false);
+    b.on(1)
+        .call(op::TRANSLATE, &[f32_arg(0.25), f32_arg(-0.25), f32_arg(0.0)], &[])
+        .draw(
+            Primitive::TriangleFan,
+            &[0.0, 0.0, 0.0, 0.7, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.7, 0.0],
+            [0.0, 0.5, 1.0, 0.75],
+        );
+    b.on(0)
+        .update_texture(1, 2, 2, 4, 4)
+        .tex_quad(1, [0.0, 0.0, 0.9, 0.9], true)
+        .call(op::PRESENT, &[0], &[]);
+    b.on(1).call(op::PRESENT, &[0], &[]);
+    // Partial redraw: scissored clear then a second present — the
+    // damage-tracked compositor must recompose exactly this frame's
+    // dirty region (checked against the damage-off replay).
+    let scissor = u64::from(Capability::ScissorTest.code());
+    b.on(0)
+        .call(op::CAPABILITY, &[scissor, 1], &[])
+        .call(op::SCISSOR, &[i32_arg(8), i32_arg(8), 16, 12], &[])
+        .clear([0.0, 1.0, 0.2, 1.0])
+        .call(op::CAPABILITY, &[scissor, 0], &[])
+        .call(op::PRESENT, &[0], &[]);
+    check_stream(&b.finish(), None).expect("committed minimal stream must replay clean");
+}
+
+/// Every fuzz regression committed under `tests/corpus/fuzz/` passes
+/// the full differential check.
+#[test]
+fn committed_fuzz_regressions_replay_clean() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/fuzz");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "cyt"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no .cyt files in {}", dir.display());
+    for path in files {
+        let bytes = std::fs::read(&path).expect("read regression");
+        let stream = Stream::decode(&bytes)
+            .unwrap_or_else(|e| panic!("{}: decode failed: {e}", path.display()));
+        check_stream(&stream, None).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    }
+}
+
+/// A deliberately wrong clear color on the diplomat side fails the check
+/// on a generated stream, and the failure shrinks to a ≤ 3-call stream
+/// that still fails after a `.cyt` round trip (and passes without the
+/// fault).
+#[test]
+fn injected_fault_fails_and_shrinks_to_a_minimal_stream() {
+    let fault = Some(Fault::WrongClearColor);
+    let stream = generate(BASE_SEED);
+    assert!(check_stream(&stream, fault).is_err(), "faulted diplomat side must diverge");
+    let shrunk = shrink_calls(&stream, |s| check_stream(s, fault).is_err());
+    assert!(shrunk.calls.len() <= 3, "shrunk to {} calls", shrunk.calls.len());
+    let decoded = Stream::decode(&shrunk.encode()).expect("shrunk stream decodes");
+    assert_eq!(decoded, shrunk);
+    assert!(check_stream(&decoded, fault).is_err(), "round-tripped stream must still fail");
+    check_stream(&decoded, None).expect("the divergence is the fault's");
 }

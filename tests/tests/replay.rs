@@ -9,11 +9,14 @@
 //! divergence ddmin-shrinks to a minimal trace that still reproduces.
 
 use cycada_fleet::{solo_outcome, FleetConfig};
+use cycada_gles::{GlesVersion, Primitive};
+use cycada_integration::fuzz::StreamBuilder;
 use cycada_replay::{
     corpus, replay_stream, shrink_divergence, DivergenceKind, Fault,
-    ReplayError, ReplayOptions,
+    ReplayError, ReplayOptions, MARK_SESSION,
 };
-use cycada_sim::replay::Stream;
+use cycada_sim::replay::{op, Stream};
+use cycada_sim::Platform;
 use cycada_workloads::scenario::Scenario;
 
 const SEED: u64 = 0x5EED;
@@ -85,6 +88,60 @@ fn rerecorded_replay_is_byte_identical() {
             "{}: rerecorded stream must serialize identically",
             scenario.label()
         );
+    }
+}
+
+/// A V1 header session plus a V2 session attached by `cyt:session`,
+/// drawing and presenting in turn.
+fn two_session_stream() -> Stream {
+    let tri = [-0.7, -0.7, 0.0, 0.7, -0.7, 0.0, 0.0, 0.7, 0.0];
+    let mut b = StreamBuilder::new(SEED, &[GlesVersion::V1, GlesVersion::V2]);
+    b.clear([0.2, 0.3, 0.4, 1.0]).draw(Primitive::Triangles, &tri, [1.0, 0.5, 0.0, 1.0]);
+    b.on(1).clear([0.0, 0.0, 0.5, 1.0]).draw(Primitive::TriangleFan, &tri, [0.0, 1.0, 0.0, 1.0]);
+    b.call(op::PRESENT, &[0], &[]);
+    b.on(0).call(op::ROTATE, &[cycada_replay::f32_arg(45.0)], &[]);
+    b.draw(Primitive::Triangles, &tri, [0.0, 0.5, 1.0, 1.0]).call(op::PRESENT, &[0], &[]);
+    b.finish()
+}
+
+/// Multi-session streams keep the full contract: a recording of a V1
+/// header session that attaches a V2 session via `cyt:session` replays
+/// with every digest and nanosecond checked, and re-records to the same
+/// bytes.
+#[test]
+fn attached_session_stream_replays_and_rerecords_identically() {
+    // Built streams carry no digests or timestamps; a first replay
+    // records them.
+    let probe = ReplayOptions {
+        check_digests: false,
+        check_timestamps: false,
+        rerecord: true,
+        ..Default::default()
+    };
+    let recorded = replay_stream(&two_session_stream(), &probe)
+        .expect("first replay")
+        .rerecording
+        .expect("rerecording requested");
+    assert!(recorded.names.iter().any(|n| n == MARK_SESSION));
+    assert!(recorded.calls.iter().any(|c| c.vts > 0), "recording carries timestamps");
+
+    let opts = ReplayOptions { rerecord: true, ..Default::default() };
+    let outcome = replay_stream(&recorded, &opts).expect("full-contract replay");
+    assert_eq!(outcome.presents, 2);
+    assert_eq!(outcome.frags.len(), 3, "one fragment count per draw");
+    let rerec = outcome.rerecording.expect("rerecording requested");
+    assert_eq!(rerec.encode(), recorded.encode(), "record -> replay -> record is a fixed point");
+}
+
+/// `cyt:session` needs a Cycada device to attach to: on any other
+/// platform it is a typed session error, not a panic.
+#[test]
+fn session_marker_off_cycada_is_a_session_error() {
+    let mut stream = two_session_stream();
+    stream.meta.platform = Platform::StockAndroid;
+    match replay_stream(&stream, &ReplayOptions::digests_only()) {
+        Err(ReplayError::Session(msg)) => assert!(msg.contains(MARK_SESSION), "{msg}"),
+        other => panic!("expected a session error, got {other:?}"),
     }
 }
 
