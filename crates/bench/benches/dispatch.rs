@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use cycada_bench::LegacyStringStats;
 use cycada_diplomat::{DiplomatEntry, DiplomatPattern, DiplomatTable, FnId, HookKind};
 use cycada_gles::GlesRegistry;
-use cycada_sim::stats::{FunctionStats, LegacyStringStats};
+use cycada_sim::stats::FunctionStats;
 
 use parking_lot::Mutex;
 

@@ -3,7 +3,7 @@
 //! the PR 4 `ImpersonationGuard::end` partial-restore bug on its pre-fix
 //! code shape, the trace seqlock, `SlotTable` chunk-boundary churn, and
 //! the DESIGN.md §5f parallel-plane seams (sharded kernel thread table,
-//! sharded gralloc registry, the flinger present queue, GPU fence slots
+//! sharded gralloc registry, the flinger present lock, GPU fence slots
 //! and racing clears).
 
 use std::sync::Arc;
@@ -402,7 +402,7 @@ fn seqlock_writer_overwrite_mid_snapshot_is_discarded() {
 
 // ---------------------------------------------------------------------
 // Parallel-plane seams (DESIGN.md §5f): sharded kernel thread table,
-// sharded gralloc registry, flinger present queue, GPU fences and
+// sharded gralloc registry, flinger present lock, GPU fences and
 // racing clears
 // ---------------------------------------------------------------------
 
@@ -496,20 +496,17 @@ fn gralloc_registry_slot_churn() {
 }
 
 #[test]
-fn flinger_present_queue_latches_disjoint_layers() {
-    // Two presenters with disjoint layer rects race the ticketed present
-    // queue. The contended presenter's wait-and-revolunteer loop makes
-    // schedule counts unbounded, so this seam is explored with seeded
-    // random schedules rather than exhaustively (the loop always
-    // terminates under any fair schedule, which random choice is with
-    // probability 1).
+fn flinger_present_latches_disjoint_layers() {
+    // Two presenters with disjoint layer rects race for the compositor
+    // lock. Each composes its own frame under it, so the schedule space
+    // is bounded and explored exhaustively.
     use cycada_gpu::raster::Rect;
     use cycada_gpu::{GpuDevice, PixelFormat, Rgba};
     use cycada_gralloc::{GraphicBuffer, SurfaceFlinger};
     use cycada_kernel::Display;
     use cycada_sim::{GpuCostModel, VirtualClock};
 
-    let result = Checker::new().random(0x5F1A_6E12, 300, || {
+    let report = Checker::new().preemption_bound(2).exhaustive(|| {
         let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
         let sf = Arc::new(SurfaceFlinger::new(Display::new(4, 2), gpu));
         let presenter = |handle: u64, x: u32, color: Rgba| {
@@ -531,19 +528,20 @@ fn flinger_present_queue_latches_disjoint_layers() {
                 assert_eq!(sf2.display().pixel(3, 1), [0, 255, 0, 255]);
             })
     });
-    result.expect("disjoint presenters must both latch under random schedules");
+    let report = report.expect("disjoint presenters must both latch under every schedule");
+    assert!(report.complete);
 }
 
 #[test]
-fn flinger_damage_clipped_presents_latch_in_ticket_order() {
+fn flinger_damage_clipped_presents_latch_in_lock_order() {
     // Racy multi-presenter model for the tile compositor (DESIGN.md
     // §5g): two presenters post overlapping, panel-cropped layers while
-    // a third repaints one source between posts, all racing the
-    // ticketed drain and its tile memo. Post-condition: replaying the
+    // a third repaints one source between posts, all racing for the
+    // compositor lock and its tile memo. Post-condition: replaying the
     // same posts serially on a fresh damage-OFF flinger yields
     // byte-identical scanout — the tile path may skip and cull, but
-    // under every schedule the latched ticket order must produce
-    // exactly what full recomposition of that order produces.
+    // under every schedule the latched lock order must produce exactly
+    // what full recomposition of that order produces.
     use cycada_gpu::raster::Rect;
     use cycada_gpu::{GpuDevice, Image, PixelFormat, Rgba};
     use cycada_gralloc::SurfaceFlinger;
@@ -556,7 +554,7 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
     const B_DST: Rect = Rect { x: 2, y: 0, w: 3, h: 2 };
     const DAB: Rect = Rect { x: 0, y: 0, w: 1, h: 1 };
 
-    let result = Checker::new().random(0x7D1E_5A0C, 200, || {
+    let report = Checker::new().preemption_bound(2).exhaustive(|| {
         let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
         let sf = Arc::new(SurfaceFlinger::new(Display::new(4, 2), gpu));
         let a = Image::new(4, 2, PixelFormat::Rgba8888);
@@ -564,7 +562,7 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
         let b = Image::new(3, 2, PixelFormat::Rgba8888);
         b.fill(Rgba::GREEN);
         // Posts serialize through the order log, so the log records
-        // latch (ticket) order and each post's latch-time source bytes
+        // latch order and each post's latch-time source bytes
         // are a pure function of the log prefix — exactly what the
         // damage-off oracle replays below.
         let order: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
@@ -623,7 +621,8 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
                 assert_eq!(got, want, "tile path diverged from full recomposition");
             })
     });
-    result.expect("damage-clipped presents must latch in ticket order");
+    let report = report.expect("damage-clipped presents must latch in lock order");
+    assert!(report.complete);
 }
 
 #[test]

@@ -333,9 +333,9 @@ impl GpuDevice {
     }
 
     /// The accounting half of a blit: submits the command, counts it and
-    /// charges `pixels` of copy cost — on the calling thread, which is
-    /// what keeps per-session virtual time exact when the byte work is
-    /// deferred (the flinger's present queue).
+    /// charges `pixels` of copy cost on the calling thread. The flinger
+    /// charges every layer of a frame this way before it takes its
+    /// compositor lock, so the charge never depends on lock order.
     pub fn charge_blit_pixels(&self, pixels: u64, class: DrawClass) {
         self.submit();
         self.stats.blits.fetch_add(1, Ordering::Relaxed);

@@ -12,7 +12,9 @@
 //!
 //! # The compositor plane (DESIGN.md §5g)
 //!
-//! The drainer composes **tiles**: a [`TILE_SIZE`]² grid over the
+//! Each presenter composes its own frame under one compositor lock, the
+//! home of the tile memo; nothing is queued or deferred to another
+//! thread. It composes **tiles**: a [`TILE_SIZE`]² grid over the
 //! scanout, with a per-tile memo of which blits last composed it and at
 //! which source journal versions. A tile is *skipped* when the same
 //! blits would compose it again and none of their sources accumulated
@@ -23,14 +25,13 @@
 //! ([`cycada_sim::damage::set_tracking`]), when a blit's
 //! source aliases the scanout, or when the gate epoch moved. Output
 //! bytes and metered virtual time are identical on-vs-off by
-//! construction: all charging happens at enqueue, and the tile path
+//! construction: all charging happens before the lock, and the tile path
 //! writes exactly the bytes full recomposition would.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use cycada_gpu::raster::{self, Rect};
 use cycada_gpu::{DrawClass, GpuDevice, Image};
@@ -45,31 +46,6 @@ use crate::buffer::GraphicBuffer;
 
 /// Tile edge length in pixels for damage-tracked composition.
 pub const TILE_SIZE: u32 = 32;
-
-/// Spins this many iterations on a `spin_loop` hint before falling back
-/// to `yield_now` — publication windows are a handful of instructions,
-/// so a short spin usually wins without burning a scheduler trip.
-const SPIN_LIMIT: u32 = 64;
-
-/// Spin-then-yield backoff for the present-path wait loops.
-struct Backoff {
-    spins: u32,
-}
-
-impl Backoff {
-    fn new() -> Self {
-        Backoff { spins: 0 }
-    }
-
-    fn wait(&mut self) {
-        if self.spins < SPIN_LIMIT {
-            self.spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
 
 /// The compositor for one display.
 ///
@@ -90,48 +66,22 @@ pub struct SurfaceFlinger {
     /// Per-handle layer assignments, sharded so presenters of different
     /// buffers never contend on a table-wide lock (DESIGN.md §5f).
     layers: SlotTable<Rect>,
-    /// Next present-queue ticket (ticket order is application order).
-    present_tickets: AtomicU64,
-    /// Tickets fully applied to the scanout.
-    present_drained: AtomicU64,
-    /// Published-but-not-yet-applied frames, keyed by ticket.
-    present_queue: SlotTable<Arc<PresentOp>>,
-    /// Held by the one thread currently applying queued frames, and the
-    /// home of the tile memo (only the drainer touches tile state, so
-    /// the drain lock is exactly its guard). Acquired only with
-    /// `try_lock`: an uncontended presenter drains its own frame
-    /// synchronously, a contended one enqueues and waits.
-    drain_lock: Mutex<TileGrid>,
-    /// Milliseconds the drainer waits for a claimed ticket's op to be
-    /// published before concluding the enqueuer died mid-present (it
-    /// panicked or was killed between claiming the ticket and
-    /// publishing the op) and skipping the ticket. The live publication
-    /// window is a handful of instructions, so the default is orders of
-    /// magnitude beyond any reachable stall; tests of the skip path
-    /// lower it via [`SurfaceFlinger::set_publish_deadline_ms`].
-    publish_deadline_ms: AtomicU64,
+    /// The tile memo, and the one lock every present composes under:
+    /// each presenter applies its own frame while holding it, so frames
+    /// reach the scanout one at a time, in lock-acquisition order. Taken
+    /// only through `lock_tiles`.
+    tiles: Mutex<TileGrid>,
 }
 
-/// Default [`SurfaceFlinger::set_publish_deadline_ms`] value.
-const PUBLISH_DEADLINE_MS_DEFAULT: u64 = 5_000;
-
-/// One blit of a queued frame. `clip` is `dst_rect ∩ panel`, computed
-/// at enqueue: the only pixels the blit may write. `dst_rect` itself
-/// may hang past the panel — it stays the *logical* destination so the
-/// scaling arithmetic is unchanged by clipping.
+/// One blit of a frame. `clip` is `dst_rect ∩ panel`, computed before
+/// the compositor lock is taken: the only pixels the blit may write.
+/// `dst_rect` itself may hang past the panel — it stays the *logical*
+/// destination so the scaling arithmetic is unchanged by clipping.
 struct Blit {
     src: Image,
     src_rect: Rect,
     dst_rect: Rect,
     clip: Rect,
-}
-
-/// One queued frame: the blits to apply onto the scanout, in order. All
-/// virtual-time and statistics accounting already happened on the
-/// enqueuing thread, so applying an op is pure byte work.
-struct PresentOp {
-    blits: Vec<Blit>,
-    done: AtomicBool,
 }
 
 /// What one tile was last composed from: a blit's identity key plus the
@@ -147,7 +97,7 @@ struct TileEntry {
 }
 
 /// A whole frame's blit identity, without versions. When two
-/// consecutive ops carry the same key list the per-tile memo walk can
+/// consecutive frames carry the same key list the per-tile memo walk can
 /// be short-circuited: only tiles inside the frame's dirty region need
 /// visiting, everything else is provably clean wholesale.
 #[derive(PartialEq, Eq)]
@@ -192,7 +142,7 @@ struct TileGrid {
     epoch: u64,
     cols: u32,
     tiles: Vec<Option<Vec<TileEntry>>>,
-    /// The previous op's blit key list. Empty when no grid-level memo
+    /// The previous frame's blit key list. Empty when no grid-level memo
     /// is valid (fresh grid, epoch reset, or untracked writes).
     last_keys: Vec<TileKey>,
     /// Per-blit journal versions the whole grid is current against
@@ -249,6 +199,21 @@ impl TileGrid {
     }
 }
 
+/// The held compositor lock. `parking_lot` locks never poison, so a
+/// panic unwinding out of a half-done `apply` would hand the next holder
+/// a memo whose fast paths skip tiles with stale scanout bytes; dropping
+/// the guard during an unwind forgets the whole memo instead.
+struct TilesGuard<'a>(MutexGuard<'a, TileGrid>);
+
+impl Drop for TilesGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let grid = &mut *self.0;
+            grid.reset(grid.epoch);
+        }
+    }
+}
+
 impl SurfaceFlinger {
     /// Creates a compositor for `display`, using `gpu` for composition.
     pub fn new(display: Display, gpu: Arc<GpuDevice>) -> Self {
@@ -257,29 +222,8 @@ impl SurfaceFlinger {
             display,
             gpu,
             layers: SlotTable::new(),
-            present_tickets: AtomicU64::new(0),
-            present_drained: AtomicU64::new(0),
-            present_queue: SlotTable::new(),
-            drain_lock: Mutex::new(grid),
-            publish_deadline_ms: AtomicU64::new(PUBLISH_DEADLINE_MS_DEFAULT),
+            tiles: Mutex::new(grid),
         }
-    }
-
-    /// Overrides the drainer's publication deadline. Test hook for
-    /// exercising the dead-presenter skip path without a 5 s stall; not
-    /// part of the supported API.
-    #[doc(hidden)]
-    pub fn set_publish_deadline_ms(&self, ms: u64) {
-        self.publish_deadline_ms.store(ms.max(1), Ordering::Relaxed);
-    }
-
-    /// Claims a present ticket without ever publishing an op for it —
-    /// the exact state a presenter leaves behind when it dies between
-    /// `fetch_add` and the queue publish. Test hook; not part of the
-    /// supported API.
-    #[doc(hidden)]
-    pub fn abandon_ticket_for_test(&self) -> u64 {
-        self.present_tickets.fetch_add(1, Ordering::AcqRel)
     }
 
     /// The display being composed to.
@@ -368,18 +312,13 @@ impl SurfaceFlinger {
         self.present(blits);
     }
 
-    /// Queues one frame and waits for it to reach the scanout.
+    /// Composes one frame onto the scanout on the calling thread.
     ///
     /// All accounting — per-layer copy cost, the fixed present cost, the
-    /// frame counter — is charged here on the issuing thread **before**
-    /// the frame is queued, so each session's virtual-time ledger is
-    /// exactly what the old synchronous compositor produced no matter
-    /// which thread ends up doing the byte work (and no matter whether
-    /// the drainer skips tiles: skipping saves host wall time only).
-    /// The queue is a ticket sequence over a [`SlotTable`]; whoever wins
-    /// `drain_lock` applies pending frames in ticket order while
-    /// contended presenters spin-then-yield on their own frame's `done`
-    /// flag (counted as [`trace::Counter::FlingerLockWaits`]).
+    /// frame counter — is charged before the compositor lock is taken,
+    /// so a session's virtual-time ledger never depends on lock order or
+    /// on skipped tiles (skipping saves host wall time only). The
+    /// presenter then applies its own frame under the lock.
     fn present(&self, blits: Vec<(Image, Rect, Rect)>) {
         for (_, src_rect, dst_rect) in &blits {
             self.gpu
@@ -389,7 +328,7 @@ impl SurfaceFlinger {
         self.display.frame_presented();
 
         let panel = self.panel();
-        let blits = blits
+        let blits: Vec<Blit> = blits
             .into_iter()
             .map(|(src, src_rect, dst_rect)| Blit {
                 src,
@@ -398,116 +337,27 @@ impl SurfaceFlinger {
                 clip: dst_rect.intersect(&panel),
             })
             .collect();
-
-        let ticket = self.present_tickets.fetch_add(1, Ordering::AcqRel);
-        let op = Arc::new(PresentOp {
-            blits,
-            done: AtomicBool::new(false),
-        });
-        check::schedule_point("flinger.present", ticket as usize, Access::Write);
-        self.present_queue.set(ticket, Some(op.clone()));
-        self.drain();
-        let mut contended = false;
-        let mut backoff = Backoff::new();
-        while !op.done.load(Ordering::Acquire) {
-            // If the drain loop's publication deadline expired before our
-            // op became visible, it skipped our ticket (presumed us dead
-            // — see `drain`). The frame is dropped, not wedged: reclaim
-            // the queue slot and return. All virtual-time accounting
-            // already happened at enqueue, so the ledger is unaffected.
-            if self.present_drained.load(Ordering::Acquire) > ticket
-                && !op.done.load(Ordering::Acquire)
-            {
-                self.present_queue.set(ticket, None);
-                return;
-            }
-            if !contended {
-                contended = true;
-                trace::bump(trace::Counter::FlingerLockWaits);
-            }
-            backoff.wait();
-            // The drainer may have exited before our ticket became
-            // visible; keep volunteering until our frame is applied.
-            self.drain();
-        }
+        self.apply(&mut self.lock_tiles().0, &blits);
     }
 
-    /// Applies queued frames in ticket order if no other thread already
-    /// is. Returns with the queue either empty or owned by another
-    /// drainer that is guaranteed to observe any ticket published before
-    /// this call.
-    fn drain(&self) {
-        loop {
-            let Some(mut grid) = self.drain_lock.try_lock() else {
-                return;
-            };
-            loop {
-                let next = self.present_drained.load(Ordering::Acquire);
-                if next >= self.present_tickets.load(Ordering::Acquire) {
-                    break;
-                }
-                // The ticket is claimed before the op is published; wait
-                // out the enqueuer's tiny publication window. The wait is
-                // bounded: a presenter that died between claiming the
-                // ticket and publishing (panic mid-present under session
-                // teardown) would otherwise wedge every session sharing
-                // this display, so after the publication deadline the
-                // ticket is skipped and counted instead
-                // (`present-teardown-skips`). The wall deadline is armed
-                // lazily — the common published-immediately case never
-                // reads the clock.
-                let mut backoff = Backoff::new();
-                let mut waited_since: Option<std::time::Instant> = None;
-                let op = loop {
-                    check::schedule_point("flinger.present", next as usize, Access::Read);
-                    if let Some(op) = self.present_queue.get(next) {
-                        break Some(op);
-                    }
-                    let since = *waited_since.get_or_insert_with(std::time::Instant::now);
-                    if since.elapsed().as_millis() as u64
-                        >= self.publish_deadline_ms.load(Ordering::Relaxed)
-                    {
-                        break None;
-                    }
-                    backoff.wait();
-                };
-                match op {
-                    Some(op) => {
-                        self.apply(&mut grid, &op);
-                        op.done.store(true, Ordering::Release);
-                        self.present_queue.set(next, None);
-                    }
-                    None => {
-                        // Enqueuer presumed dead: skip-and-count. If it
-                        // was merely stalled it detects the skip in its
-                        // own wait loop (`present`) and reclaims the slot.
-                        trace::bump(trace::Counter::PresentTeardownSkips);
-                    }
-                }
-                self.present_drained.store(next + 1, Ordering::Release);
-            }
-            drop(grid);
-            // A ticket published after our last emptiness check but before
-            // the lock release would be stranded if its enqueuer lost the
-            // try_lock race to us; recheck and re-volunteer.
-            if self.present_drained.load(Ordering::Acquire)
-                >= self.present_tickets.load(Ordering::Acquire)
-            {
-                return;
-            }
-        }
+    /// Takes the compositor lock: `try_lock` first, and on contention
+    /// one `flinger-lock-waits` bump and a blocking `lock`.
+    fn lock_tiles(&self) -> TilesGuard<'_> {
+        TilesGuard(self.tiles.try_lock().unwrap_or_else(|| {
+            trace::bump(trace::Counter::FlingerLockWaits);
+            self.tiles.lock()
+        }))
     }
 
     /// Applies one frame onto the scanout: tile-wise with clean and
     /// occlusion skips when damage tracking is on, full recomposition
     /// otherwise. Both paths write exactly the same bytes.
-    fn apply(&self, grid: &mut TileGrid, op: &PresentOp) {
+    fn apply(&self, grid: &mut TileGrid, blits: &[Blit]) {
         let scanout = self.scanout_image();
         // Blits with an empty source or a fully off-panel destination
         // write nothing in either mode; drop them so they can neither
         // occlude nor key tile memos.
-        let blits: Vec<&Blit> = op
-            .blits
+        let blits: Vec<&Blit> = blits
             .iter()
             .filter(|b| !b.src_rect.is_empty() && !b.clip.is_empty())
             .collect();
@@ -560,19 +410,14 @@ impl SurfaceFlinger {
         };
 
         // Grid-level fast path: when the key list repeats the previous
-        // op exactly, the only tiles whose bytes can have changed are
+        // frame exactly, the only tiles whose bytes can have changed are
         // those under some visible blit's dirty destination region.
         // Everything else is clean wholesale — skipped without even a
         // per-tile memo lookup, with the skip counters bulk-bumped
         // from the recorded touched/occluded tile counts.
-        // Audit note (present/drain hardening): `last_versions[i]` below
-        // and the `copy_from_slice` at the end of the hit branch would
-        // both panic if `last_keys` and `last_versions` ever diverged in
-        // length. They are only written together, but `reset`/`invalidate`
-        // clear `last_keys` alone — the length equality is a cross-method
-        // invariant, so the fast path checks it explicitly instead of
-        // trusting it: a mismatch is merely a memo miss (full walk), never
-        // a panic that takes the drainer down with every waiting session.
+        // `reset`/`invalidate` clear `last_keys` alone, so both lengths
+        // are checked: a mismatch is a memo miss (full walk), never an
+        // out-of-bounds `last_versions[i]` or `copy_from_slice` panic.
         let memo_hit = grid.last_keys.len() == blits.len()
             && grid.last_versions.len() == blits.len()
             && grid.last_keys.iter().zip(blits.iter().enumerate()).all(|(k, (i, b))| {
@@ -659,7 +504,7 @@ impl SurfaceFlinger {
                 touching.extend((0..blits.len()).filter(|&i| blits[i].clip.intersects(&tile_rect)));
                 if touching.is_empty() {
                     // Untouched tiles keep their memo: their bytes are
-                    // unchanged by this op in either mode.
+                    // unchanged by this frame in either mode.
                     continue;
                 }
                 visited_touched += 1;
@@ -885,9 +730,9 @@ mod tests {
     #[test]
     fn concurrent_disjoint_posts_latch_every_frame() {
         // Four presenters own one quadrant each of a 16x16 panel and post
-        // concurrently through the ticketed present queue. Every frame
-        // must latch, and each quadrant must end with its owner's color
-        // (disjoint rects commute, so any ticket order is correct).
+        // concurrently through the compositor lock. Every frame must
+        // latch, and each quadrant must end with its owner's color
+        // (disjoint rects commute, so any lock order is correct).
         let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
         let sf = Arc::new(SurfaceFlinger::new(Display::new(16, 16), gpu));
         let colors = [Rgba::RED, Rgba::GREEN, Rgba::BLUE, Rgba::WHITE];
@@ -923,23 +768,25 @@ mod tests {
     }
 
     #[test]
-    fn dead_presenter_ticket_is_skipped_not_wedged() {
-        // A presenter that dies between claiming its ticket and
-        // publishing its op used to wedge the drain loop (and with it
-        // every session sharing the display) forever. The drainer must
-        // now skip the abandoned ticket after the publication deadline,
-        // count it, and keep latching later frames.
+    fn panic_under_the_compositor_lock_forgets_the_tile_memo() {
         let sf = flinger();
-        sf.set_publish_deadline_ms(10);
-        let before = trace::counter(trace::Counter::PresentTeardownSkips);
-        sf.abandon_ticket_for_test();
         let frame = Image::new(8, 8, PixelFormat::Rgba8888);
         frame.fill(Rgba::GREEN);
-        sf.post_image(&frame); // would hang before the fix
-        assert_eq!(sf.display().pixel(4, 4), [0, 255, 0, 255], "later frame still latches");
+        sf.post_image(&frame);
+        sf.post_image(&frame);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _tiles = sf.lock_tiles();
+            sf.display().scanout().fill(0);
+            panic!("composition died partway");
+        }));
+        assert!(unwound.is_err());
+        // Same frame, same source version: a memo that survived the
+        // unwind would skip every tile and keep the scribbled bytes.
+        sf.post_image(&frame);
+        let green = Rgba::GREEN.to_bytes();
         assert!(
-            trace::counter(trace::Counter::PresentTeardownSkips) > before,
-            "the abandoned ticket is counted"
+            sf.display().scanout().read(|s| s.chunks(4).all(|px| px == green)),
+            "pixels left stale by the unwind"
         );
     }
 

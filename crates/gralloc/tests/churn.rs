@@ -112,8 +112,8 @@ fn concurrent_churn_never_reuses_live_handles_or_leaks() {
 
 #[test]
 fn sessions_torn_down_mid_present_never_wedge_or_panic() {
-    // Presenters post layered buffers through the ticketed present queue
-    // while churn threads concurrently tear sessions down around them:
+    // Presenters post layered buffers through the compositor lock while
+    // churn threads concurrently tear sessions down around them:
     // freeing buffers, clearing layer assignments, and reassigning the
     // same handle ranges. Every present must latch (no wedge), nothing
     // may panic, and the registry must end empty.

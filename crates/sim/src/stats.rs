@@ -303,47 +303,6 @@ impl fmt::Debug for FunctionStats {
     }
 }
 
-/// The pre-refactor accumulator: one mutex-guarded `String`-keyed map.
-///
-/// Kept as (a) the baseline side of the `dispatch` micro-benchmark and
-/// (b) the reference model the property tests compare the sharded
-/// accumulator against. Not used by any dispatch path.
-#[derive(Clone, Default, Debug)]
-pub struct LegacyStringStats {
-    inner: Arc<parking_lot::Mutex<std::collections::HashMap<String, FunctionRecord>>>,
-}
-
-impl LegacyStringStats {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one call to `name` costing `ns` virtual nanoseconds by
-    /// locking the map and hashing the name — the old per-call cost.
-    pub fn record(&self, name: &str, ns: Nanos) {
-        let mut map = self.inner.lock();
-        let entry = map.entry(name.to_owned()).or_default();
-        entry.calls += 1;
-        entry.total_ns += ns;
-    }
-
-    /// Returns the record for `name`, if it was ever called.
-    pub fn get(&self, name: &str) -> Option<FunctionRecord> {
-        self.inner.lock().get(name).copied()
-    }
-
-    /// Total virtual time across all recorded functions (O(n) scan).
-    pub fn total_ns(&self) -> Nanos {
-        self.inner.lock().values().map(|r| r.total_ns).sum()
-    }
-
-    /// Total recorded calls across all functions (O(n) scan).
-    pub fn total_calls(&self) -> u64 {
-        self.inner.lock().values().map(|r| r.calls).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,16 +431,6 @@ mod tests {
         assert_eq!(rec.total_ns, 24_000);
         assert_eq!(s.total_calls(), 8_000);
         assert_eq!(s.total_ns(), 24_000);
-    }
-
-    #[test]
-    fn legacy_stats_match_semantics() {
-        let s = LegacyStringStats::new();
-        s.record("stats_test_legacy", 10);
-        s.record("stats_test_legacy", 20);
-        assert_eq!(s.get("stats_test_legacy").unwrap().calls, 2);
-        assert_eq!(s.total_ns(), 30);
-        assert_eq!(s.total_calls(), 2);
     }
 
     #[test]

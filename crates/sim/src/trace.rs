@@ -148,8 +148,8 @@ pub enum Counter {
     /// Gralloc contention: a CPU lock/unlock of a GraphicBuffer found the
     /// pixel guard held by another thread.
     GrallocLockWaits,
-    /// SurfaceFlinger contention: a present found another thread draining
-    /// the present queue and had to wait for its own frame to latch.
+    /// SurfaceFlinger contention: a present found the compositor lock
+    /// held by another presenter and blocked until it was free.
     FlingerLockWaits,
     /// Compositor tiles skipped because no queued blit's damage
     /// intersected them — their scanout bytes were provably already
@@ -174,12 +174,6 @@ pub enum Counter {
     /// meaningless. Always on — each bump is a metered span whose
     /// virtual time was silently lost (credited as zero).
     MeterLedgerInversions,
-    /// Present tickets the drain loop gave up waiting on: the enqueuer
-    /// claimed a ticket but never published its op within the
-    /// publication deadline (it panicked or was killed mid-present).
-    /// The frame is dropped and counted instead of wedging every other
-    /// session sharing the device.
-    PresentTeardownSkips,
     /// Fleet tasks executed by a worker other than the one they were
     /// initially queued on (work-stealing migrations).
     FleetTasksStolen,
@@ -193,7 +187,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 28] = [
         Counter::DiplomatCalls,
         Counter::PersonaSwitches,
         Counter::ImpersonationsBegun,
@@ -219,7 +213,6 @@ impl Counter {
         Counter::DamageFullFallbacks,
         Counter::DamageMergeFallbacks,
         Counter::MeterLedgerInversions,
-        Counter::PresentTeardownSkips,
         Counter::FleetTasksStolen,
         Counter::FleetDeadlineMisses,
         Counter::SessionTeardownErrors,
@@ -253,7 +246,6 @@ impl Counter {
             Counter::DamageFullFallbacks => "damage-full-fallbacks",
             Counter::DamageMergeFallbacks => "damage-merge-fallbacks",
             Counter::MeterLedgerInversions => "meter-ledger-inversions",
-            Counter::PresentTeardownSkips => "present-teardown-skips",
             Counter::FleetTasksStolen => "fleet-tasks-stolen",
             Counter::FleetDeadlineMisses => "fleet-deadline-misses",
             Counter::SessionTeardownErrors => "session-teardown-errors",

@@ -1,9 +1,11 @@
 //! Property-based tests for the simulation substrate.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use cycada_sim::intern::FnId;
-use cycada_sim::stats::{FunctionStats, LegacyStringStats};
+use cycada_sim::stats::{FunctionRecord, FunctionStats};
 use cycada_sim::{SharedBuffer, SimRng, VirtualClock};
 
 proptest! {
@@ -130,10 +132,12 @@ proptest! {
         records in prop::collection::vec(("[a-h]{1,4}", 1u64..1_000_000), 1..48),
         threads in 1usize..5,
     ) {
-        // Reference: the pre-refactor single-map, single-threaded model.
-        let reference = LegacyStringStats::new();
+        // Reference: a plain single-threaded fold into a name-keyed map.
+        let mut reference: HashMap<&str, (u64, u64)> = HashMap::new();
         for (n, v) in &records {
-            reference.record(n, *v);
+            let (calls, total_ns) = reference.entry(n.as_str()).or_default();
+            *calls += 1;
+            *total_ns += *v;
         }
 
         // Sharded accumulator fed the same records from several threads.
@@ -150,10 +154,11 @@ proptest! {
             }
         });
 
-        prop_assert_eq!(sharded.total_ns(), reference.total_ns());
-        prop_assert_eq!(sharded.total_calls(), reference.total_calls());
+        prop_assert_eq!(sharded.total_ns(), reference.values().map(|r| r.1).sum::<u64>());
+        prop_assert_eq!(sharded.total_calls(), reference.values().map(|r| r.0).sum::<u64>());
         for (n, _) in &records {
-            prop_assert_eq!(sharded.get(n), reference.get(n));
+            let (calls, total_ns) = reference[n.as_str()];
+            prop_assert_eq!(sharded.get(n), Some(FunctionRecord { calls, total_ns }));
         }
     }
 }
