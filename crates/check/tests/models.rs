@@ -538,10 +538,10 @@ fn flinger_damage_clipped_presents_latch_in_lock_order() {
     // §5g): two presenters post overlapping, panel-cropped layers while
     // a third repaints one source between posts, all racing for the
     // compositor lock and its tile memo. Post-condition: replaying the
-    // same posts serially on a fresh damage-OFF flinger yields
-    // byte-identical scanout — the tile path may skip and cull, but
-    // under every schedule the latched lock order must produce exactly
-    // what full recomposition of that order produces.
+    // same posts serially on a memo-free compositor (a fresh flinger
+    // per post) yields byte-identical scanout — the tile path may skip
+    // and cull, but under every schedule the latched lock order must
+    // produce exactly what full recomposition of that order produces.
     use cycada_gpu::raster::Rect;
     use cycada_gpu::{GpuDevice, Image, PixelFormat, Rgba};
     use cycada_gralloc::SurfaceFlinger;
@@ -564,7 +564,7 @@ fn flinger_damage_clipped_presents_latch_in_lock_order() {
         // Posts serialize through the order log, so the log records
         // latch order and each post's latch-time source bytes
         // are a pure function of the log prefix — exactly what the
-        // damage-off oracle replays below.
+        // memo-free oracle replays below.
         let order: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let sf2 = sf.clone();
         let order2 = order.clone();
@@ -596,28 +596,30 @@ fn flinger_damage_clipped_presents_latch_in_lock_order() {
             })
             .post(move || {
                 assert_eq!(sf2.display().frames_presented(), 3, "a frame was dropped");
-                // Replay the latched order on a fresh flinger with the
-                // damage plane disabled, using fresh source images.
+                // Replay the latched order with fresh source images, each
+                // post on a fresh flinger over one display: no tile memo
+                // survives from one post to the next.
                 let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
-                let oracle = SurfaceFlinger::new(Display::new(4, 2), gpu);
-                cycada_sim::damage::set_tracking(false);
+                let display = Display::new(4, 2);
+                let oracle = |stack: &[(&Image, Rect)]| {
+                    SurfaceFlinger::new(display.clone(), gpu.clone()).composite(stack)
+                };
                 let oa = Image::new(4, 2, PixelFormat::Rgba8888);
                 oa.fill(Rgba::RED);
                 let ob = Image::new(3, 2, PixelFormat::Rgba8888);
                 ob.fill(Rgba::GREEN);
                 for tag in order2.lock().iter() {
                     match tag {
-                        0 => oracle.composite(&[(&oa, A_DST)]),
-                        1 => oracle.composite(&[(&ob, B_DST)]),
+                        0 => oracle(&[(&oa, A_DST)]),
+                        1 => oracle(&[(&ob, B_DST)]),
                         _ => {
                             oa.fill_rect(DAB, Rgba::BLUE);
-                            oracle.composite(&[(&oa, A_DST)]);
+                            oracle(&[(&oa, A_DST)]);
                         }
                     }
                 }
-                cycada_sim::damage::set_tracking(true);
                 let got = sf2.display().scanout().read(|s| s.to_vec());
-                let want = oracle.display().scanout().read(|s| s.to_vec());
+                let want = display.scanout().read(|s| s.to_vec());
                 assert_eq!(got, want, "tile path diverged from full recomposition");
             })
     });

@@ -168,6 +168,11 @@ fn align_up(v: usize, a: usize) -> usize {
     v.div_ceil(a) * a
 }
 
+/// `GL_MAX_TEXTURE_SIZE`: the NVIDIA Tegra 3 of the paper's Nexus 7
+/// reports 2048. Both vendor flavors share it, so a stream that one
+/// library accepts the other accepts too.
+const MAX_TEXTURE_SIZE: u32 = 2048;
+
 /// Whether the `w`x`h` rect at `(x, y)` lies inside a `width`x`height`
 /// image. Summed in `u64` so extreme origins and extents cannot wrap.
 fn rect_fits(x: u32, y: u32, w: u32, h: u32, width: u32, height: u32) -> bool {
@@ -635,7 +640,9 @@ impl GlesContext {
     /// `glTexImage2D`: allocates storage for the bound texture and unpacks
     /// `data` (honouring unpack alignment / `APPLE_row_bytes`). Passing
     /// `Bgra` on the Android flavor records `GL_INVALID_ENUM` — Android has
-    /// no `APPLE_texture_format_BGRA8888`.
+    /// no `APPLE_texture_format_BGRA8888`. A width or height above
+    /// `GL_MAX_TEXTURE_SIZE`, or client data shorter than the unpacked
+    /// rows, records `GL_INVALID_VALUE` before any storage is allocated.
     pub fn tex_image_2d(&mut self, width: u32, height: u32, format: TexFormat, data: Option<&[u8]>) {
         if format == TexFormat::Bgra && self.flavor == ApiFlavor::Android {
             self.record_error(GlError::InvalidEnum);
@@ -645,14 +652,21 @@ impl GlesContext {
             self.record_error(GlError::InvalidOperation);
             return;
         }
-        let image = Image::new(width, height, format.pixel_format());
+        if width > MAX_TEXTURE_SIZE || height > MAX_TEXTURE_SIZE {
+            self.record_error(GlError::InvalidValue);
+            return;
+        }
         let bpp = format.bytes_per_pixel();
+        let stride = self.pixel_store.unpack_stride(width as usize, bpp);
+        let needed = (stride as u64)
+            .checked_mul(u64::from(height.saturating_sub(1)))
+            .and_then(|rows| rows.checked_add(u64::from(width) * bpp as u64));
+        if data.is_some_and(|data| needed.is_none_or(|n| (data.len() as u64) < n)) {
+            self.record_error(GlError::InvalidValue);
+            return;
+        }
+        let image = Image::new(width, height, format.pixel_format());
         if let Some(data) = data {
-            let stride = self.pixel_store.unpack_stride(width as usize, bpp);
-            if data.len() < stride * (height as usize).saturating_sub(1) + width as usize * bpp {
-                self.record_error(GlError::InvalidValue);
-                return;
-            }
             unpack_rows(&image, data, stride, (0, 0, width, height));
             self.device.charge_upload((width as u64) * (height as u64) * bpp as u64);
         } else {

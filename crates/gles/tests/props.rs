@@ -154,6 +154,19 @@ proptest! {
             prop_assert_eq!(c.get_error(), GlError::InvalidValue);
         }
         prop_assert_eq!(raw_bytes(&image), raw_bytes(&expect));
+
+        // Storage past GL_MAX_TEXTURE_SIZE (2048 on the Tegra 3), up to
+        // sizes whose byte count overflows, is rejected before any
+        // allocation, with or without client data, and keeps the old
+        // storage.
+        let (fw, fh) = (u32::MAX - far.0, 2049 + far.1);
+        for (w, h) in [(u32::MAX, u32::MAX), (1 << 31, 1 << 31), (fw, 1), (1, fh), (2049, 2048)] {
+            c.tex_image_2d(w, h, tex_format, Some(&[]));
+            prop_assert_eq!(c.get_error(), GlError::InvalidValue);
+            c.tex_image_2d(w, h, tex_format, None);
+            prop_assert_eq!(c.get_error(), GlError::InvalidValue);
+        }
+        prop_assert_eq!(raw_bytes(&c.texture_image(tex).unwrap()), raw_bytes(&expect));
     }
 
     #[test]

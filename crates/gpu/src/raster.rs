@@ -22,7 +22,6 @@
 use crate::format::{PixelFormat, Rgba};
 use crate::image::Image;
 use crate::math::Mat4;
-use cycada_sim::damage;
 
 /// One input vertex.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -974,14 +973,9 @@ pub fn blit(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect) -> u64 {
     // Damage: the note and provenance must be computed before the
     // source bytes are read (see `blit_note`); the guard commits them
     // after the writes land, before the destination lock releases.
-    let (note, prov) = if damage::tracking() {
-        let (n, p) = blit_note(src, src_rect, dst, dst_rect);
-        (Some(n), Some(p))
-    } else {
-        (None, None)
-    };
+    let (note, prov) = blit_note(src, src_rect, dst, dst_rect);
     let sguard = src.buffer().read_guard();
-    let mut dguard = dst.buffer().write_guard_with(note, prov);
+    let mut dguard = dst.buffer().write_guard_with(Some(note), Some(prov));
 
     let swizzle_8888 = matches!(
         (src.format(), dst.format()),
@@ -1050,10 +1044,10 @@ pub fn blit(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect) -> u64 {
 /// change.
 ///
 /// When the destination's recorded provenance matches this edge (same
-/// source allocation, same rects, same gate epoch), the note shrinks
-/// from the full `dst_rect` to the source's damage delta translated
-/// into destination space (unscaled blits only; scaled blits keep the
-/// conservative full note). Any divergence of the destination from the
+/// source allocation, same rects), the note shrinks from the full
+/// `dst_rect` to the source's damage delta translated into destination
+/// space (unscaled blits only; scaled blits keep the conservative full
+/// note). Any divergence of the destination from the
 /// recorded copy is itself journaled by the intervening writes, so a
 /// stale provenance record is sound — it just costs precision.
 fn blit_note(
@@ -1070,13 +1064,9 @@ fn blit_note(
         src_version,
         src_rect: src_rect.into(),
         dst_rect: dst_rect.into(),
-        epoch: damage::epoch(),
     };
     let matching = dst.buffer().damage().provenance().filter(|p| {
-        p.epoch == prov.epoch
-            && p.src == prov.src
-            && p.src_rect == prov.src_rect
-            && p.dst_rect == prov.dst_rect
+        p.src == prov.src && p.src_rect == prov.src_rect && p.dst_rect == prov.dst_rect
     });
     let note = match matching {
         Some(p) => match src.buffer().damage().damage_since(p.src_version) {

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use cycada_gpu::math::Mat4;
 use cycada_gpu::raster::{self, Pipeline, Rect};
 use cycada_gpu::{BlendMode, Image, PixelFormat, Rgba, Vertex};
+use cycada_sim::damage::Damage;
 
 fn arb_color() -> impl Strategy<Value = Rgba> {
     (0.0f32..=1.0, 0.0f32..=1.0, 0.0f32..=1.0, 0.0f32..=1.0)
@@ -359,5 +360,63 @@ proptest! {
             }
         }
         prop_assert_eq!(fast.to_rgba_vec(), slow.to_rgba_vec());
+    }
+
+    /// Journal coverage along the drawable → staging → back-buffer
+    /// provenance chain: the pixels any clear, draw or same-edge blit
+    /// changes lie inside `damage_since(version sampled before it)` of
+    /// the image it wrote (`Full` covers everything). Ops 5 and 6 are a
+    /// byte-preserving untracked write (a CPU lock round trip) to a blit
+    /// destination. Its full note empties the journal; otherwise every
+    /// later blit note coalesces into the first blit's full-image entry,
+    /// and an undersized note could never show.
+    #[test]
+    fn journal_notes_cover_every_changed_pixel(
+        ops in prop::collection::vec((
+            0u8..7,
+            (0u32..24, 0u32..24, 0u32..24, 0u32..24),
+            arb_color(),
+            prop::collection::vec(arb_textured_vertex(), 3..10),
+            prop::option::of(arb_texture()),
+        ), 1..24),
+        w in 1u32..20, h in 1u32..20,
+    ) {
+        let chain = [
+            Image::new(w, h, PixelFormat::Rgba8888),
+            Image::new(w, h, PixelFormat::Bgra8888),
+            Image::new(w, h, PixelFormat::Rgba8888),
+        ];
+        let full = Rect::of_image(&chain[0]);
+        for (i, (op, (x, y, rw, rh), color, verts, texture)) in ops.iter().enumerate() {
+            let target = &chain[match op { 0..=2 => 0, 3 | 5 => 1, _ => 2 }];
+            let version = target.buffer().damage().version();
+            let before = target.to_rgba_vec();
+            match op {
+                0 => chain[0].fill(*color),
+                1 => chain[0].fill_rect(Rect { x: *x, y: *y, w: *rw, h: *rh }, *color),
+                2 => {
+                    let pipeline = Pipeline { texture: texture.as_ref(), ..Pipeline::default() };
+                    let n = verts.len() / 3 * 3;
+                    raster::draw_triangles(&chain[0], None, &verts[..n], &pipeline);
+                }
+                3 | 4 => {
+                    raster::blit(&chain[usize::from(op - 3)], full, target, full);
+                }
+                _ => drop(target.buffer().write_guard()),
+            }
+            let after = target.to_rgba_vec();
+            let changed = (0..w * h)
+                .filter(|&p| before[p as usize * 4..][..4] != after[p as usize * 4..][..4])
+                .fold(Rect::EMPTY, |acc, p| acc.union(&Rect { x: p % w, y: p / w, w: 1, h: 1 }));
+            let noted = match target.buffer().damage().damage_since(version) {
+                Damage::Full => full,
+                Damage::Rect(d) => Rect::from(d),
+                Damage::None => Rect::EMPTY,
+            };
+            prop_assert!(
+                changed.is_empty() || noted.contains(&changed),
+                "op {} (kind {}) changed {:?} outside its note {:?}", i, op, changed, noted
+            );
+        }
     }
 }

@@ -20,13 +20,12 @@
 //! blits would compose it again and none of their sources accumulated
 //! damage intersecting it (clean), and lower layers are *culled* when a
 //! later blit fully covers the tile (occluded — every flinger blit is
-//! an opaque overwrite, so coverage alone suffices). Everything falls
-//! back to full recomposition when damage tracking is off
-//! ([`cycada_sim::damage::set_tracking`]), when a blit's
-//! source aliases the scanout, or when the gate epoch moved. Output
-//! bytes and metered virtual time are identical on-vs-off by
-//! construction: all charging happens before the lock, and the tile path
-//! writes exactly the bytes full recomposition would.
+//! an opaque overwrite, so coverage alone suffices). A frame falls back
+//! to full recomposition when a blit's source aliases the scanout, and
+//! an unwind under the lock forgets the memo. Output bytes and metered
+//! virtual time equal those of a memo-free compositor (a fresh flinger
+//! per frame) by construction: all charging happens before the lock,
+//! and the tile path writes exactly the bytes full recomposition would.
 
 use std::fmt;
 use std::sync::Arc;
@@ -37,7 +36,7 @@ use cycada_gpu::raster::{self, Rect};
 use cycada_gpu::{DrawClass, GpuDevice, Image};
 use cycada_kernel::Display;
 use cycada_sim::check::{self, Access};
-use cycada_sim::damage::{self, Damage};
+use cycada_sim::damage::Damage;
 use cycada_sim::slots::SlotTable;
 use cycada_sim::trace;
 use cycada_sim::BufferId;
@@ -135,15 +134,14 @@ fn tile_clean(blit: &Blit, damage: Damage, tile_rect: Rect) -> bool {
     }
 }
 
-/// The per-display tile memo. `None` tiles are unknown (never composed
-/// under the current epoch, or invalidated by an untracked write path)
-/// and always recompose when touched.
+/// The per-display tile memo. `None` tiles are unknown (never composed,
+/// or invalidated by an untracked write path) and always recompose when
+/// touched.
 struct TileGrid {
-    epoch: u64,
     cols: u32,
     tiles: Vec<Option<Vec<TileEntry>>>,
     /// The previous frame's blit key list. Empty when no grid-level memo
-    /// is valid (fresh grid, epoch reset, or untracked writes).
+    /// is valid (fresh grid, unwind reset, or untracked writes).
     last_keys: Vec<TileKey>,
     /// Per-blit journal versions the whole grid is current against
     /// when `last_keys` matches. Advanced every frame the fast path
@@ -161,7 +159,6 @@ impl TileGrid {
         let cols = width.div_ceil(TILE_SIZE).max(1);
         let rows = height.div_ceil(TILE_SIZE).max(1);
         TileGrid {
-            epoch: 0,
             cols,
             tiles: (0..cols as usize * rows as usize).map(|_| None).collect(),
             last_keys: Vec::new(),
@@ -171,8 +168,7 @@ impl TileGrid {
         }
     }
 
-    fn reset(&mut self, epoch: u64) {
-        self.epoch = epoch;
+    fn reset(&mut self) {
         self.last_keys.clear();
         for t in &mut self.tiles {
             *t = None;
@@ -208,8 +204,7 @@ struct TilesGuard<'a>(MutexGuard<'a, TileGrid>);
 impl Drop for TilesGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let grid = &mut *self.0;
-            grid.reset(grid.epoch);
+            self.0.reset();
         }
     }
 }
@@ -350,12 +345,12 @@ impl SurfaceFlinger {
     }
 
     /// Applies one frame onto the scanout: tile-wise with clean and
-    /// occlusion skips when damage tracking is on, full recomposition
-    /// otherwise. Both paths write exactly the same bytes.
+    /// occlusion skips, or full recomposition when a source aliases the
+    /// scanout. Both paths write exactly the same bytes.
     fn apply(&self, grid: &mut TileGrid, blits: &[Blit]) {
         let scanout = self.scanout_image();
         // Blits with an empty source or a fully off-panel destination
-        // write nothing in either mode; drop them so they can neither
+        // write nothing on either path; drop them so they can neither
         // occlude nor key tile memos.
         let blits: Vec<&Blit> = blits
             .iter()
@@ -365,17 +360,12 @@ impl SurfaceFlinger {
             return;
         }
 
-        let epoch = damage::epoch();
-        let aliasing = blits
+        if blits
             .iter()
-            .any(|b| b.src.buffer().same_allocation(scanout.buffer()));
-        if grid.epoch != epoch {
-            // Gate toggled since the memo was built: nothing in it is
-            // trustworthy under the new regime.
-            grid.reset(epoch);
-        }
-        if !damage::tracking() || aliasing {
-            // Full recomposition. Touched tiles become unknown: their
+            .any(|b| b.src.buffer().same_allocation(scanout.buffer()))
+        {
+            // Full recomposition: a source aliasing the scanout changes
+            // under its own blits. Touched tiles become unknown: their
             // bytes are fine, but no versioned memo describes them.
             for b in &blits {
                 raster::blit_clipped(&b.src, b.src_rect, &scanout, b.dst_rect, b.clip);
@@ -504,7 +494,7 @@ impl SurfaceFlinger {
                 touching.extend((0..blits.len()).filter(|&i| blits[i].clip.intersects(&tile_rect)));
                 if touching.is_empty() {
                     // Untouched tiles keep their memo: their bytes are
-                    // unchanged by this frame in either mode.
+                    // unchanged by this frame.
                     continue;
                 }
                 visited_touched += 1;

@@ -86,17 +86,6 @@ pub enum Fault {
     WrongClearColor,
 }
 
-impl Fault {
-    /// The fault selected by the `CYCADA_REPLAY_FAULT` environment
-    /// variable (`wrong-clear-color`), if any.
-    pub fn from_env() -> Option<Fault> {
-        match std::env::var("CYCADA_REPLAY_FAULT").ok()?.trim() {
-            "wrong-clear-color" => Some(Fault::WrongClearColor),
-            _ => None,
-        }
-    }
-}
-
 /// What a replay checks and how it runs.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
@@ -106,8 +95,7 @@ pub struct ReplayOptions {
     /// when replaying onto shared fleet devices (see module docs) or
     /// while shrinking (removing calls shifts every later timestamp).
     pub check_timestamps: bool,
-    /// Deliberate fault to inject ([`Fault::from_env`] wires
-    /// `CYCADA_REPLAY_FAULT`).
+    /// Deliberate fault to inject.
     pub fault: Option<Fault>,
     /// Re-record the replayed session into a fresh [`Stream`], returned
     /// in [`ReplayOutcome::rerecording`]. A faithful replay re-records
@@ -127,11 +115,6 @@ impl Default for ReplayOptions {
 }
 
 impl ReplayOptions {
-    /// Default checks plus any env-gated fault (`CYCADA_REPLAY_FAULT`).
-    pub fn from_env() -> Self {
-        ReplayOptions { fault: Fault::from_env(), ..Default::default() }
-    }
-
     /// Digest checks only — the shared-device (fleet) contract.
     pub fn digests_only() -> Self {
         ReplayOptions { check_timestamps: false, ..Default::default() }

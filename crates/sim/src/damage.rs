@@ -20,47 +20,17 @@
 //! is how damage flows through the EAGL drawable → staging → EGL back
 //! buffer chain without any explicit plumbing.
 //!
-//! Tracking is gated by a process-wide kill switch
-//! ([`set_tracking`], default **on**). Correctness never depends on
-//! the gate: with tracking off every query answers `Full`, which
-//! consumers treat as "recompose everything". An epoch counter bumps
-//! on every toggle so state captured under one gate regime (stored
-//! provenance, compositor tile caches) is invalidated rather than
-//! trusted across a toggle.
+//! Every journal always records. A consumer that cannot trust its own
+//! memo (a compositor whose source aliases its target, or one unwinding
+//! mid-frame) recomposes in full instead.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 use crate::BufferId;
-
-/// Process-wide damage-tracking gate. Default on.
-static TRACKING: AtomicBool = AtomicBool::new(true);
-
-/// Bumped on every [`set_tracking`] call, in either direction.
-static EPOCH: AtomicU64 = AtomicU64::new(1);
-
-/// Enables or disables damage tracking process-wide (the kill switch
-/// the tentpole contract requires). Toggling in either direction bumps
-/// the [`epoch`], invalidating provenance and compositor tile state
-/// captured under the previous regime.
-pub fn set_tracking(on: bool) {
-    TRACKING.store(on, Ordering::Relaxed);
-    EPOCH.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Whether damage tracking is currently enabled.
-pub fn tracking() -> bool {
-    TRACKING.load(Ordering::Relaxed)
-}
-
-/// The current gate epoch. Captured state (provenance, tile caches) is
-/// only trusted while the epoch it was captured under is still current.
-pub fn epoch() -> u64 {
-    EPOCH.load(Ordering::Relaxed)
-}
 
 /// An axis-aligned pixel rectangle in a buffer's own coordinate space.
 ///
@@ -121,14 +91,15 @@ pub enum Damage {
     /// Changes are contained in this bounding rect (may over-approximate).
     Rect(DamageRect),
     /// Anything may have changed — the conservative fallback, returned
-    /// when the journal's history no longer reaches back to the queried
-    /// version or when tracking is disabled.
+    /// when a full note (an untracked write path) landed after the
+    /// queried version or when the journal's history no longer reaches
+    /// back to it.
     Full,
 }
 
 /// Provenance of a buffer region: "this was made a copy of `src` (the
 /// `src_rect` region, into `dst_rect`) while `src`'s journal stood at
-/// `src_version`, under gate epoch `epoch`".
+/// `src_version`".
 ///
 /// Recorded by full-coverage blits and consumed by the *next* blit
 /// along the same (src, src_rect, dst_rect) edge to turn the source's
@@ -145,8 +116,6 @@ pub struct Provenance {
     pub src_rect: DamageRect,
     /// Destination region written, in destination pixel coordinates.
     pub dst_rect: DamageRect,
-    /// Gate epoch the copy ran under; a mismatch invalidates the record.
-    pub epoch: u64,
 }
 
 /// Maximum retained journal entries; older history collapses into the
@@ -235,13 +204,7 @@ impl DamageJournal {
     /// means "anything may have changed" (full damage). Optionally
     /// installs blit provenance in the same critical section so the
     /// provenance order always matches the byte order.
-    ///
-    /// No-ops entirely while tracking is disabled (queries already
-    /// answer `Full` then, so versions need not advance).
     pub fn commit(&self, rect: Option<DamageRect>, provenance: Option<Provenance>) {
-        if !tracking() {
-            return;
-        }
         let mut st = self.state.lock();
         let next = self.version.load(Ordering::Relaxed) + 1;
         match rect {
@@ -276,12 +239,8 @@ impl DamageJournal {
 
     /// Bounding damage accumulated strictly after version `since`.
     ///
-    /// Answers [`Damage::Full`] when tracking is disabled or when
-    /// `since` predates retained history.
+    /// Answers [`Damage::Full`] when `since` predates retained history.
     pub fn damage_since(&self, since: u64) -> Damage {
-        if !tracking() {
-            return Damage::Full;
-        }
         if self.version.load(Ordering::Acquire) == since {
             return Damage::None;
         }
@@ -453,7 +412,6 @@ mod tests {
             src_version: 3,
             src_rect: r(0, 0, 4, 4),
             dst_rect: r(0, 0, 4, 4),
-            epoch: epoch(),
         };
         j.commit(Some(r(0, 0, 4, 4)), Some(p));
         assert_eq!(j.provenance(), Some(p));

@@ -6,10 +6,10 @@
 //! update one pane at a time, and fully covered layers keep animating
 //! underneath opaque ones. These scenes drive the [`SurfaceFlinger`]
 //! tile compositor with exactly those shapes so the `compose` benchmark
-//! can measure the damage plane's wall-time win, and so smoke tests can
-//! assert the observability counters move. Virtual time and output
-//! bytes are identical with the damage plane on or off — the scenes
-//! are also replayed differentially in tests.
+//! can measure the tile memo's wall time, and so smoke tests can assert
+//! the observability counters move. Virtual time and output bytes equal
+//! those of a memo-free compositor — the scenes are also replayed
+//! differentially against a fresh flinger per frame in tests.
 
 use std::sync::Arc;
 
@@ -173,14 +173,9 @@ impl SceneRun {
     }
 }
 
-/// Runs a scene start-to-finish with the damage plane forced on or off,
-/// restoring the default (on) afterwards.
-pub fn run_scene(scene: Scene, frames: u64, damage_tracking: bool) -> SceneReport {
-    let mut run = SceneRun::new(scene);
-    cycada_sim::damage::set_tracking(damage_tracking);
-    let report = run.run(frames);
-    cycada_sim::damage::set_tracking(true);
-    report
+/// Runs a scene start-to-finish.
+pub fn run_scene(scene: Scene, frames: u64) -> SceneReport {
+    SceneRun::new(scene).run(frames)
 }
 
 /// Deterministic static content that differs tile to tile.
@@ -205,24 +200,36 @@ mod tests {
     use super::*;
     use cycada_sim::trace;
 
-    /// The kill switch and counters are process-wide; these tests must
-    /// not interleave.
-    static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    /// [`SceneRun::run`] with a fresh flinger over the same display and
+    /// device for every frame: no tile memo outlives its frame.
+    fn run_memo_free(scene: Scene, frames: u64) -> SceneReport {
+        let mut run = SceneRun::new(scene);
+        run.run(0);
+        let start = run.flinger.gpu().clock().now_ns();
+        for _ in 0..frames {
+            let (display, gpu) = (run.flinger.display().clone(), run.flinger.gpu().clone());
+            run.flinger = SurfaceFlinger::new(display, gpu);
+            run.step();
+        }
+        SceneReport {
+            frames,
+            virtual_ns: run.flinger.gpu().clock().now_ns() - start,
+            scanout: run.flinger.display().scanout().read(|b| b.to_vec()),
+        }
+    }
 
     #[test]
-    fn scenes_are_identical_with_damage_plane_on_and_off() {
-        let _serial = TEST_LOCK.lock();
+    fn scenes_match_a_memo_free_compositor() {
         for scene in Scene::ALL {
-            let on = run_scene(scene, 6, true);
-            let off = run_scene(scene, 6, false);
-            assert_eq!(on.virtual_ns, off.virtual_ns, "{}: virtual time", scene.label());
-            assert_eq!(on.scanout, off.scanout, "{}: scanout bytes", scene.label());
+            let memo = run_scene(scene, 6);
+            let oracle = run_memo_free(scene, 6);
+            assert_eq!(memo.virtual_ns, oracle.virtual_ns, "{}: virtual time", scene.label());
+            assert_eq!(memo.scanout, oracle.scanout, "{}: scanout bytes", scene.label());
         }
     }
 
     #[test]
     fn badge_scene_moves_the_skip_counters() {
-        let _serial = TEST_LOCK.lock();
         let mut run = SceneRun::new(Scene::BadgeUpdate);
         let clean = trace::counter(trace::Counter::TilesSkippedClean);
         run.run(8);
@@ -237,7 +244,6 @@ mod tests {
 
     #[test]
     fn occluded_scene_culls_lower_layer() {
-        let _serial = TEST_LOCK.lock();
         let mut run = SceneRun::new(Scene::OccludedLayer);
         let occluded = trace::counter(trace::Counter::TilesSkippedOccluded);
         run.run(4);

@@ -13,7 +13,9 @@
 //!
 //! Extra over real Criterion (used by this repo's perf-baseline tooling):
 //! when the `CRITERION_JSON_OUT` environment variable names a file,
-//! `criterion_main!` writes every benchmark's summary there as JSON.
+//! `criterion_main!` writes every benchmark's summary there as JSON,
+//! under a `host` block naming the core count, build profile and git
+//! revision the numbers were measured on.
 //!
 //! Under `cargo test` (cargo passes `--test` to harness-less bench
 //! binaries) each benchmark runs a single iteration as a smoke test.
@@ -129,7 +131,7 @@ impl Criterion {
         if path.is_empty() || self.test_mode {
             return;
         }
-        let mut out = String::from("{\n  \"benchmarks\": [\n");
+        let mut out = format!("{{\n  \"host\": {},\n  \"benchmarks\": [\n", host_json());
         for (i, s) in self.results.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"mean_ns\": {:.2}, \"median_ns\": {:.2}, \"std_dev_ns\": {:.2}, \"samples\": {}, \"iterations\": {}}}{}\n",
@@ -147,6 +149,30 @@ impl Criterion {
             eprintln!("criterion shim: could not write {path}: {e}");
         }
     }
+}
+
+/// The measuring host: available cores, build profile, and the short
+/// git revision of the working directory ("unknown" outside a checkout).
+fn host_json() -> String {
+    let rev = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned());
+    format!(
+        "{{\"cores\": {}, \"profile\": \"{}\", \"git_rev\": \"{}\"}}",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
+        rev,
+    )
 }
 
 /// A named group of benchmarks (`Criterion::benchmark_group`).

@@ -19,13 +19,10 @@
 //!    present must hash like the reference's, every draw must shade as
 //!    many fragments, and the replay re-records itself.
 //! 3. **Determinism** — the re-recording replays on a second fresh device
-//!    **with the compositor damage plane disabled** (DESIGN.md §5g) under
-//!    the full replay contract: pixels, every per-call virtual timestamp
-//!    and each session's metered nanoseconds repeat exactly, and both
-//!    devices scan out the same bytes. One pass checks both the
-//!    determinism contract the figure regenerators rely on and that
-//!    tile-wise composition with clean/occlusion skips is
-//!    indistinguishable from full recomposition.
+//!    under the full replay contract: pixels, every per-call virtual
+//!    timestamp and each session's metered nanoseconds repeat exactly,
+//!    and both devices scan out the same bytes — the determinism
+//!    contract the figure regenerators rely on.
 //!
 //! Failures shrink with [`cycada_replay::shrink_calls`] to a 1-minimal
 //! stream, which is an ordinary `.cyt` trace: `tests/corpus/fuzz/`
@@ -600,17 +597,15 @@ fn check(stream: &Stream, fault: Option<Fault>) -> Result<(), String> {
             diplomat.frags
         ));
     }
-    // Determinism of the metered plane AND damage on/off equivalence: the
-    // re-recording carries this run's per-call and metered nanoseconds,
-    // and a replay with the damage plane off must repeat all of them.
+    // Determinism of the metered plane: the re-recording carries this
+    // run's digests and per-call and metered nanoseconds, and a second
+    // replay must repeat all of them and scan out the same bytes.
     let rerecording = diplomat.rerecording.expect("rerecord requested");
-    cycada_sim::damage::set_tracking(false);
-    let undamaged = replay_fresh(&rerecording, &ReplayOptions { fault, ..Default::default() });
-    cycada_sim::damage::set_tracking(true);
-    let (_, undamaged_scanout) =
-        undamaged.map_err(|e| format!("damage-off full-contract replay: {e}"))?;
-    if undamaged_scanout != scanout {
-        return Err("replay with damage tracking disabled produced a different scanout".into());
+    let (_, rerun_scanout) =
+        replay_fresh(&rerecording, &ReplayOptions { fault, ..Default::default() })
+            .map_err(|e| format!("full-contract rerun: {e}"))?;
+    if rerun_scanout != scanout {
+        return Err("the full-contract rerun produced a different scanout".into());
     }
     Ok(())
 }
@@ -624,7 +619,6 @@ fn check(stream: &Stream, fault: Option<Fault>) -> Result<(), String> {
 /// Returns a human-readable description of the first divergence.
 pub fn check_stream(stream: &Stream, fault: Option<Fault>) -> Result<(), String> {
     catch_unwind(AssertUnwindSafe(|| check(stream, fault))).unwrap_or_else(|panic| {
-        cycada_sim::damage::set_tracking(true);
         let msg = (panic.downcast_ref::<&str>().copied())
             .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
         Err(format!("panicked: {}", msg.unwrap_or("")))

@@ -1,8 +1,8 @@
 //! Differential GLES conformance fuzzing: seeded `.cyt` call streams
 //! replayed through the full diplomat path must match the reference
 //! rasterizer's digest at every present and its per-draw fragment
-//! counts, and a damage-off replay of the re-recorded stream (DESIGN.md
-//! §5g) must repeat pixels, scanout, per-call and metered virtual time.
+//! counts, and a full-contract rerun of the re-recorded stream must
+//! repeat pixels, scanout, per-call and metered virtual time.
 //! Failures shrink to a minimal stream, written out as a `.cyt` file,
 //! before the test panics.
 //!
@@ -89,8 +89,8 @@ fn minimal_committed_script_replays_clean() {
         .call(op::PRESENT, &[0], &[]);
     b.on(1).call(op::PRESENT, &[0], &[]);
     // Partial redraw: scissored clear then a second present — the
-    // damage-tracked compositor must recompose exactly this frame's
-    // dirty region (checked against the damage-off replay).
+    // damage journals carry only this frame's dirty region down the
+    // present chain to the tile compositor.
     let scissor = u64::from(Capability::ScissorTest.code());
     b.on(0)
         .call(op::CAPABILITY, &[scissor, 1], &[])

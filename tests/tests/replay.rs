@@ -145,7 +145,7 @@ fn session_marker_off_cycada_is_a_session_error() {
     }
 }
 
-/// The env-gated wrong-clear-color fault forces a pixel divergence, and
+/// The wrong-clear-color fault forces a pixel divergence, and
 /// ddmin shrinks the diverging trace to a minimal (≤ 3 call) trace that
 /// still reproduces it.
 #[test]
@@ -153,10 +153,7 @@ fn fault_diverges_and_shrinks_to_minimal_trace() {
     let stream = cycada_replay::record_scenario(Scenario::Passmark, SEED, FRAMES, DISPLAY)
         .expect("record must succeed");
 
-    std::env::set_var("CYCADA_REPLAY_FAULT", "wrong-clear-color");
-    let opts = ReplayOptions::from_env();
-    std::env::remove_var("CYCADA_REPLAY_FAULT");
-    assert_eq!(opts.fault, Some(Fault::WrongClearColor), "env gate must select the fault");
+    let opts = ReplayOptions { fault: Some(Fault::WrongClearColor), ..Default::default() };
 
     let err = replay_stream(&stream, &opts).expect_err("faulted replay must diverge");
     match &err {
