@@ -533,15 +533,13 @@ fn flinger_present_latches_disjoint_layers() {
 }
 
 #[test]
-fn flinger_damage_clipped_presents_latch_in_lock_order() {
-    // Racy multi-presenter model for the tile compositor (DESIGN.md
-    // §5g): two presenters post overlapping, panel-cropped layers while
-    // a third repaints one source between posts, all racing for the
-    // compositor lock and its tile memo. Post-condition: replaying the
-    // same posts serially on a memo-free compositor (a fresh flinger
-    // per post) yields byte-identical scanout — the tile path may skip
-    // and cull, but under every schedule the latched lock order must
-    // produce exactly what full recomposition of that order produces.
+fn flinger_overlapping_presents_latch_in_lock_order() {
+    // Racy multi-presenter model for the compositor (DESIGN.md §5g):
+    // two presenters post overlapping, panel-cropped layers, and one
+    // repaints its source between its two posts, all racing for the
+    // compositor lock. Post-condition: replaying the same posts serially
+    // in the latched order (a fresh flinger per post) yields
+    // byte-identical scanout under every schedule.
     use cycada_gpu::raster::Rect;
     use cycada_gpu::{GpuDevice, Image, PixelFormat, Rgba};
     use cycada_gralloc::SurfaceFlinger;
@@ -562,9 +560,9 @@ fn flinger_damage_clipped_presents_latch_in_lock_order() {
         let b = Image::new(3, 2, PixelFormat::Rgba8888);
         b.fill(Rgba::GREEN);
         // Posts serialize through the order log, so the log records
-        // latch order and each post's latch-time source bytes
-        // are a pure function of the log prefix — exactly what the
-        // memo-free oracle replays below.
+        // latch order and each post's latch-time source bytes are a
+        // pure function of the log prefix — exactly what the serial
+        // oracle replays below.
         let order: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let sf2 = sf.clone();
         let order2 = order.clone();
@@ -577,9 +575,9 @@ fn flinger_damage_clipped_presents_latch_in_lock_order() {
                         sf.composite(&[(&a, A_DST)]);
                         log.push(0);
                     }
-                    // Dirty one corner, post again: the tile memo must
-                    // recompose exactly that damage no matter how B's
-                    // post interleaved.
+                    // Repaint one corner and post again: the corner must
+                    // reach the panel no matter how B's post
+                    // interleaved.
                     let mut log = order.lock();
                     a.fill_rect(DAB, Rgba::BLUE);
                     sf.composite(&[(&a, A_DST)]);
@@ -597,8 +595,7 @@ fn flinger_damage_clipped_presents_latch_in_lock_order() {
             .post(move || {
                 assert_eq!(sf2.display().frames_presented(), 3, "a frame was dropped");
                 // Replay the latched order with fresh source images, each
-                // post on a fresh flinger over one display: no tile memo
-                // survives from one post to the next.
+                // post on a fresh flinger over one display.
                 let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
                 let display = Display::new(4, 2);
                 let oracle = |stack: &[(&Image, Rect)]| {
@@ -620,10 +617,10 @@ fn flinger_damage_clipped_presents_latch_in_lock_order() {
                 }
                 let got = sf2.display().scanout().read(|s| s.to_vec());
                 let want = display.scanout().read(|s| s.to_vec());
-                assert_eq!(got, want, "tile path diverged from full recomposition");
+                assert_eq!(got, want, "scanout diverged from the serial replay");
             })
     });
-    let report = report.expect("damage-clipped presents must latch in lock order");
+    let report = report.expect("overlapping presents must latch in lock order");
     assert!(report.complete);
 }
 

@@ -26,9 +26,13 @@ use crate::eagl::EaglContextId;
 use crate::error::CycadaError;
 use crate::process::{
     AndroidDevice, AndroidSession, CycadaDevice, CycadaSession, IosDevice, IosSession,
-    SessionScope,
+    SessionScope, MAX_DISPLAY_SIDE,
 };
 use crate::Result;
+
+/// The per-call cap on [`AppGl::charge_cpu`]: one second of base CPU
+/// work. Every workload charges a few milliseconds at most per call.
+const MAX_CPU_CHARGE_NS: f64 = 1e9;
 
 enum Backend {
     CycadaIos {
@@ -83,7 +87,8 @@ impl AppGl {
     ///
     /// # Errors
     ///
-    /// As [`AppGl::boot`].
+    /// As [`AppGl::boot`], plus [`CycadaError::InvalidArgument`] if a side
+    /// of `display` is 0 or above 2048.
     pub fn boot_with_display(
         platform: Platform,
         version: GlesVersion,
@@ -394,13 +399,26 @@ impl AppGl {
 
     /// Charges CPU-bound app work (layout, painting, JS) scaled by the
     /// device's CPU speed.
-    pub fn charge_cpu(&self, base_ns: f64) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycadaError::InvalidArgument`], charging and recording
+    /// nothing, if `base_ns` is not finite or exceeds the per-call cap of
+    /// one second (10⁹ ns).
+    pub fn charge_cpu(&self, base_ns: f64) -> Result<()> {
+        if !base_ns.is_finite() || base_ns > MAX_CPU_CHARGE_NS {
+            return Err(CycadaError::InvalidArgument(format!(
+                "CPU charge of {base_ns} ns: must be finite and at most \
+                 {MAX_CPU_CHARGE_NS} ns"
+            )));
+        }
         let kernel = self.kernel();
         let cost = kernel.profile().cpu_cost(base_ns);
         kernel.clock().charge_ns_f64(cost);
         if replay::active() {
             replay::record(op::CHARGE_CPU, &[f64_arg(base_ns)], &[]);
         }
+        Ok(())
     }
 
     /// The shared virtual clock.
@@ -1205,8 +1223,17 @@ impl AppGl {
     ///
     /// # Errors
     ///
-    /// Returns [`CycadaError`] for unknown surfaces.
+    /// Returns [`CycadaError::InvalidArgument`] on every backend, before
+    /// anything is charged or recorded, if `rect.w` or `rect.h` is above
+    /// 2048 (the largest display side); [`CycadaError`] for unknown
+    /// surfaces.
     pub fn set_display_layer(&self, rect: cycada_gpu::raster::Rect) -> Result<()> {
+        if rect.w > MAX_DISPLAY_SIDE || rect.h > MAX_DISPLAY_SIDE {
+            return Err(CycadaError::InvalidArgument(format!(
+                "layer {}x{}: each side must be at most {MAX_DISPLAY_SIDE}",
+                rect.w, rect.h
+            )));
+        }
         match &self.backend {
             Backend::CycadaIos {
                 device, eagl_ctx, ..

@@ -267,12 +267,8 @@ impl Eagl {
     /// diplomat renders the off-screen framebuffer contents into the
     /// default framebuffer with a full-screen textured quad
     /// (`aegl_bridge_draw_fbo_tex`), then `eglSwapBuffers` displays it.
-    ///
-    /// No damage is marshalled across this chain explicitly: each hop
-    /// (drawable → staging → back buffer → scanout) is a blit whose
-    /// destination journal records provenance-translated source damage
-    /// (DESIGN.md §5g), so partial-redraw information survives to the
-    /// compositor's tile memo without any new bridge arguments.
+    /// Each hop (drawable → staging → back buffer → scanout) is a
+    /// whole-image blit (DESIGN.md §5g).
     ///
     /// # Errors
     ///

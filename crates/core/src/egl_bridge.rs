@@ -231,9 +231,6 @@ impl EglBridge {
     }
 
     /// `eglSwapBuffers` through a diplomat (the path Figures 7–10 chart).
-    /// Per-buffer damage journals ride along for free — the bridge call
-    /// carries no damage arguments; the compositor reads the posted
-    /// buffer's journal directly (DESIGN.md §5g).
     ///
     /// # Errors
     ///

@@ -22,6 +22,10 @@ pub enum CycadaError {
     /// The requested operation is not available on this platform
     /// configuration (e.g. EAGL on stock Android).
     UnsupportedPlatform(String),
+    /// An argument is outside what the simulated device supports (a
+    /// display or layer side above 2048, a non-finite CPU charge, ...).
+    /// Rejected before anything is charged or recorded.
+    InvalidArgument(String),
 }
 
 impl fmt::Display for CycadaError {
@@ -34,6 +38,7 @@ impl fmt::Display for CycadaError {
             CycadaError::Kernel(m) => write!(f, "kernel failure: {m}"),
             CycadaError::Eagl(m) => write!(f, "EAGL failure: {m}"),
             CycadaError::UnsupportedPlatform(m) => write!(f, "unsupported on this platform: {m}"),
+            CycadaError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
         }
     }
 }

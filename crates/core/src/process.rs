@@ -40,6 +40,35 @@ use crate::Result;
 /// used by Apple graphics libraries").
 pub const APPLE_GRAPHICS_TLS_SLOTS: &[usize] = &[5, 6, 7];
 
+/// The largest display side a device boots with, and the largest layer
+/// side [`crate::AppGl::set_display_layer`] accepts: the Nexus 7 Tegra 3's
+/// `GL_MAX_TEXTURE_SIZE`, which the GLES layer enforces for textures too.
+/// The largest profile panel is 1280×800.
+pub(crate) const MAX_DISPLAY_SIDE: u32 = 2048;
+
+/// `platform`'s device profile, with the panel resized to `display`.
+///
+/// # Errors
+///
+/// Returns [`CycadaError::InvalidArgument`] if a side of `display` is 0
+/// or above [`MAX_DISPLAY_SIDE`].
+fn profile_with_display(
+    platform: Platform,
+    display: Option<(u32, u32)>,
+) -> Result<cycada_sim::DeviceProfile> {
+    let mut profile = cycada_sim::DeviceProfile::for_platform(platform);
+    if let Some((w, h)) = display {
+        if !(1..=MAX_DISPLAY_SIDE).contains(&w) || !(1..=MAX_DISPLAY_SIDE).contains(&h) {
+            return Err(CycadaError::InvalidArgument(format!(
+                "display {w}x{h}: each side must be 1..={MAX_DISPLAY_SIDE}"
+            )));
+        }
+        profile.display_width = w;
+        profile.display_height = h;
+    }
+    Ok(profile)
+}
+
 /// Live scope of one session on the calling host thread: virtual time
 /// charged and diplomat calls made while the guard is alive are credited to
 /// the session's meter and stats.
@@ -161,13 +190,10 @@ impl CycadaDevice {
     ///
     /// # Errors
     ///
-    /// As [`CycadaDevice::boot`].
+    /// As [`CycadaDevice::boot`], plus [`CycadaError::InvalidArgument`]
+    /// if a side of `display` is 0 or above 2048.
     pub fn boot_with_display(display: Option<(u32, u32)>) -> Result<Self> {
-        let mut profile = cycada_sim::DeviceProfile::for_platform(Platform::CycadaIos);
-        if let Some((w, h)) = display {
-            profile.display_width = w;
-            profile.display_height = h;
-        }
+        let profile = profile_with_display(Platform::CycadaIos, display)?;
         let kernel = Arc::new(Kernel::with_profile(profile));
         let gpu = Arc::new(GpuDevice::new(
             kernel.clock().clone(),
@@ -425,18 +451,15 @@ impl AndroidDevice {
     ///
     /// # Errors
     ///
-    /// As [`AndroidDevice::boot`].
+    /// As [`AndroidDevice::boot`], plus [`CycadaError::InvalidArgument`]
+    /// if a side of `display` is 0 or above 2048.
     pub fn boot_with_display(platform: Platform, display: Option<(u32, u32)>) -> Result<Self> {
         if !matches!(platform, Platform::StockAndroid | Platform::CycadaAndroid) {
             return Err(CycadaError::UnsupportedPlatform(format!(
                 "AndroidDevice cannot boot {platform:?}"
             )));
         }
-        let mut profile = cycada_sim::DeviceProfile::for_platform(platform);
-        if let Some((w, h)) = display {
-            profile.display_width = w;
-            profile.display_height = h;
-        }
+        let profile = profile_with_display(platform, display)?;
         let kernel = Arc::new(Kernel::with_profile(profile));
         let gpu = Arc::new(GpuDevice::new(
             kernel.clock().clone(),
@@ -619,13 +642,10 @@ impl IosDevice {
     ///
     /// # Errors
     ///
-    /// As [`IosDevice::boot`].
+    /// As [`IosDevice::boot`], plus [`CycadaError::InvalidArgument`]
+    /// if a side of `display` is 0 or above 2048.
     pub fn boot_with_display(display: Option<(u32, u32)>) -> Result<Self> {
-        let mut profile = cycada_sim::DeviceProfile::for_platform(Platform::NativeIos);
-        if let Some((w, h)) = display {
-            profile.display_width = w;
-            profile.display_height = h;
-        }
+        let profile = profile_with_display(Platform::NativeIos, display)?;
         let kernel = Arc::new(Kernel::with_profile(profile));
         let gpu = Arc::new(GpuDevice::new(
             kernel.clock().clone(),

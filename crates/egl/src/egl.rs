@@ -461,15 +461,8 @@ impl AndroidEgl {
 
     /// `eglSwapBuffers`: posts the surface's back buffer to SurfaceFlinger
     /// and swaps front/back, rebinding the new back buffer as the current
-    /// context's default framebuffer.
-    ///
-    /// Damage travels implicitly: the back buffer's journal already
-    /// holds the rectangles GLES draws and blits noted into it, and the
-    /// compositor samples that journal at present time (DESIGN.md §5g).
-    /// Note front/back alternation means successive posts come from
-    /// alternating allocations, so the tile memo keys differ frame to
-    /// frame and double-buffered surfaces recompose their layer; the
-    /// win for them is occlusion culling, not clean-skipping.
+    /// context's default framebuffer. The compositor copies the whole
+    /// posted buffer (DESIGN.md §5g).
     ///
     /// # Errors
     ///

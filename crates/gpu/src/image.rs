@@ -155,10 +155,8 @@ impl Image {
         assert!(x < self.width && y < self.height, "pixel out of range");
         let bpp = self.format.bytes_per_pixel();
         let off = self.offset(x, y);
-        let mut bytes = self
-            .buffer
-            .write_guard_noting(cycada_sim::damage::DamageRect { x, y, w: 1, h: 1 });
-        self.format.encode(color, &mut bytes[off..off + bpp]);
+        self.buffer
+            .write(|bytes| self.format.encode(color, &mut bytes[off..off + bpp]));
     }
 
     /// Fills the whole image with a color (row padding untouched).
@@ -190,14 +188,7 @@ impl Image {
             chunk.copy_from_slice(&px);
         }
         let row_bytes = self.row_bytes;
-        // The fill's write set is exactly the clamped rect — note it
-        // precisely so scissored clears stay cheap to recompose around.
-        let mut bytes = self.buffer.write_guard_noting(cycada_sim::damage::DamageRect {
-            x: x0 as u32,
-            y: y0 as u32,
-            w: (x1 - x0) as u32,
-            h: (y1 - y0) as u32,
-        });
+        let mut bytes = self.buffer.write_guard();
         for y in y0..y1 {
             let start = y * row_bytes + x0 * bpp;
             bytes[start..start + template.len()].copy_from_slice(&template);

@@ -164,47 +164,6 @@ impl Rect {
         }
     }
 
-    /// Bounding union of two rects (empty operands are identities).
-    pub fn union(&self, other: &Rect) -> Rect {
-        if self.is_empty() {
-            return *other;
-        }
-        if other.is_empty() {
-            return *self;
-        }
-        let x0 = self.x.min(other.x);
-        let y0 = self.y.min(other.y);
-        let x1 = self.right().max(other.right());
-        let y1 = self.bottom().max(other.bottom());
-        Rect { x: x0, y: y0, w: x1 - x0, h: y1 - y0 }
-    }
-
-    /// `true` if every pixel of `other` lies inside `self` (empty rects
-    /// are contained in everything).
-    pub fn contains(&self, other: &Rect) -> bool {
-        other.is_empty()
-            || (self.x <= other.x
-                && self.y <= other.y
-                && other.right() <= self.right()
-                && other.bottom() <= self.bottom())
-    }
-
-    /// `true` if the two rects share at least one pixel.
-    pub fn intersects(&self, other: &Rect) -> bool {
-        !self.intersect(other).is_empty()
-    }
-}
-
-impl From<Rect> for cycada_sim::damage::DamageRect {
-    fn from(r: Rect) -> Self {
-        cycada_sim::damage::DamageRect { x: r.x, y: r.y, w: r.w, h: r.h }
-    }
-}
-
-impl From<cycada_sim::damage::DamageRect> for Rect {
-    fn from(r: cycada_sim::damage::DamageRect) -> Self {
-        Rect { x: r.x, y: r.y, w: r.w, h: r.h }
-    }
 }
 
 /// Allocates a depth buffer (initialized to the far plane) for `target`.
@@ -280,17 +239,7 @@ pub fn draw_indexed(
     });
 
     let height = target.height();
-    // The union of the clipped triangle bounding boxes bounds every
-    // fragment this draw can touch — note it as the draw's damage.
-    let damage = tris.iter().fold(Rect::EMPTY, |acc, t| {
-        acc.union(&Rect {
-            x: t.min_x,
-            y: t.min_y,
-            w: t.max_x - t.min_x,
-            h: t.max_y - t.min_y,
-        })
-    });
-    let mut guard = target.buffer().write_guard_noting(damage.into());
+    let mut guard = target.buffer().write_guard();
     let bytes = &mut guard[..geom.row_bytes * height as usize];
 
     metrics.fragments = fill_triangles(bytes, depth, &geom, &tris, tex_view.as_ref(), pipeline);
@@ -324,7 +273,11 @@ impl TexView<'_> {
         y as usize * self.row_bytes + x as usize * self.bpp
     }
 
+    /// As the reference's [`sample_nearest`], including the empty case.
     fn sample_nearest(&self, u: f32, v: f32) -> Rgba {
+        if self.width == 0 || self.height == 0 {
+            return Rgba::BLACK;
+        }
         let off = self.texel_offset(u, v);
         self.format.decode(&self.bytes[off..off + self.bpp])
     }
@@ -582,9 +535,9 @@ struct TexLane<'a> {
 /// Decides whether a triangle can take the branch-free span lane and
 /// builds its byte-ordered coefficients. The lane requires opaque blend
 /// (no read-back of destination bytes), no depth test in play, a 4-byte
-/// target format, and either no texture or an `Rgba8888`/`Bgra8888` one;
-/// everything else (alpha blending, depth testing, 565/A8 targets or
-/// textures) takes the scalar lane.
+/// target format, and either no texture or a non-empty `Rgba8888`/
+/// `Bgra8888` one; everything else (alpha blending, depth testing,
+/// 565/A8 targets or textures, zero-area textures) takes the scalar lane.
 fn span_lane<'a>(
     geom: &TargetGeom,
     t: &ScreenTri,
@@ -603,6 +556,7 @@ fn span_lane<'a>(
     };
     let tex = match tex {
         None => None,
+        Some(view) if view.width == 0 || view.height == 0 => return None,
         Some(view) => match view.format {
             PixelFormat::Rgba8888 | PixelFormat::Bgra8888 => Some(TexLane {
                 view,
@@ -970,12 +924,8 @@ pub fn blit(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect) -> u64 {
     let srb = src.row_bytes();
     let drb = dst.row_bytes();
     let same_format = src.format() == dst.format();
-    // Damage: the note and provenance must be computed before the
-    // source bytes are read (see `blit_note`); the guard commits them
-    // after the writes land, before the destination lock releases.
-    let (note, prov) = blit_note(src, src_rect, dst, dst_rect);
     let sguard = src.buffer().read_guard();
-    let mut dguard = dst.buffer().write_guard_with(Some(note), Some(prov));
+    let mut dguard = dst.buffer().write_guard();
 
     let swizzle_8888 = matches!(
         (src.format(), dst.format()),
@@ -1034,78 +984,17 @@ pub fn blit(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect) -> u64 {
     u64::from(dst_rect.w) * u64::from(dst_rect.h)
 }
 
-/// Computes the damage note and provenance for a full-coverage blit.
-///
-/// Ordering contract: called **before** any guard on `src` is taken.
-/// The provenance's `src_version` is sampled first, so the bytes the
-/// blit then reads are at least that new and the recorded "copy of src
-/// @ version" claim can only under-state the source — which makes the
-/// next blit's delta an over-approximation, never a skip of real
-/// change.
-///
-/// When the destination's recorded provenance matches this edge (same
-/// source allocation, same rects), the note shrinks from the full
-/// `dst_rect` to the source's damage delta translated into destination
-/// space (unscaled blits only; scaled blits keep the conservative full
-/// note). Any divergence of the destination from the
-/// recorded copy is itself journaled by the intervening writes, so a
-/// stale provenance record is sound — it just costs precision.
-fn blit_note(
-    src: &Image,
-    src_rect: Rect,
-    dst: &Image,
-    dst_rect: Rect,
-) -> (cycada_sim::damage::DamageRect, cycada_sim::damage::Provenance) {
-    use cycada_sim::damage::{Damage, Provenance};
-
-    let src_version = src.buffer().damage().version();
-    let prov = Provenance {
-        src: src.buffer().id(),
-        src_version,
-        src_rect: src_rect.into(),
-        dst_rect: dst_rect.into(),
-    };
-    let matching = dst.buffer().damage().provenance().filter(|p| {
-        p.src == prov.src && p.src_rect == prov.src_rect && p.dst_rect == prov.dst_rect
-    });
-    let note = match matching {
-        Some(p) => match src.buffer().damage().damage_since(p.src_version) {
-            Damage::None => Rect::EMPTY,
-            Damage::Rect(d) if src_rect.w == dst_rect.w && src_rect.h == dst_rect.h => {
-                let d = Rect::from(d).intersect(&src_rect);
-                if d.is_empty() {
-                    Rect::EMPTY
-                } else {
-                    Rect {
-                        x: d.x - src_rect.x + dst_rect.x,
-                        y: d.y - src_rect.y + dst_rect.y,
-                        w: d.w,
-                        h: d.h,
-                    }
-                }
-            }
-            // Scaled blit or source history exhausted: full note.
-            _ => dst_rect,
-        },
-        None => dst_rect,
-    };
-    (note.into(), prov)
-}
-
 /// Writes exactly the bytes [`blit`] would write inside `clip`, with
 /// identical sampling arithmetic: `dst_rect` keeps its role as the
 /// *logical* destination (so the integer-division scale positions are
 /// unchanged) and only the pixels inside `clip ∩ dst_rect ∩ dst
-/// bounds` are touched. This is the compositor plane's clipping
-/// primitive (DESIGN.md §5g): tile-wise recomposition passes tile
-/// rects, and the flinger's panel clamp passes the panel — either way
-/// a destination rect hanging past the image edge is legal here,
-/// unlike [`blit`], which panics.
+/// bounds` are touched. This is the compositor's clipping primitive
+/// (DESIGN.md §5g): the flinger passes the panel, so a destination
+/// rect hanging past the image edge is legal here, unlike [`blit`],
+/// which panics.
 ///
-/// The clipped region is noted as damage (no provenance: a partial
-/// write is not a copy of its source). When the effective clip covers
-/// all of `dst_rect`, this *is* [`blit`] — same bytes, same note, same
-/// provenance. Returns the number of pixels written.
+/// When the effective clip covers all of `dst_rect`, this *is*
+/// [`blit`]. Returns the number of pixels written.
 ///
 /// # Panics
 ///
@@ -1149,7 +1038,7 @@ pub fn blit_clipped(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect, cl
     let same_format = src.format() == dst.format();
     let unscaled = src_rect.w == dst_rect.w && src_rect.h == dst_rect.h;
     let sguard = src.buffer().read_guard();
-    let mut dguard = dst.buffer().write_guard_noting(eff.into());
+    let mut dguard = dst.buffer().write_guard();
 
     if same_format && unscaled {
         // Row memcpy over the clipped columns, as `blit` would emit for
@@ -1275,7 +1164,13 @@ fn texel_index_trunc(coord: f32, size: u32) -> u32 {
     ((coord.clamp(0.0, 1.0) * size as f32) as u32).min(size.saturating_sub(1))
 }
 
+/// Samples `tex` at `(u, v)` with nearest filtering. A zero-area
+/// texture is incomplete, and GLES 2 samples an incomplete texture as
+/// opaque black `(0, 0, 0, 1)`.
 fn sample_nearest(tex: &Image, u: f32, v: f32) -> Rgba {
+    if tex.width() == 0 || tex.height() == 0 {
+        return Rgba::BLACK;
+    }
     let x = texel_index(u, tex.width());
     let y = texel_index(v, tex.height());
     tex.pixel_rgba(x, y)

@@ -24,15 +24,13 @@ struct BufferState {
 /// IOSurfaceLock multi diplomat must defeat: [`GraphicBuffer::lock_cpu`]
 /// fails while any [`GlesAssociation`] guard is alive.
 ///
-/// # Damage origination
+/// # Composition
 ///
-/// Every pixel write lands through the wrapped [`Image`], whose
-/// `SharedBuffer` journals a damage note covering the write (DESIGN.md
-/// §5g): GPU draws and blits note precise rectangles, while CPU writes
-/// through [`GraphicBuffer::lock_cpu`] + `image().buffer().write(..)`
-/// note conservative full-buffer damage. The compositor's tile memo
-/// consumes those journals at present time — there is no separate
-/// "mark dirty" API for clients to forget to call.
+/// Every pixel write lands through the wrapped [`Image`]. The
+/// compositor copies a posted buffer's whole image at each present
+/// (DESIGN.md §5g), so there is no "mark dirty" API: GPU writes and
+/// CPU writes through [`GraphicBuffer::lock_cpu`] reach the panel the
+/// same way.
 ///
 /// # Examples
 ///
@@ -255,24 +253,6 @@ mod tests {
         drop(assoc);
         a.image().set_pixel(0, 0, cycada_gpu::Rgba::RED);
         assert_eq!(b.image().pixel_rgba(0, 0).to_bytes(), [255, 0, 0, 255]);
-    }
-
-    #[test]
-    fn cpu_writes_journal_full_damage() {
-        // The untracked write path (a CPU client scribbling through the
-        // raw buffer) must journal conservative Full damage so the
-        // compositor can never wrongly skip a tile it composed from
-        // this buffer.
-        use cycada_sim::damage::Damage;
-        let b = buf();
-        let before = b.image().buffer().damage().version();
-        b.lock_cpu().unwrap();
-        b.image().buffer().write(|bytes| bytes[0] = 0xAB);
-        b.unlock_cpu().unwrap();
-        assert!(matches!(
-            b.image().buffer().damage().damage_since(before),
-            Damage::Full
-        ));
     }
 
     #[test]

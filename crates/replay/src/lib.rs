@@ -545,7 +545,7 @@ fn drive(
                     }
                 }
             }
-            op::CHARGE_CPU => app.charge_cpu(arg_f64(a(0))),
+            op::CHARGE_CPU => app.charge_cpu(arg_f64(a(0))).map_err(session_err)?,
             op::DRAW_CLASS => {
                 let class = DrawClass::from_code(a(0) as u8)
                     .ok_or_else(|| malformed(index, name, "bad draw-class code"))?;

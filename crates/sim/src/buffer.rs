@@ -2,40 +2,9 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-use crate::damage::{DamageJournal, DamageRect, Provenance};
-
-static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Globally unique identity of a [`SharedBuffer`] allocation.
-///
-/// IDs are process-wide and never reused, which lets the kernel-side surface
-/// registries (LinuxCoreSurface, gralloc) hand out stable handles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BufferId(u64);
-
-impl BufferId {
-    /// The raw numeric value, useful for embedding in simulated IPC messages.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// Reconstructs an ID from a raw value previously obtained with
-    /// [`BufferId::as_u64`] (e.g. after a round trip through simulated IPC).
-    pub fn from_u64(raw: u64) -> Self {
-        BufferId(raw)
-    }
-}
-
-impl fmt::Display for BufferId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "buf#{}", self.0)
-    }
-}
 
 /// A reference-counted byte buffer shared between simulated libraries,
 /// drivers and the GPU.
@@ -58,9 +27,7 @@ impl fmt::Display for BufferId {
 /// ```
 #[derive(Clone)]
 pub struct SharedBuffer {
-    id: BufferId,
     data: Arc<RwLock<Vec<u8>>>,
-    damage: Arc<DamageJournal>,
 }
 
 impl SharedBuffer {
@@ -72,21 +39,8 @@ impl SharedBuffer {
     /// Wraps an existing byte vector.
     pub fn from_vec(data: Vec<u8>) -> Self {
         SharedBuffer {
-            id: BufferId(NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed)),
             data: Arc::new(RwLock::new(data)),
-            damage: Arc::new(DamageJournal::new()),
         }
-    }
-
-    /// This allocation's damage journal (shared by all aliases), the
-    /// origination ledger of the compositor plane (DESIGN.md §5g).
-    pub fn damage(&self) -> &DamageJournal {
-        &self.damage
-    }
-
-    /// The unique identity of this allocation. Aliases (clones) share an ID.
-    pub fn id(&self) -> BufferId {
-        self.id
     }
 
     /// Length of the buffer in bytes.
@@ -105,11 +59,6 @@ impl SharedBuffer {
     }
 
     /// Runs `f` with exclusive write access to the bytes.
-    ///
-    /// The closure's write set is unknowable, so the damage journal
-    /// records a conservative full note (DESIGN.md §5g). Callers that
-    /// can bound their writes should prefer
-    /// [`SharedBuffer::write_guard_noting`].
     pub fn write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut g = self.write_guard();
         f(&mut g)
@@ -134,37 +83,8 @@ impl SharedBuffer {
     /// RAII guard — the whole-slice form of [`SharedBuffer::write`].
     ///
     /// See [`SharedBuffer::read_guard`] for the locking discipline.
-    ///
-    /// Damage: the guard commits a conservative **full** note to the
-    /// journal when dropped (while still holding the lock, so note
-    /// order always matches byte order). Callers whose write set is
-    /// provable should use [`SharedBuffer::write_guard_noting`] or
-    /// [`SharedBuffer::write_guard_with`] instead.
     pub fn write_guard(&self) -> BufferWriteGuard<'_> {
-        self.write_guard_with(None, None)
-    }
-
-    /// Like [`SharedBuffer::write_guard`], but commits a precise damage
-    /// rect instead of a full note. The caller promises every byte it
-    /// writes through the guard lies inside `rect` (in the pixel
-    /// geometry the consumer of this buffer's journal uses).
-    pub fn write_guard_noting(&self, rect: DamageRect) -> BufferWriteGuard<'_> {
-        self.write_guard_with(Some(rect), None)
-    }
-
-    /// The general noting write guard: `rect` is the damage bound
-    /// (`None` = full note) and `provenance`, when present, is
-    /// installed in the same journal transaction — used by blits to
-    /// record "destination is now a copy of source @ version".
-    pub fn write_guard_with(
-        &self,
-        rect: Option<DamageRect>,
-        provenance: Option<Provenance>,
-    ) -> BufferWriteGuard<'_> {
-        BufferWriteGuard {
-            guard: self.data.write(),
-            note: Some(Note { journal: &self.damage, rect, provenance }),
-        }
+        BufferWriteGuard(self.data.write())
     }
 
     /// Non-blocking [`SharedBuffer::read_guard`]: `None` if a writer holds
@@ -177,13 +97,8 @@ impl SharedBuffer {
     /// writer holds the lock right now. The trace plane's contention
     /// counters use a failed attempt as a point-in-time "this buffer is
     /// busy" observation.
-    ///
-    /// Damage: commits **no** note — this is a probe API; the in-tree
-    /// callers acquire and immediately drop the guard without writing.
     pub fn try_write_guard(&self) -> Option<BufferWriteGuard<'_>> {
-        self.data
-            .try_write()
-            .map(|guard| BufferWriteGuard { guard, note: None })
+        self.data.try_write().map(BufferWriteGuard)
     }
 
     /// Copies the whole buffer out. Intended for test assertions, not for
@@ -192,7 +107,7 @@ impl SharedBuffer {
         self.data.read().clone()
     }
 
-    /// Overwrites every byte with `value` (journaled as full damage).
+    /// Overwrites every byte with `value`.
     pub fn fill(&self, value: u8) {
         self.write_guard().fill(value);
     }
@@ -229,53 +144,30 @@ impl fmt::Debug for BufferReadGuard<'_> {
     }
 }
 
-/// A pending damage note carried by a write guard, committed at drop.
-struct Note<'a> {
-    journal: &'a DamageJournal,
-    rect: Option<DamageRect>,
-    provenance: Option<Provenance>,
-}
-
 /// RAII exclusive-write guard over a [`SharedBuffer`]'s bytes.
 ///
 /// Dereferences to `&mut [u8]`. Obtained with
-/// [`SharedBuffer::write_guard`] and its noting variants. Any attached
-/// damage note is committed to the journal on drop, *before* the lock
-/// is released, so a journal version observed by a reader always
-/// stands for bytes at least as new as that version.
-pub struct BufferWriteGuard<'a> {
-    guard: RwLockWriteGuard<'a, Vec<u8>>,
-    note: Option<Note<'a>>,
-}
-
-impl Drop for BufferWriteGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(note) = self.note.take() {
-            // The lock in `guard` is still held here; it releases when
-            // the field drops after this impl returns.
-            note.journal.commit(note.rect, note.provenance);
-        }
-    }
-}
+/// [`SharedBuffer::write_guard`].
+pub struct BufferWriteGuard<'a>(RwLockWriteGuard<'a, Vec<u8>>);
 
 impl Deref for BufferWriteGuard<'_> {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.guard
+        &self.0
     }
 }
 
 impl DerefMut for BufferWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.guard
+        &mut self.0
     }
 }
 
 impl fmt::Debug for BufferWriteGuard<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BufferWriteGuard")
-            .field("len", &self.guard.len())
+            .field("len", &self.0.len())
             .finish()
     }
 }
@@ -283,7 +175,6 @@ impl fmt::Debug for BufferWriteGuard<'_> {
 impl fmt::Debug for SharedBuffer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedBuffer")
-            .field("id", &self.id)
             .field("len", &self.len())
             .field("handles", &self.handle_count())
             .finish()
@@ -303,23 +194,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ids_are_unique() {
-        let a = SharedBuffer::zeroed(1);
-        let b = SharedBuffer::zeroed(1);
-        assert_ne!(a.id(), b.id());
-    }
-
-    #[test]
-    fn id_round_trips_through_raw() {
-        let a = SharedBuffer::zeroed(1);
-        assert_eq!(BufferId::from_u64(a.id().as_u64()), a.id());
-    }
-
-    #[test]
     fn clones_alias_storage() {
         let a = SharedBuffer::zeroed(4);
         let b = a.clone();
-        assert_eq!(a.id(), b.id());
         assert!(a.same_allocation(&b));
         assert_eq!(a, b);
         b.write(|bytes| bytes[2] = 9);
@@ -364,27 +241,6 @@ mod tests {
         let a = SharedBuffer::zeroed(8);
         a.write(|b| b[5] = 42);
         assert_eq!(a.read_guard()[5], a.read(|b| b[5]));
-    }
-
-    #[test]
-    fn writes_journal_damage() {
-        use crate::damage::{Damage, DamageRect};
-        let a = SharedBuffer::zeroed(16);
-        let v0 = a.damage().version();
-        a.write(|b| b[0] = 1);
-        assert_eq!(a.damage().damage_since(v0), Damage::Full);
-        let v1 = a.damage().version();
-        let r = DamageRect { x: 1, y: 0, w: 2, h: 1 };
-        drop(a.write_guard_noting(r));
-        assert_eq!(a.damage().damage_since(v1), Damage::Rect(r));
-        // Probe guards never note.
-        let v2 = a.damage().version();
-        drop(a.try_write_guard());
-        assert_eq!(a.damage().version(), v2);
-        // Aliases share the journal; fill is a full note.
-        let b = a.clone();
-        b.fill(3);
-        assert_eq!(a.damage().damage_since(v2), Damage::Full);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 mod buffer;
 pub mod check;
 mod clock;
-pub mod damage;
 pub mod intern;
 mod profile;
 pub mod replay;
@@ -45,7 +44,7 @@ pub mod slots;
 pub mod stats;
 pub mod trace;
 
-pub use buffer::{BufferId, BufferReadGuard, BufferWriteGuard, SharedBuffer};
+pub use buffer::{BufferReadGuard, BufferWriteGuard, SharedBuffer};
 pub use clock::{ClockGuard, MeterGuard, SessionMeter, ThreadSpan, VirtualClock};
 pub use profile::{CpuClass, DeviceProfile, GpuCostModel, Persona, Platform};
 pub use rng::SimRng;

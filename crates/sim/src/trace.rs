@@ -151,23 +151,17 @@ pub enum Counter {
     /// SurfaceFlinger contention: a present found the compositor lock
     /// held by another presenter and blocked until it was free.
     FlingerLockWaits,
-    /// Compositor tiles skipped because no queued blit's damage
-    /// intersected them — their scanout bytes were provably already
-    /// correct (DESIGN.md §5g).
+    /// Compositor tiles skipped as clean by the former tile memo.
+    /// Always 0: every present recomposes its blits in full (DESIGN.md
+    /// §5g). Kept only because the benchmark report reads it; remove
+    /// with the next benchmark change.
     TilesSkippedClean,
-    /// Compositor tiles where occlusion culling dropped at least one
-    /// lower layer because a later blit fully covered the tile.
+    /// Compositor tiles culled as occluded by the former tile memo.
+    /// Always 0; remove with the next benchmark change.
     TilesSkippedOccluded,
-    /// Damage queries on the present path that fell back to full
-    /// damage (journal history exhausted, unprovable write set, or a
-    /// scaled blit whose source damage cannot be mapped precisely).
+    /// Damage queries that fell back to full damage, from the former
+    /// damage journals. Always 0; remove with the next benchmark change.
     DamageFullFallbacks,
-    /// Journal overflow merges that found a degenerate history shape
-    /// (fewer than two entries at the overflow threshold) and fell back
-    /// to conservative full damage instead of panicking. Always on:
-    /// every bump is a journal whose bounded-history invariant was
-    /// violated, answered soundly.
-    DamageMergeFallbacks,
     /// Charge-ledger deltas observed to run backwards: a `ThreadSpan`
     /// or `MeterGuard` was read or dropped on a different host thread
     /// than the one that created it, making its ledger delta
@@ -187,7 +181,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 27] = [
         Counter::DiplomatCalls,
         Counter::PersonaSwitches,
         Counter::ImpersonationsBegun,
@@ -211,7 +205,6 @@ impl Counter {
         Counter::TilesSkippedClean,
         Counter::TilesSkippedOccluded,
         Counter::DamageFullFallbacks,
-        Counter::DamageMergeFallbacks,
         Counter::MeterLedgerInversions,
         Counter::FleetTasksStolen,
         Counter::FleetDeadlineMisses,
@@ -244,7 +237,6 @@ impl Counter {
             Counter::TilesSkippedClean => "tiles-skipped-clean",
             Counter::TilesSkippedOccluded => "tiles-skipped-occluded",
             Counter::DamageFullFallbacks => "damage-full-fallbacks",
-            Counter::DamageMergeFallbacks => "damage-merge-fallbacks",
             Counter::MeterLedgerInversions => "meter-ledger-inversions",
             Counter::FleetTasksStolen => "fleet-tasks-stolen",
             Counter::FleetDeadlineMisses => "fleet-deadline-misses",

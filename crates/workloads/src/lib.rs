@@ -13,10 +13,7 @@
 //!   Acid-style reference page (§9 functionality);
 //! * [`browser`] — Safari-sim: wires the JS engine and WebKit together;
 //! * [`passmark`] — the PassMark-shaped 2D/3D GPU tests behind
-//!   **Figures 6/8/10**;
-//! * [`partial_update`] — mostly-static composition scenes (badge
-//!   churn, split-screen, occluded layers) driving the damage-tracked
-//!   compositor plane benchmark (DESIGN.md §5g).
+//!   **Figures 6/8/10**.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -25,7 +22,6 @@ pub mod browser;
 pub mod js;
 pub mod lmbench;
 pub mod pages;
-pub mod partial_update;
 pub mod passmark;
 pub mod scenario;
 pub mod webkit;

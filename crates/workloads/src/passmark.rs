@@ -327,7 +327,7 @@ fn image_filters_frame(app: &mut AppGl, rng: &mut SimRng) -> Result<u64> {
             px[0] = px[0].wrapping_add(3);
             px[1] = px[1].wrapping_add(5);
         }
-        app.charge_cpu(pixels.len() as f64 * 0.9);
+        app.charge_cpu(pixels.len() as f64 * 0.9)?;
         app.update_texture(tex, 0, 0, 64, 64, TexFormat::Rgba, &pixels)?;
         app.draw_textured_quad(tex, -0.9, -0.9, 0.9, 0.9)?;
     }

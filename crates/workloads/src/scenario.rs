@@ -30,7 +30,7 @@ pub enum Scenario {
     /// transforms, scissored sub-draws.
     MultiGles,
     /// Partial-update scene: a small scissored badge redraw per frame on
-    /// an otherwise static screen (the damage-tracking sweet spot).
+    /// an otherwise static screen.
     PartialUpdate,
     /// Texture-streaming / asset-upload churn: every frame uploads a new
     /// texture, mutates the oldest surviving one, draws the newest

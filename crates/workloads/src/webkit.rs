@@ -99,8 +99,8 @@ impl WebView {
     ///
     /// Returns an error if any GLES call fails.
     pub fn render_page(&mut self, app: &AppGl, page: &WebPage) -> Result<()> {
-        self.layout(app, page);
-        self.paint(app, page);
+        self.layout(app, page)?;
+        self.paint(app, page)?;
         self.upload(app)?;
         self.composite(app)?;
         app.present()?;
@@ -108,13 +108,13 @@ impl WebView {
     }
 
     /// Layout pass: pure CPU cost per element.
-    fn layout(&self, app: &AppGl, page: &WebPage) {
-        app.charge_cpu(page.elements.len() as f64 * LAYOUT_ELEMENT_NS);
+    fn layout(&self, app: &AppGl, page: &WebPage) -> Result<()> {
+        app.charge_cpu(page.elements.len() as f64 * LAYOUT_ELEMENT_NS)
     }
 
     /// Paint pass: rasterizes elements into the CPU tile buffers (the
     /// CoreGraphics role) and marks touched tiles dirty.
-    fn paint(&mut self, app: &AppGl, page: &WebPage) {
+    fn paint(&mut self, app: &AppGl, page: &WebPage) -> Result<()> {
         let (vw, vh) = (self.width as f32, self.height as f32);
         let mut painted_pixels: u64 = 0;
         for tile in &mut self.tiles {
@@ -160,7 +160,7 @@ impl WebView {
                 }
             }
         }
-        app.charge_cpu(painted_pixels as f64 * PAINT_PIXEL_NS);
+        app.charge_cpu(painted_pixels as f64 * PAINT_PIXEL_NS)
     }
 
     /// Upload pass: `glTexSubImage2D` per dirty tile.

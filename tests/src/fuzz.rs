@@ -26,7 +26,8 @@
 //!
 //! Failures shrink with [`cycada_replay::shrink_calls`] to a 1-minimal
 //! stream, which is an ordinary `.cyt` trace: `tests/corpus/fuzz/`
-//! commits the ones worth keeping as regressions.
+//! commits the ones worth keeping as regressions. [`perturb_arg`]
+//! mutates recorded streams for the robustness sweep over the corpus.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -317,6 +318,29 @@ pub fn generate(seed: u64) -> Stream {
         };
     }
     b.finish()
+}
+
+// ---------------------------------------------------------------------
+// Mutators
+// ---------------------------------------------------------------------
+
+/// The "perturb one argument" mutator: `stream` with argument `slot` of
+/// call `index` set to `value`, cut after the first `app:present` at or
+/// after `index` (kept whole when no present follows).
+///
+/// # Panics
+///
+/// Panics if `index` or `slot` is out of range.
+pub fn perturb_arg(stream: &Stream, index: usize, slot: usize, value: u64) -> Stream {
+    let mut out = stream.clone();
+    out.calls[index].args[slot] = value;
+    if let Some(present) = out.calls[index..]
+        .iter()
+        .position(|c| out.name_of(c) == op::PRESENT)
+    {
+        out.calls.truncate(index + present + 1);
+    }
+    out
 }
 
 // ---------------------------------------------------------------------

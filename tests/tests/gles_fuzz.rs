@@ -6,15 +6,23 @@
 //! Failures shrink to a minimal stream, written out as a `.cyt` file,
 //! before the test panics.
 //!
+//! A second sweep perturbs one argument of each committed corpus trace
+//! at a time; every perturbed replay must end in `Ok` or a typed error.
+//!
 //! Case count: 24 under `cargo test` (debug), 200 in release CI;
 //! `CYCADA_FUZZ_CASES` overrides both (the nightly long run sets it to
 //! several thousand).
 
+use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use cycada_gles::{Capability, GlesVersion, Primitive, TexFormat};
-use cycada_integration::fuzz::{check_stream, generate, StreamBuilder};
-use cycada_replay::{f32_arg, i32_arg, shrink_calls, Fault, ReplayStream as Stream};
+use cycada_integration::fuzz::{check_stream, generate, perturb_arg, StreamBuilder};
+use cycada_replay::{
+    corpus, f32_arg, i32_arg, replay_stream, shrink_calls, Fault, ReplayOptions,
+    ReplayStream as Stream,
+};
 use cycada_sim::replay::op;
 
 /// Base seed for the sweep; shifting it re-randomizes every case while
@@ -88,9 +96,7 @@ fn minimal_committed_script_replays_clean() {
         .tex_quad(1, [0.0, 0.0, 0.9, 0.9], true)
         .call(op::PRESENT, &[0], &[]);
     b.on(1).call(op::PRESENT, &[0], &[]);
-    // Partial redraw: scissored clear then a second present — the
-    // damage journals carry only this frame's dirty region down the
-    // present chain to the tile compositor.
+    // Partial redraw: scissored clear then a second present.
     let scissor = u64::from(Capability::ScissorTest.code());
     b.on(0)
         .call(op::CAPABILITY, &[scissor, 1], &[])
@@ -136,4 +142,59 @@ fn injected_fault_fails_and_shrinks_to_a_minimal_stream() {
     assert_eq!(decoded, shrunk);
     assert!(check_stream(&decoded, fault).is_err(), "round-tripped stream must still fail");
     check_stream(&decoded, None).expect("the divergence is the fault's");
+}
+
+/// Argument-perturbation sweep over the six committed corpus traces: the
+/// first call of each op name has each argument slot set in turn to 0,
+/// `u32::MAX`, `u64::MAX` and the bits of `f32` and `f64` +inf, and the
+/// stream is cut after the next present. Every replay must return `Ok`
+/// or a typed [`cycada_replay::ReplayError`]; a panic fails the sweep.
+/// Digest and timestamp checks are off so each mutation runs on to the
+/// present instead of stopping at its first divergence.
+#[test]
+fn perturbed_corpus_replays_return_ok_or_a_typed_error() {
+    const VALUES: [u64; 5] = [
+        0,
+        u32::MAX as u64,
+        u64::MAX,
+        f32::INFINITY.to_bits() as u64,
+        f64::INFINITY.to_bits(),
+    ];
+    let opts = ReplayOptions {
+        check_digests: false,
+        check_timestamps: false,
+        ..Default::default()
+    };
+    let mut replays = 0;
+    let mut panics = Vec::new();
+    for entry in &corpus::ENTRIES {
+        let path = corpus::path(entry);
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let stream = Stream::decode(&bytes).unwrap_or_else(|e| panic!("{}: {e}", entry.file));
+        let mut seen = HashSet::new();
+        for (index, call) in stream.calls.iter().enumerate() {
+            if !seen.insert(call.name) {
+                continue;
+            }
+            for slot in 0..call.args.len() {
+                for value in VALUES {
+                    let mutated = perturb_arg(&stream, index, slot, value);
+                    replays += 1;
+                    if catch_unwind(AssertUnwindSafe(|| replay_stream(&mutated, &opts))).is_err() {
+                        panics.push(format!(
+                            "{} call {index} ({}) arg {slot} = {value:#x}",
+                            entry.file,
+                            stream.name_of(call)
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} of {replays} perturbed replays panicked:\n{}",
+        panics.len(),
+        panics.join("\n")
+    );
 }

@@ -8,11 +8,13 @@
 //! the `.cyt` encoding is stable (same run → same bytes); and a forced
 //! divergence ddmin-shrinks to a minimal trace that still reproduces.
 
+use cycada::{AppGl, CycadaError};
 use cycada_fleet::{solo_outcome, FleetConfig};
 use cycada_gles::{GlesVersion, Primitive};
+use cycada_gpu::raster::Rect;
 use cycada_integration::fuzz::StreamBuilder;
 use cycada_replay::{
-    corpus, replay_stream, shrink_divergence, DivergenceKind, Fault,
+    corpus, f64_arg, replay_stream, shrink_divergence, DivergenceKind, Fault, Recording,
     ReplayError, ReplayOptions, MARK_SESSION,
 };
 use cycada_sim::replay::{op, Stream};
@@ -253,4 +255,120 @@ fn fleet_fans_out_corpus_replay() {
     assert!(FleetConfig::new("mix", 1, 1).with_scenario_spec("mix").unwrap().replay.is_none());
     assert!(FleetConfig::new("bad", 1, 1).with_scenario_spec("nonsense").is_err());
     assert!(FleetConfig::new("gone", 1, 1).with_scenario_spec("replay:/no/such.cyt").is_err());
+}
+
+/// A one-session stream on `platform` running `calls` after a clear.
+fn stream_on(platform: Platform, calls: &[(&str, Vec<u64>)]) -> Stream {
+    let mut b = StreamBuilder::new(SEED, &[GlesVersion::V2]);
+    b.clear([0.2, 0.3, 0.4, 1.0]);
+    for (name, args) in calls {
+        b.call(name, args, &[]);
+    }
+    let mut stream = b.finish();
+    stream.meta.platform = platform;
+    stream
+}
+
+fn assert_invalid_argument(result: Result<cycada_replay::ReplayOutcome, ReplayError>, what: &str) {
+    match result {
+        Err(ReplayError::Session(m)) if m.contains("invalid argument") => {}
+        Err(e) => panic!("{what}: expected an invalid-argument session error, got {e}"),
+        Ok(_) => panic!("{what}: replayed without an error"),
+    }
+}
+
+/// Replayed arguments the device cannot honour are typed errors, not
+/// virtual-clock overflows: a layer of `u32::MAX`² (the flinger charges
+/// the logical destination area at the next present) on every backend,
+/// and a CPU charge of +inf or 1e30 ns.
+#[test]
+fn out_of_range_replayed_arguments_are_typed_errors() {
+    let max = u64::from(u32::MAX);
+    for platform in Platform::ALL {
+        let layer = stream_on(
+            platform,
+            &[
+                (op::DISPLAY_LAYER, vec![0, 0, max, max]),
+                (op::PRESENT, vec![0]),
+            ],
+        );
+        assert_invalid_argument(
+            replay_stream(&layer, &ReplayOptions::digests_only()),
+            &format!("{platform:?} display layer"),
+        );
+    }
+    for ns in [f64::INFINITY, 1e30] {
+        let charge = stream_on(Platform::CycadaIos, &[(op::CHARGE_CPU, vec![f64_arg(ns)])]);
+        assert_invalid_argument(
+            replay_stream(&charge, &ReplayOptions::digests_only()),
+            &format!("charge-cpu {ns}"),
+        );
+    }
+}
+
+/// The argument checks run before anything is charged or recorded, on
+/// every backend.
+#[test]
+fn rejected_arguments_charge_and_record_nothing() {
+    for platform in Platform::ALL {
+        let app = AppGl::boot_with_display(platform, GlesVersion::V2, Some(DISPLAY))
+            .unwrap_or_else(|e| panic!("{platform:?}: boot failed: {e}"));
+        let recording = Recording::new(stream_on(platform, &[]).meta);
+        let guard = recording.attach();
+        let before = app.now_ns();
+        let layer = Rect {
+            x: 0,
+            y: 0,
+            w: 2049,
+            h: 1,
+        };
+        assert!(matches!(
+            app.set_display_layer(layer),
+            Err(CycadaError::InvalidArgument(_))
+        ));
+        for ns in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5e9] {
+            assert!(matches!(
+                app.charge_cpu(ns),
+                Err(CycadaError::InvalidArgument(_))
+            ));
+        }
+        assert_eq!(
+            app.now_ns(),
+            before,
+            "{platform:?}: a rejected call charged time"
+        );
+        drop(guard);
+        assert_eq!(
+            recording.len(),
+            0,
+            "{platform:?}: a rejected call was recorded"
+        );
+    }
+}
+
+/// A `.cyt` header cannot ask for an impossible display: a side of 0 or
+/// above 2048 is a typed error on every platform, through
+/// `replay_stream` and through a fleet's `replay:<path>` spec.
+#[test]
+fn impossible_display_headers_are_typed_errors() {
+    for (w, h) in [(0, 32), (2049, 32), (u32::MAX, u32::MAX)] {
+        for platform in Platform::ALL {
+            let mut stream = stream_on(platform, &[]);
+            (stream.meta.width, stream.meta.height) = (w, h);
+            assert_invalid_argument(
+                replay_stream(&stream, &ReplayOptions::default()),
+                &format!("{platform:?} {w}x{h}"),
+            );
+        }
+        let mut stream = stream_on(Platform::CycadaIos, &[]);
+        (stream.meta.width, stream.meta.height) = (w, h);
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+        let path = dir.join(format!("display-{w}x{h}.cyt"));
+        std::fs::write(&path, stream.encode()).expect("write trace");
+        let cfg = FleetConfig::new("bad-display", 1, 1)
+            .with_scenario_spec(&format!("replay:{}", path.display()))
+            .expect("spec loads");
+        let err = cycada_fleet::run_fleet(&cfg).expect_err("boot must fail");
+        assert!(err.contains("invalid argument"), "{w}x{h}: {err}");
+    }
 }
