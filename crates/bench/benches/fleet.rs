@@ -1,10 +1,9 @@
 //! Fleet-plane load benchmark: boots fleets of shared Cycada devices,
-//! churns sessions through them via the `cycada-fleet` work-stealing
-//! orchestrator, and writes the committed `BENCH_fleet.json` — total
-//! frame throughput, p50/p95/p99 attach and frame wall latency,
-//! per-device virtual-vs-wall efficiency, and trace-plane counter
-//! rollups (steals, deadline misses, damage/present/ledger fallbacks)
-//! for each fleet shape.
+//! churns sessions through them via the `cycada-fleet` orchestrator,
+//! and writes the committed `BENCH_fleet.json` — total frame throughput,
+//! p50/p95/p99 attach and frame wall latency, per-device
+//! virtual-vs-wall efficiency, and trace-plane counter rollups (deadline
+//! misses, lock waits, ledger inversions) for each fleet shape.
 //!
 //! Shapes scale from one device up to thousands of devices and sessions;
 //! every session still runs the full stack (attach → scenario setup →
@@ -46,7 +45,7 @@ fn run_shape(cfg: &FleetConfig) -> FleetReport {
     println!(
         "fleet/{:<12} {:>5} devices {:>6} sessions {:>2} workers | \
          {:>9.1} frames/s | attach p50/p95/p99 {}/{}/{} us | \
-         frame p50/p95/p99 {}/{}/{} us | {} stolen, {} deadline misses",
+         frame p50/p95/p99 {}/{}/{} us | {} deadline misses",
         report.name,
         report.devices.len(),
         report.outcomes.len(),
@@ -58,7 +57,6 @@ fn run_shape(cfg: &FleetConfig) -> FleetReport {
         frame.p50 / 1_000,
         frame.p95 / 1_000,
         frame.p99 / 1_000,
-        report.tasks_stolen,
         report.deadline_misses,
     );
     report

@@ -4,7 +4,7 @@
 //! entry point pays in production with recording off — one relaxed
 //! atomic load and a branch, which must stay at low single-digit
 //! nanoseconds for the hooks to be safe to leave compiled in. The
-//! recording numbers put a price on running with `CYCADA_RECORD` live
+//! recording numbers put a price on running with a recording attached
 //! (full passmark frames, recorded vs not), and the replay numbers
 //! compare re-driving a recorded stream against running the scripted
 //! scenario it came from — replay should cost about the same wall time

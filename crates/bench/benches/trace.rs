@@ -4,11 +4,13 @@
 //! pays in production with tracing off — one relaxed atomic load and a
 //! branch, which must stay at low single-digit nanoseconds for the plane
 //! to be safe to leave compiled into the diplomat hot path. The
-//! enabled-path numbers are the per-event recording cost (seqlock slot
-//! write into the thread's own ring, no locks, no allocation).
+//! enabled-path numbers are the per-event recording cost (one push into
+//! the thread's own ring under its uncontended lock).
 //!
-//! Run with `CRITERION_JSON_OUT=BENCH_trace.json cargo bench --bench
-//! trace` to emit the committed results file.
+//! Run `CRITERION_JSON_OUT=$(pwd)/BENCH_trace.json cargo bench --bench
+//! trace` from the repository root to emit the committed results file
+//! (cargo runs the bench from `crates/bench`, so a relative path lands
+//! there).
 
 use std::hint::black_box;
 

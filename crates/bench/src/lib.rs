@@ -5,6 +5,7 @@
 //! library holds the formatting helpers they share, plus
 //! [`LegacyStringStats`], the baseline side of the `dispatch` bench.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;

@@ -5,11 +5,11 @@
 //! run on real OS threads, but cooperatively scheduled so exactly one
 //! thread runs between *schedule points* — the instrumentation seam
 //! provided by `parking_lot::schedule` (every shim `Mutex`/`RwLock`
-//! acquire/release) and `cycada_sim::check::schedule_point` (the trace
-//! seqlock, `SlotTable` chunk publication, `FnId` interning, the
-//! `VirtualClock` charge ledger, `ImpersonationGuard` begin/end). Because
-//! the scheduler controls every interleaving of those points, it can
-//! enumerate them:
+//! acquire/release, the trace rings' locks among them) and
+//! `cycada_sim::check::schedule_point` (`SlotTable` chunk publication,
+//! `FnId` interning, the `VirtualClock` charge ledger,
+//! `ImpersonationGuard` begin/end). Because the scheduler controls every
+//! interleaving of those points, it can enumerate them:
 //!
 //! * [`Checker::exhaustive`] — iterative-replay DFS over all schedules
 //!   within a preemption bound, pruned with DPOR-lite sleep sets (a
@@ -55,6 +55,7 @@
 //! assert!(report.complete);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

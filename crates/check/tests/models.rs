@@ -1,10 +1,10 @@
 //! Model suite for `cycada_check`: sanity models proving the explorer
 //! finds (and replays) schedule bugs, plus the project-protocol models —
 //! the PR 4 `ImpersonationGuard::end` partial-restore bug on its pre-fix
-//! code shape, the trace seqlock, `SlotTable` chunk-boundary churn, and
-//! the DESIGN.md §5f parallel-plane seams (sharded kernel thread table,
-//! sharded gralloc registry, the flinger present lock, GPU fence slots
-//! and racing clears).
+//! code shape, the trace ring's drain, `SlotTable` chunk-boundary churn,
+//! and the DESIGN.md §5f parallel-plane seams (sharded kernel thread
+//! table, sharded gralloc registry, the flinger present lock, GPU fence
+//! slots and racing clears).
 
 use std::sync::Arc;
 
@@ -12,7 +12,7 @@ use cycada_check::{Checker, Model};
 use cycada_kernel::Kernel;
 use cycada_linker::DynamicLinker;
 use cycada_sim::slots::SlotTable;
-use cycada_sim::trace::model::RawRing;
+use cycada_sim::trace::model::Ring;
 use cycada_sim::{Persona, Platform};
 use parking_lot::Mutex;
 
@@ -324,72 +324,134 @@ fn real_impersonation_guard_passes_exhaustively() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: trace seqlock — torn reads rejected, snapshot work bounded
+// Satellite: trace ring — a drain racing appends takes each event once
 // ---------------------------------------------------------------------
 
 #[test]
-fn seqlock_snapshot_never_tears_under_wrapping_writer() {
-    // Capacity-2 ring, 3 pushes: the writer wraps mid-snapshot on some
-    // schedules. Every event a snapshot returns must satisfy the
-    // synthetic consistency relation (a torn read mixing two events
-    // breaks it), appear in push order, and number at most `capacity`
-    // (the snapshot makes one bounded pass; torn slots are skipped, never
-    // retried).
+fn trace_drain_takes_each_event_exactly_once() {
+    // A writer appends three events while a reader drains twice; the
+    // post-condition drains what is left. Under every schedule the drains
+    // together return each event exactly once, in append order.
     let report = Checker::new()
         .preemption_bound(2)
         .exhaustive(|| {
-            let ring = Arc::new(RawRing::with_capacity(2));
-            let (w, r) = (ring.clone(), ring);
+            let ring = Arc::new(Ring::default());
+            // A std mutex, so collecting the results adds no schedule
+            // points of its own.
+            let drained = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let (w, r, out) = (ring.clone(), ring.clone(), drained.clone());
             Model::new()
                 .thread(move || {
                     for arg in 0..3u64 {
-                        w.push_synthetic(arg);
+                        w.push(arg);
                     }
                 })
                 .thread(move || {
-                    let pairs = r.snapshot_pairs();
+                    for _ in 0..2 {
+                        let got = r.drain();
+                        out.lock().unwrap().extend(got);
+                    }
+                })
+                .post(move || {
+                    let mut all = drained.lock().unwrap().clone();
+                    all.extend(ring.drain());
+                    assert_eq!(all, [0, 1, 2], "an event was lost, duplicated or reordered");
+                })
+        })
+        .expect("every event must be drained exactly once under every schedule");
+    assert!(report.complete, "trace ring model must be fully explored");
+    assert!(
+        report.executions > 10,
+        "appends vs drains must expose many schedules (got {})",
+        report.executions
+    );
+}
+
+// The two models below keep the names they had when the ring was a
+// seqlock; the property they check is the same for the locked ring: a
+// drain racing a writer that wraps the ring returns only whole events.
+
+#[test]
+fn seqlock_snapshot_never_tears_under_wrapping_writer() {
+    // Capacity-2 ring, 3 pushes: the writer wraps mid-drain on some
+    // schedules. Every event a drain returns must satisfy the synthetic
+    // consistency relation (an event mixed out of two breaks it), appear
+    // in push order, and number at most `capacity`. The drain and what
+    // is left afterwards never share an event, and the newest event,
+    // which nothing overwrites, is always in one of them.
+    let report = Checker::new()
+        .preemption_bound(2)
+        .exhaustive(|| {
+            let ring = Arc::new(Ring::with_capacity(2));
+            let drained = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let (w, r, out) = (ring.clone(), ring.clone(), drained.clone());
+            Model::new()
+                .thread(move || {
+                    for arg in 0..3u64 {
+                        w.push(arg);
+                    }
+                })
+                .thread(move || {
+                    let pairs = r.drain_pairs();
                     assert!(
                         pairs.len() <= r.capacity(),
-                        "snapshot returned more events than the ring holds"
+                        "drain returned more events than the ring holds"
                     );
                     for &(arg, wall) in &pairs {
-                        assert!(arg < 3, "snapshot surfaced an event never pushed");
+                        assert!(arg < 3, "drain surfaced an event never pushed");
                         assert_eq!(wall, arg * 3 + 1, "torn read: mixed two events");
                     }
                     for w2 in pairs.windows(2) {
-                        assert!(w2[0].0 < w2[1].0, "snapshot order must follow push order");
+                        assert!(w2[0].0 < w2[1].0, "drain order must follow push order");
                     }
+                    out.lock().unwrap().extend(pairs.iter().map(|&(arg, _)| arg));
+                })
+                .post(move || {
+                    let mut all = drained.lock().unwrap().clone();
+                    all.extend(ring.drain());
+                    assert!(all.windows(2).all(|w2| w2[0] < w2[1]), "an event was returned twice");
+                    assert_eq!(all.last(), Some(&2), "the newest event was lost");
                 })
         })
-        .expect("seqlock snapshot must reject torn reads under every schedule");
-    assert!(report.complete, "seqlock model must be fully explored");
+        .expect("a drain must never return a torn event under every schedule");
+    assert!(report.complete, "wrapping ring model must be fully explored");
     assert!(
         report.executions > 10,
-        "wrapping writer vs snapshot must expose many schedules (got {})",
+        "wrapping writer vs drain must expose many schedules (got {})",
         report.executions
     );
 }
 
 #[test]
 fn seqlock_writer_overwrite_mid_snapshot_is_discarded() {
-    // Tighter variant: the reader snapshots while the writer overwrites
-    // the exact slot being read (capacity 1 forces every push onto one
-    // slot). The snapshot may return nothing or a valid event — never a
-    // mix.
+    // Tighter variant: the reader drains while the writer overwrites the
+    // one slot there is (capacity 1 forces every push onto it). The drain
+    // may return nothing or a whole event, never a mix; the overwritten
+    // event is gone for good and the newest survives exactly once.
     let report = Checker::new()
         .preemption_bound(2)
         .exhaustive(|| {
-            let ring = Arc::new(RawRing::with_capacity(1));
-            let (w, r) = (ring.clone(), ring);
+            let ring = Arc::new(Ring::with_capacity(1));
+            let drained = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let (w, r, out) = (ring.clone(), ring.clone(), drained.clone());
             Model::new()
                 .thread(move || {
-                    w.push_synthetic(1);
-                    w.push_synthetic(2);
+                    w.push(1);
+                    w.push(2);
                 })
                 .thread(move || {
-                    for (arg, wall) in r.snapshot_pairs() {
-                        assert_eq!(wall, arg * 3 + 1, "torn read escaped the seq recheck");
+                    for (arg, wall) in r.drain_pairs() {
+                        assert_eq!(wall, arg * 3 + 1, "torn read escaped the drain");
+                        out.lock().unwrap().push(arg);
                     }
+                })
+                .post(move || {
+                    let mut all = drained.lock().unwrap().clone();
+                    all.extend(ring.drain());
+                    assert!(
+                        all == [2] || all == [1, 2],
+                        "the newest event must survive exactly once (got {all:?})"
+                    );
                 })
         })
         .expect("single-slot overwrite races must never leak torn events");

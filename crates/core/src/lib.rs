@@ -36,6 +36,7 @@
 //! # Ok::<(), cycada::CycadaError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -21,6 +21,7 @@
 //!   the graphics TLS of a target thread across *both* personas, with
 //!   updates reflected back on return.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

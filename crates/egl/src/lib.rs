@@ -19,6 +19,7 @@
 //!   chain (`libEGL_tegra.so → libGLESv2_tegra.so → libnvrm.so → libnvos.so`)
 //!   into the simulated linker.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

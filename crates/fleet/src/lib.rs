@@ -10,13 +10,13 @@
 //! recording attach and per-frame wall latency, the session's
 //! deterministic framebuffer hash, and its metered virtual-time total.
 //!
-//! Tasks are distributed by a work-stealing orchestrator (scoped threads
-//! plus an injector/stealer deque — no async runtime): every task starts
-//! in a global injector, workers refill their own deques in batches and
-//! steal from a victim's back when idle. A task runs *entirely on one
-//! worker thread*, so the session plane's per-host-thread charge ledger
-//! never crosses threads mid-scope (the `meter-ledger-inversions`
-//! counter stands guard over exactly that invariant).
+//! The batch of tasks is closed, so distributing it takes one shared
+//! atomic cursor: each worker (a scoped thread, no async runtime) claims
+//! the next session index with `fetch_add` until the cursor passes the
+//! last session. A task runs *entirely on one worker thread*, so the
+//! session plane's per-host-thread charge ledger never crosses threads
+//! mid-scope (the `meter-ledger-inversions` counter stands guard over
+//! exactly that invariant).
 //!
 //! # Determinism contract
 //!
@@ -29,7 +29,10 @@
 //! fields (attach/frame latency, throughput, efficiency) vary between
 //! runs — those are the measurements, not the simulation.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,15 +41,12 @@ use cycada_replay::{replay_on_device, ReplayOptions};
 use cycada_sim::replay::Stream;
 use cycada_sim::{trace, Nanos, SimRng};
 
-mod deque;
 pub mod metrics;
 
 pub use cycada_workloads::scenario::{
     frame as scenario_frame, setup as scenario_setup, Scenario, ScenarioState,
 };
 pub use metrics::{determinism_digest, fleet_json, percentiles, report_json, Percentiles};
-
-use deque::WorkQueues;
 
 /// Shape and knobs of one fleet run.
 #[derive(Debug, Clone)]
@@ -221,7 +221,9 @@ pub struct FleetReport {
     pub outcomes: Vec<SessionOutcome>,
     /// Per-device rollups, sorted by device index.
     pub devices: Vec<DeviceReport>,
-    /// Tasks executed by a worker other than their home deque's owner.
+    /// Always 0: workers claim tasks from one shared cursor, so no task
+    /// migrates. Kept only because the benchmark report reads it; remove
+    /// with the next benchmark change.
     pub tasks_stolen: u64,
     /// Tasks that finished past their deadline.
     pub deadline_misses: u64,
@@ -340,7 +342,7 @@ fn run_replay_task(
 /// Boots the fleet and drives every session task to completion.
 ///
 /// Returns an error if any device fails to boot or any task fails; the
-/// remaining workers drain their queues before the error is surfaced,
+/// remaining workers finish the batch before the error is surfaced,
 /// so a failure never leaves detached threads behind (scoped threads).
 pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
     let counters_before: Vec<(&'static str, u64)> = trace::counters();
@@ -356,18 +358,21 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
         devices.iter().map(|d| d.kernel().clock().now_ns()).collect();
 
     let workers = cfg.workers.max(1);
-    let queues = WorkQueues::new(workers, cfg.sessions);
+    // The index publishes no data, so relaxed claims suffice.
+    let next = AtomicUsize::new(0);
     let mut results: Vec<Result<SessionOutcome, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
-                let devices = &devices;
+            .map(|_| {
+                let (next, devices) = (&next, &devices);
                 s.spawn(move || {
                     let mut mine = Vec::new();
-                    while let Some(task) = queues.next(w) {
-                        mine.push(run_task(cfg, devices, task.session));
+                    loop {
+                        let session = next.fetch_add(1, Ordering::Relaxed);
+                        if session >= cfg.sessions {
+                            return mine;
+                        }
+                        mine.push(run_task(cfg, devices, session));
                     }
-                    mine
                 })
             })
             .collect();
@@ -410,7 +415,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
         wall_ns,
         outcomes,
         devices: device_reports,
-        tasks_stolen: queues.stolen(),
+        tasks_stolen: 0,
         deadline_misses,
         counter_deltas,
     })

@@ -51,7 +51,7 @@ pub fn report_json(report: &FleetReport) -> String {
         "{{\"name\":\"{}\",\"devices\":{},\"sessions\":{},\"workers\":{},\
          \"frames_per_session\":{},\"seed\":{},\"display\":[{},{}],\
          \"wall_ms\":{:.3},\"frames_total\":{},\"throughput_fps\":{:.1},\
-         \"attach_ns\":{},\"frame_ns\":{},\"tasks_stolen\":{},\"deadline_misses\":{}",
+         \"attach_ns\":{},\"frame_ns\":{},\"deadline_misses\":{}",
         json_escape(&report.name),
         report.devices.len(),
         report.outcomes.len(),
@@ -65,7 +65,6 @@ pub fn report_json(report: &FleetReport) -> String {
         frames.len() as f64 / (report.wall_ns as f64 / 1e9),
         percentiles_json(percentiles(&attach)),
         percentiles_json(percentiles(&frames)),
-        report.tasks_stolen,
         report.deadline_misses,
     )
     .expect("write to String cannot fail");

@@ -36,6 +36,7 @@
 //! assert_eq!(tegra.context_version(ctx), Some(GlesVersion::V2));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -27,6 +27,7 @@
 //! assert_eq!(target.pixel(0, 0), Rgba::RED.to_bytes());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

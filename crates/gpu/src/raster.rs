@@ -889,16 +889,9 @@ fn row_coverage(t: &ScreenTri, k: (f32, f32, f32), r: (f32, f32, f32)) -> u64 {
 }
 
 /// Copies `src_rect` of `src` into `dst_rect` of `dst` with nearest-neighbour
-/// scaling and format conversion, under one read guard + one write guard.
-/// Returns the number of destination pixels written (the unit the device
-/// charges copy costs in).
-///
-/// Same-format copies move raw pixel bytes (the unscaled case is a
-/// `copy_from_slice` per row); this is byte-identical to the reference's
-/// decode→encode round trip, which is the identity on bytes for every
-/// [`PixelFormat`] (asserted exhaustively by tests). Blits where `src`
-/// aliases `dst` keep the historical read-your-own-writes semantics via
-/// the [`reference`] path.
+/// scaling and format conversion: [`blit_clipped`] clipped to the whole
+/// destination image. Returns the number of destination pixels written
+/// (the unit the device charges copy costs in).
 ///
 /// # Panics
 ///
@@ -912,89 +905,25 @@ pub fn blit(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect) -> u64 {
         dst_rect.x + dst_rect.w <= dst.width() && dst_rect.y + dst_rect.h <= dst.height(),
         "destination rect out of bounds"
     );
-    if dst_rect.w == 0 || dst_rect.h == 0 || src_rect.w == 0 || src_rect.h == 0 {
-        return 0;
-    }
-    if src.aliases(dst) {
-        return reference::blit(src, src_rect, dst, dst_rect);
-    }
-
-    let sbpp = src.format().bytes_per_pixel();
-    let dbpp = dst.format().bytes_per_pixel();
-    let srb = src.row_bytes();
-    let drb = dst.row_bytes();
-    let same_format = src.format() == dst.format();
-    let sguard = src.buffer().read_guard();
-    let mut dguard = dst.buffer().write_guard();
-
-    let swizzle_8888 = matches!(
-        (src.format(), dst.format()),
-        (PixelFormat::Rgba8888, PixelFormat::Bgra8888)
-            | (PixelFormat::Bgra8888, PixelFormat::Rgba8888)
-    );
-    if same_format && src_rect.w == dst_rect.w && src_rect.h == dst_rect.h {
-        // Unscaled same-format copy: one memcpy per row.
-        let row_len = dst_rect.w as usize * dbpp;
-        for dy in 0..dst_rect.h {
-            let soff = (src_rect.y + dy) as usize * srb + src_rect.x as usize * sbpp;
-            let doff = (dst_rect.y + dy) as usize * drb + dst_rect.x as usize * dbpp;
-            dguard[doff..doff + row_len].copy_from_slice(&sguard[soff..soff + row_len]);
-        }
-    } else if swizzle_8888 && src_rect.w == dst_rect.w && src_rect.h == dst_rect.h {
-        // Unscaled RGBA↔BGRA conversion: the two layouts differ only in
-        // bytes 0 and 2 swapped, and per-channel decode→encode is the
-        // byte identity (asserted exhaustively by tests), so the
-        // reference's float round trip reduces to a pure byte swizzle.
-        // This is the present chain's drawable→staging copy shape.
-        let row_len = dst_rect.w as usize * 4;
-        for dy in 0..dst_rect.h {
-            let soff = (src_rect.y + dy) as usize * srb + src_rect.x as usize * 4;
-            let doff = (dst_rect.y + dy) as usize * drb + dst_rect.x as usize * 4;
-            for (d, s) in dguard[doff..doff + row_len]
-                .chunks_exact_mut(4)
-                .zip(sguard[soff..soff + row_len].chunks_exact(4))
-            {
-                d[0] = s[2];
-                d[1] = s[1];
-                d[2] = s[0];
-                d[3] = s[3];
-            }
-        }
-    } else {
-        for dy in 0..dst_rect.h {
-            let sy = src_rect.y + dy * src_rect.h / dst_rect.h;
-            let drow = (dst_rect.y + dy) as usize * drb;
-            let srow = sy as usize * srb;
-            for dx in 0..dst_rect.w {
-                let sx = src_rect.x + dx * src_rect.w / dst_rect.w;
-                let soff = srow + sx as usize * sbpp;
-                let doff = drow + (dst_rect.x + dx) as usize * dbpp;
-                if same_format {
-                    // Raw byte move: decode→encode is the identity within
-                    // a format, so this matches the reference bytes.
-                    let (s, d) = (&sguard[soff..soff + sbpp], &mut dguard[doff..doff + dbpp]);
-                    d.copy_from_slice(s);
-                } else {
-                    let c = src.format().decode(&sguard[soff..soff + sbpp]);
-                    dst.format().encode(c, &mut dguard[doff..doff + dbpp]);
-                }
-            }
-        }
-    }
-    u64::from(dst_rect.w) * u64::from(dst_rect.h)
+    blit_clipped(src, src_rect, dst, dst_rect, Rect::of_image(dst))
 }
 
-/// Writes exactly the bytes [`blit`] would write inside `clip`, with
-/// identical sampling arithmetic: `dst_rect` keeps its role as the
-/// *logical* destination (so the integer-division scale positions are
-/// unchanged) and only the pixels inside `clip ∩ dst_rect ∩ dst
-/// bounds` are touched. This is the compositor's clipping primitive
-/// (DESIGN.md §5g): the flinger passes the panel, so a destination
-/// rect hanging past the image edge is legal here, unlike [`blit`],
-/// which panics.
+/// Writes the pixels of a nearest-neighbour blit of `src_rect` into
+/// `dst_rect` that fall inside `clip ∩ dst_rect ∩ dst bounds`, under one
+/// read guard + one write guard. `dst_rect` stays the *logical*
+/// destination, so the integer-division scale positions do not depend
+/// on the clip. This is the compositor's clipping primitive (DESIGN.md
+/// §5g): the flinger passes the panel, so a destination rect hanging
+/// past the image edge is legal here, unlike [`blit`], which panics.
+/// Returns the number of pixels written.
 ///
-/// When the effective clip covers all of `dst_rect`, this *is*
-/// [`blit`]. Returns the number of pixels written.
+/// Bytes match [`reference::blit`] restricted to the clip. Same-format
+/// copies move raw pixel bytes, and unscaled RGBA↔BGRA copies swap
+/// bytes 0 and 2: the reference's decode→encode round trip is the
+/// identity on bytes within every [`PixelFormat`] and the pure swizzle
+/// between the two 8888 layouts (both asserted exhaustively by tests).
+/// Blits where `src` aliases `dst` keep the reference's per-pixel visit
+/// order, hence its read-your-own-writes semantics.
 ///
 /// # Panics
 ///
@@ -1011,61 +940,66 @@ pub fn blit_clipped(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect, cl
     if eff.is_empty() {
         return 0;
     }
-    if eff == dst_rect {
-        return blit(src, src_rect, dst, dst_rect);
-    }
+    let src_x = |x: u32| src_rect.x + (x - dst_rect.x) * src_rect.w / dst_rect.w;
+    let src_y = |y: u32| src_rect.y + (y - dst_rect.y) * src_rect.h / dst_rect.h;
+    let rows = eff.y..eff.y + eff.h;
     if src.aliases(dst) {
-        // Same per-pixel visit order as the reference path, restricted
-        // to the clip — read-your-own-writes semantics, minus the
-        // clipped-out writes.
-        let mut written = 0;
-        for y in eff.y..eff.y + eff.h {
-            let sy = src_rect.y + (y - dst_rect.y) * src_rect.h / dst_rect.h;
+        for y in rows {
             for x in eff.x..eff.x + eff.w {
-                let sx = src_rect.x + (x - dst_rect.x) * src_rect.w / dst_rect.w;
-                let c = src.pixel_rgba(sx, sy);
-                dst.set_pixel(x, y, c);
-                written += 1;
+                dst.set_pixel(x, y, src.pixel_rgba(src_x(x), src_y(y)));
             }
         }
-        return written;
+        return eff.area();
     }
 
-    let sbpp = src.format().bytes_per_pixel();
-    let dbpp = dst.format().bytes_per_pixel();
-    let srb = src.row_bytes();
-    let drb = dst.row_bytes();
-    let same_format = src.format() == dst.format();
-    let unscaled = src_rect.w == dst_rect.w && src_rect.h == dst_rect.h;
+    let (sformat, dformat) = (src.format(), dst.format());
+    let (sbpp, dbpp) = (sformat.bytes_per_pixel(), dformat.bytes_per_pixel());
+    let (srb, drb) = (src.row_bytes(), dst.row_bytes());
     let sguard = src.buffer().read_guard();
     let mut dguard = dst.buffer().write_guard();
+    // For destination row y: where its source row starts, and the bytes
+    // of its clipped span.
+    let srow_at = |y: u32| src_y(y) as usize * srb;
+    let dspan = |y: u32| {
+        let start = y as usize * drb + eff.x as usize * dbpp;
+        start..start + eff.w as usize * dbpp
+    };
 
-    if same_format && unscaled {
-        // Row memcpy over the clipped columns, as `blit` would emit for
-        // exactly these bytes.
-        let row_len = eff.w as usize * dbpp;
-        for dy in 0..eff.h {
-            let sy = src_rect.y + (eff.y - dst_rect.y) + dy;
-            let sx = src_rect.x + (eff.x - dst_rect.x);
-            let soff = sy as usize * srb + sx as usize * sbpp;
-            let doff = (eff.y + dy) as usize * drb + eff.x as usize * dbpp;
-            dguard[doff..doff + row_len].copy_from_slice(&sguard[soff..soff + row_len]);
+    let unscaled = src_rect.w == dst_rect.w && src_rect.h == dst_rect.h;
+    let swizzle_8888 = matches!(
+        (sformat, dformat),
+        (PixelFormat::Rgba8888, PixelFormat::Bgra8888)
+            | (PixelFormat::Bgra8888, PixelFormat::Rgba8888)
+    );
+    if unscaled && (sformat == dformat || swizzle_8888) {
+        let scol = src_x(eff.x) as usize * sbpp;
+        for y in rows {
+            let drow = &mut dguard[dspan(y)];
+            let srow = &sguard[srow_at(y) + scol..][..drow.len()];
+            if sformat == dformat {
+                drow.copy_from_slice(srow);
+            } else {
+                for (d, s) in drow.chunks_exact_mut(4).zip(srow.chunks_exact(4)) {
+                    d.copy_from_slice(&[s[2], s[1], s[0], s[3]]);
+                }
+            }
         }
     } else {
-        for y in eff.y..eff.y + eff.h {
-            let sy = src_rect.y + (y - dst_rect.y) * src_rect.h / dst_rect.h;
-            let srow = sy as usize * srb;
-            let drow = y as usize * drb;
-            for x in eff.x..eff.x + eff.w {
-                let sx = src_rect.x + (x - dst_rect.x) * src_rect.w / dst_rect.w;
-                let soff = srow + sx as usize * sbpp;
-                let doff = drow + x as usize * dbpp;
-                if same_format {
-                    let (s, d) = (&sguard[soff..soff + sbpp], &mut dguard[doff..doff + dbpp]);
-                    d.copy_from_slice(s);
-                } else {
-                    let c = src.format().decode(&sguard[soff..soff + sbpp]);
-                    dst.format().encode(c, &mut dguard[doff..doff + dbpp]);
+        // Scaled or converting: the source byte offset of each clipped
+        // destination column, computed once per blit.
+        let scols: Vec<usize> =
+            (eff.x..eff.x + eff.w).map(|x| src_x(x) as usize * sbpp).collect();
+        let same_format = sformat == dformat;
+        for y in rows {
+            let srow = &sguard[srow_at(y)..];
+            let pixels = dguard[dspan(y)].chunks_exact_mut(dbpp).zip(&scols);
+            if same_format {
+                for (d, &sc) in pixels {
+                    d.copy_from_slice(&srow[sc..sc + sbpp]);
+                }
+            } else {
+                for (d, &sc) in pixels {
+                    dformat.encode(sformat.decode(&srow[sc..sc + sbpp]), d);
                 }
             }
         }

@@ -292,9 +292,11 @@ proptest! {
         dw in 4u32..16, dh in 4u32..16,
         rx in 0u32..16, ry in 0u32..16, rw in 1u32..16, rh in 1u32..16,
         cx in 0u32..16, cy in 0u32..16, cw in 0u32..16, ch in 0u32..16,
-        seed: u8,
+        seed: u8, sf in 0usize..3, df in 0usize..3,
     ) {
-        let src = Image::new(sw, sh, PixelFormat::Rgba8888);
+        // Same-format, RGBA↔BGRA swizzle and converting blits.
+        let formats = [PixelFormat::Rgba8888, PixelFormat::Bgra8888, PixelFormat::Rgb565];
+        let src = Image::new(sw, sh, formats[sf]);
         for y in 0..sh {
             for x in 0..sw {
                 src.set_pixel(x, y, Rgba::from_bytes([
@@ -309,11 +311,11 @@ proptest! {
         let clip = Rect { x: cx, y: cy, w: cw, h: ch };
         // Oracle: blit onto a copy with no bounds restriction, then keep
         // only the pixels inside clip ∩ dst_rect ∩ image bounds.
-        let clipped = Image::new(dw, dh, PixelFormat::Rgba8888);
-        let oracle = Image::new(dw, dh, PixelFormat::Rgba8888);
+        let clipped = Image::new(dw, dh, formats[df]);
+        let oracle = Image::new(dw, dh, formats[df]);
         clipped.fill(Rgba::WHITE);
         oracle.fill(Rgba::WHITE);
-        let full = Image::new(dw, dh, PixelFormat::Rgba8888);
+        let full = Image::new(dw, dh, formats[df]);
         full.fill(Rgba::WHITE);
         let eff = dst_rect.intersect(&clip).intersect(&Rect::of_image(&full));
         if dst_rect.intersect(&Rect::of_image(&full)) == dst_rect {

@@ -16,6 +16,7 @@
 //!   to the driver through `ioctl`s.
 //! * [`SurfaceFlinger`] — the compositor that posts buffers to the display.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -15,6 +15,7 @@
 //! * [`IoMobileFramebuffer`] — the display-flip driver iOS composition
 //!   uses.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -32,6 +32,7 @@
 //! # Ok::<(), cycada_kernel::KernelError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

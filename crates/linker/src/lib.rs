@@ -43,6 +43,7 @@
 //! # Ok::<(), cycada_linker::LinkerError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -45,6 +45,7 @@
 //! stream. Each session keeps its own texture map and metered region;
 //! only the selected session's scope is open.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -77,15 +78,6 @@ pub const MARK_SESSION: &str = "cyt:session";
 // Options and errors
 // ----------------------------------------------------------------------
 
-/// Deliberate faults a replay can inject (regression tests for the
-/// divergence machinery itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// Perturbs the red channel of every replayed `clear`, forcing a
-    /// pixel divergence at the next present.
-    WrongClearColor,
-}
-
 /// What a replay checks and how it runs.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
@@ -95,8 +87,6 @@ pub struct ReplayOptions {
     /// when replaying onto shared fleet devices (see module docs) or
     /// while shrinking (removing calls shifts every later timestamp).
     pub check_timestamps: bool,
-    /// Deliberate fault to inject.
-    pub fault: Option<Fault>,
     /// Re-record the replayed session into a fresh [`Stream`], returned
     /// in [`ReplayOutcome::rerecording`]. A faithful replay re-records
     /// byte-identically — the strongest round-trip check.
@@ -108,7 +98,6 @@ impl Default for ReplayOptions {
         ReplayOptions {
             check_digests: true,
             check_timestamps: true,
-            fault: None,
             rerecord: false,
         }
     }
@@ -429,11 +418,7 @@ fn drive(
         match name {
             MARK_SESSION => {} // switched above
             op::CLEAR => {
-                let mut r = arg_f32(a(0));
-                if opts.fault == Some(Fault::WrongClearColor) {
-                    r = (r + 0.5) % 1.0;
-                }
-                app.clear(r, arg_f32(a(1)), arg_f32(a(2)), arg_f32(a(3)))
+                app.clear(arg_f32(a(0)), arg_f32(a(1)), arg_f32(a(2)), arg_f32(a(3)))
                     .map_err(session_err)?;
             }
             op::SCISSOR => {
@@ -702,8 +687,7 @@ pub fn shrink_calls(stream: &Stream, fails: impl Fn(&Stream) -> bool) -> Stream 
 /// [`shrink_calls`] with a pixel-divergence predicate: a candidate fails
 /// while its replay still reports a [`DivergenceKind::Pixels`]
 /// divergence. Timestamp checks are off while shrinking — removing calls
-/// legitimately shifts every later timestamp — and the same fault (if
-/// any) is injected into every candidate replay.
+/// legitimately shifts every later timestamp.
 pub fn shrink_divergence(stream: &Stream, opts: &ReplayOptions) -> Stream {
     let probe = ReplayOptions {
         check_timestamps: false,

@@ -11,15 +11,13 @@
 //!
 //! Instrumented seams in this crate and its dependents:
 //!
-//! * the trace seqlock ring ([`crate::trace`]): writer publish steps and
-//!   snapshot read/verify steps;
 //! * [`crate::slots::SlotTable`] chunk publication;
 //! * [`crate::intern`] `FnId` interning and `FnTable` slot initialisation;
 //! * [`crate::VirtualClock::charge_ns`] — the charge ledger, the hottest
 //!   path in the simulator;
 //! * `cycada_diplomat`'s `ImpersonationGuard` begin/end persona walks;
 //! * every `parking_lot` `Mutex`/`RwLock` acquire and release (modeled
-//!   directly by the shim).
+//!   directly by the shim), which covers the [`crate::trace`] rings.
 
 pub use parking_lot::schedule::{
     activate, enabled, install, managed, point, Access, ActiveGuard, Event, Hook,

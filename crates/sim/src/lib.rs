@@ -30,6 +30,7 @@
 //! assert_eq!(clock.now_ns(), 225);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

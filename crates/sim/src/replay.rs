@@ -23,10 +23,7 @@
 //!
 //! Mirrors the trace plane: with no recording attached anywhere in the
 //! process, every instrumented call site is one relaxed atomic load and a
-//! predictable branch (`benches/replay.rs`, `BENCH_replay.json`). The
-//! `CYCADA_RECORD` environment variable is a master kill switch —
-//! `CYCADA_RECORD=0` makes [`Recording::attach`] a no-op process-wide —
-//! consulted once, lazily, like `CYCADA_TRACE`.
+//! predictable branch (`benches/replay.rs`, `BENCH_replay.json`).
 //!
 //! # Virtual timestamps
 //!
@@ -47,7 +44,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -76,14 +73,6 @@ pub const MARK_END: &str = "cyt:end";
 /// fast path at every call site is a single relaxed load of this.
 static ACTIVE: AtomicU32 = AtomicU32::new(0);
 
-const MASTER_UNINIT: u8 = 0;
-const MASTER_OFF: u8 = 1;
-const MASTER_ON: u8 = 2;
-
-/// Tri-state master switch so the first attach can consult
-/// `CYCADA_RECORD` without adding cost to later attaches.
-static MASTER: AtomicU8 = AtomicU8::new(MASTER_UNINIT);
-
 /// Whether any recording is attached anywhere in the process. One relaxed
 /// atomic load; instrumented call sites branch on this before doing any
 /// argument marshalling.
@@ -92,35 +81,10 @@ pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
-#[cold]
-fn init_master() -> bool {
-    let on = match std::env::var("CYCADA_RECORD") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    };
-    MASTER.store(if on { MASTER_ON } else { MASTER_OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Whether the `CYCADA_RECORD` master switch permits attaching
-/// recordings (it defaults to on; `CYCADA_RECORD=0` kills the plane).
+/// Always `true`: recording has no off switch. Kept only because the
+/// benchmark calls it; remove with the next benchmark change.
 pub fn master_enabled() -> bool {
-    match MASTER.load(Ordering::Relaxed) {
-        MASTER_ON => true,
-        MASTER_OFF => false,
-        _ => init_master(),
-    }
-}
-
-/// Overrides the master switch (tests). `None` re-arms the lazy
-/// `CYCADA_RECORD` lookup.
-pub fn set_master(on: Option<bool>) {
-    let state = match on {
-        Some(true) => MASTER_ON,
-        Some(false) => MASTER_OFF,
-        None => MASTER_UNINIT,
-    };
-    MASTER.store(state, Ordering::Relaxed);
+    true
 }
 
 thread_local! {
@@ -366,16 +330,11 @@ impl Recording {
 
     /// Attaches this recording to the calling host thread and arms the
     /// process-wide gate. Timestamps are measured from the attach point.
-    /// Returns an inert guard (recording nothing) when the
-    /// `CYCADA_RECORD` kill switch is off.
     pub fn attach(&self) -> RecordGuard {
-        if !master_enabled() {
-            return RecordGuard { armed: false };
-        }
         self.inner.lock().base = VirtualClock::thread_charged_ns();
         ATTACHED.with(|t| t.borrow_mut().push(self.inner.clone()));
         ACTIVE.fetch_add(1, Ordering::Relaxed);
-        RecordGuard { armed: true }
+        RecordGuard { _private: () }
     }
 
     /// Snapshot of everything recorded so far as an immutable [`Stream`].
@@ -404,17 +363,15 @@ impl Recording {
 /// recording is bound to the attaching thread's ledger.
 #[derive(Debug)]
 pub struct RecordGuard {
-    armed: bool,
+    _private: (),
 }
 
 impl Drop for RecordGuard {
     fn drop(&mut self) {
-        if self.armed {
-            ATTACHED.with(|t| {
-                t.borrow_mut().pop();
-            });
-            ACTIVE.fetch_sub(1, Ordering::Relaxed);
-        }
+        ATTACHED.with(|t| {
+            t.borrow_mut().pop();
+        });
+        ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -756,19 +713,6 @@ mod tests {
         assert!(!active());
         record(op::FLUSH, &[], &[]);
         assert_eq!(rec.len(), 1);
-    }
-
-    #[test]
-    fn master_kill_switch_disarms_attach() {
-        set_master(Some(false));
-        let rec = Recording::new(sample().meta);
-        {
-            let _g = rec.attach();
-            assert!(!active());
-            record(op::FLUSH, &[], &[]);
-        }
-        assert!(rec.is_empty());
-        set_master(Some(true));
     }
 
     #[test]

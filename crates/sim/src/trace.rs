@@ -18,8 +18,9 @@
 //!   relaxed atomic load and a predictable branch — low single-digit
 //!   nanoseconds (`benches/trace.rs`, `BENCH_trace.json`).
 //! * **Enabled**: an event is one append into the calling thread's own
-//!   ring buffer (a seqlock-protected slot write — no locks, no waiting,
-//!   no allocation after the ring exists).
+//!   ring under that ring's lock. Only the owning thread appends and a
+//!   drain takes the lock once per ring, so the lock is uncontended in
+//!   practice.
 //! * **Counters** on failure and lifecycle paths are *always on* (one
 //!   relaxed `fetch_add`), so a swallowed [`ImpersonationGuard`] drop
 //!   error or a skipped TLS-teardown eviction is observable even with
@@ -30,22 +31,21 @@
 //!
 //! # Ring buffer layout
 //!
-//! Each host thread owns one fixed-capacity ring ([`RING_CAPACITY`] slots)
-//! registered in a global list on first use; the ring outlives its thread
-//! so events recorded during thread teardown (the interesting ones) are
-//! still drained. Appends are single-producer: only the owning thread
-//! writes, guarded by a per-slot sequence word (odd = write in progress,
-//! even = slot holds the event whose index the word encodes). Snapshots
-//! from any thread validate the sequence word around the copy and drop
-//! torn slots, so a drain concurrent with tracing loses at most the events
-//! being overwritten — it never blocks the traced thread.
+//! Each host thread owns one ring, a locked `VecDeque` registered in a
+//! global list on first use. It grows as it fills up to
+//! [`RING_CAPACITY`] events and then drops its oldest event per append.
+//! A ring outlives its thread, so events recorded during thread teardown
+//! (the interesting ones) are still drained. [`drain`] empties each ring
+//! under its lock, so every event is returned exactly once however the
+//! drain interleaves with appends, and it unregisters (frees) the rings
+//! of threads that have exited once they are empty.
 //!
 //! [`ImpersonationGuard`]: crate::trace#impersonation
 
 use std::cell::{OnceCell, RefCell};
+use std::collections::VecDeque;
 use std::fmt;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -53,7 +53,7 @@ use parking_lot::Mutex;
 
 use crate::{Nanos, VirtualClock};
 
-/// Events kept per host thread before the oldest is overwritten.
+/// Events kept per host thread before the oldest is dropped.
 pub const RING_CAPACITY: usize = 4096;
 
 // ----------------------------------------------------------------------
@@ -168,9 +168,6 @@ pub enum Counter {
     /// meaningless. Always on — each bump is a metered span whose
     /// virtual time was silently lost (credited as zero).
     MeterLedgerInversions,
-    /// Fleet tasks executed by a worker other than the one they were
-    /// initially queued on (work-stealing migrations).
-    FleetTasksStolen,
     /// Fleet tasks that finished after their per-task wall deadline.
     FleetDeadlineMisses,
     /// Teardown errors swallowed when a session's `AppGl` drops. Always
@@ -181,7 +178,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 26] = [
         Counter::DiplomatCalls,
         Counter::PersonaSwitches,
         Counter::ImpersonationsBegun,
@@ -206,7 +203,6 @@ impl Counter {
         Counter::TilesSkippedOccluded,
         Counter::DamageFullFallbacks,
         Counter::MeterLedgerInversions,
-        Counter::FleetTasksStolen,
         Counter::FleetDeadlineMisses,
         Counter::SessionTeardownErrors,
     ];
@@ -238,7 +234,6 @@ impl Counter {
             Counter::TilesSkippedOccluded => "tiles-skipped-occluded",
             Counter::DamageFullFallbacks => "damage-full-fallbacks",
             Counter::MeterLedgerInversions => "meter-ledger-inversions",
-            Counter::FleetTasksStolen => "fleet-tasks-stolen",
             Counter::FleetDeadlineMisses => "fleet-deadline-misses",
             Counter::SessionTeardownErrors => "session-teardown-errors",
         }
@@ -325,8 +320,7 @@ pub enum EventKind {
     Instant,
 }
 
-/// One recorded event. Plain `Copy` data so ring slots can be snapshotted
-/// under the seqlock protocol.
+/// One recorded event: plain `Copy` data.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     /// Static event name (for diplomat spans, the diplomat's name).
@@ -359,146 +353,72 @@ pub struct TraceEvent {
 // Per-thread rings
 // ----------------------------------------------------------------------
 
-struct Slot {
-    /// Odd = a write is in progress; even value `2*(idx+1)` = the slot
-    /// holds the completed event with ring index `idx`.
-    seq: AtomicU64,
-    data: std::cell::UnsafeCell<MaybeUninit<TraceEvent>>,
-}
-
+#[derive(Debug)]
 struct ThreadRing {
     tid: u64,
-    /// Next write index (monotonically increasing; slot = head % capacity).
-    head: AtomicU64,
-    /// Indices below this were logically cleared by `clear()`.
-    cleared: AtomicU64,
-    slots: Box<[Slot]>,
+    /// [`RING_CAPACITY`] for every real ring; smaller only in models.
+    capacity: usize,
+    /// Oldest first, at most `capacity` long.
+    events: Mutex<VecDeque<TraceEvent>>,
 }
-
-// SAFETY: `data` is only written by the owning thread (single producer via
-// the thread-local handle); concurrent readers validate `seq` around the
-// copy and discard torn reads, seqlock-style.
-unsafe impl Sync for ThreadRing {}
-unsafe impl Send for ThreadRing {}
 
 impl ThreadRing {
     fn new(tid: u64) -> Self {
         Self::with_capacity(tid, RING_CAPACITY)
     }
 
-    /// Capacity-parametric constructor: production rings use
-    /// [`RING_CAPACITY`]; model-checker tests use tiny rings (see
-    /// [`model::RawRing`]) so wraparound interleavings stay explorable.
     fn with_capacity(tid: u64, capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be nonzero");
-        ThreadRing {
-            tid,
-            head: AtomicU64::new(0),
-            cleared: AtomicU64::new(0),
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    data: std::cell::UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
-        }
+        assert!(capacity > 0, "a trace ring must hold at least one event");
+        ThreadRing { tid, capacity, events: Mutex::new(VecDeque::new()) }
     }
 
-    /// Schedule-point identity of this ring.
-    fn obj(&self) -> usize {
-        std::ptr::from_ref(self) as usize
-    }
-
-    /// Owner-thread-only append.
-    ///
-    /// The `trace.push.*` schedule points expose each seqlock state a
-    /// concurrent snapshot can observe: before the odd (write-in-progress)
-    /// seq store, between the seq store and the data write, between the
-    /// data write and the completing even store, and before the head
-    /// publish.
+    /// Appends `ev`, dropping the oldest event when the ring is full.
     fn push(&self, ev: TraceEvent) {
-        let obj = self.obj();
-        let idx = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(idx as usize) % self.slots.len()];
-        crate::check::schedule_point("trace.push", obj, crate::check::Access::Write);
-        slot.seq.store(idx * 2 + 1, Ordering::Release);
-        crate::check::schedule_point("trace.push.wip", obj, crate::check::Access::Write);
-        // SAFETY: single producer — only the owning thread calls push, and
-        // the odd seq word warns readers off while the write is in flight.
-        unsafe { (*slot.data.get()).write(ev) };
-        crate::check::schedule_point("trace.push.seal", obj, crate::check::Access::Write);
-        slot.seq.store((idx + 1) * 2, Ordering::Release);
-        crate::check::schedule_point("trace.push.publish", obj, crate::check::Access::Write);
-        self.head.store(idx + 1, Ordering::Release);
+        let mut events = self.events.lock();
+        if events.len() == self.capacity {
+            events.pop_front();
+        }
+        events.push_back(ev);
     }
 
-    /// Copies out every valid, uncleared event. Safe from any thread.
-    ///
-    /// Work is bounded by construction: one pass over at most
-    /// `slots.len()` indices, no retry loop — a torn slot is skipped, not
-    /// re-read (the `trace.snap.*` points let the model checker interleave
-    /// a writer at both racy windows and confirm the reject-don't-retry
-    /// discipline).
-    fn snapshot_into(&self, out: &mut Vec<TraceEvent>) {
-        let obj = self.obj();
-        crate::check::schedule_point("trace.snap.begin", obj, crate::check::Access::Read);
-        let head = self.head.load(Ordering::Acquire);
-        let floor = self.cleared.load(Ordering::Acquire);
-        let start = head.saturating_sub(self.slots.len() as u64).max(floor);
-        for idx in start..head {
-            let slot = &self.slots[(idx as usize) % self.slots.len()];
-            crate::check::schedule_point("trace.snap.read", obj, crate::check::Access::Read);
-            let seq1 = slot.seq.load(Ordering::Acquire);
-            if seq1 != (idx + 1) * 2 {
-                continue; // overwritten by a newer event or mid-write
-            }
-            // SAFETY: seqlock read — copy the bytes, fence, then re-check
-            // the sequence word; a torn copy is discarded un-inspected.
-            let ev = unsafe { std::ptr::read(slot.data.get()) };
-            fence(Ordering::Acquire);
-            crate::check::schedule_point("trace.snap.verify", obj, crate::check::Access::Read);
-            if slot.seq.load(Ordering::Relaxed) == seq1 {
-                // SAFETY: seq unchanged across the copy, so the slot held
-                // a fully initialized event the whole time.
-                out.push(unsafe { ev.assume_init() });
-            }
-        }
+    /// Takes every buffered event, leaving the ring empty.
+    fn take(&self) -> VecDeque<TraceEvent> {
+        std::mem::take(&mut *self.events.lock())
     }
 }
 
-/// Test-only handles over the trace internals for the `cycada_check`
+/// Test-only handle over the trace internals for the `cycada_check`
 /// model suite. Hidden: not part of the crate's supported API.
 #[doc(hidden)]
 pub mod model {
     use super::*;
 
-    /// A standalone seqlock ring with a tiny, explicit capacity, NOT
-    /// registered in the global ring registry (so model executions do not
-    /// leak rings or perturb real trace output). Synthetic events encode a
-    /// self-consistency relation (`wall_start_ns == arg * 3 + 1`) so a
-    /// torn read that mixes two events is detectable.
+    /// A ring NOT registered in the global ring registry, so model
+    /// executions neither leak rings nor perturb real trace output.
     #[derive(Debug)]
-    pub struct RawRing(ThreadRing);
+    pub struct Ring(ThreadRing);
 
-    impl std::fmt::Debug for ThreadRing {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("ThreadRing")
-                .field("tid", &self.tid)
-                .field("capacity", &self.slots.len())
-                .finish()
+    impl Default for Ring {
+        fn default() -> Self {
+            Ring(ThreadRing::new(0))
         }
     }
 
-    impl RawRing {
-        /// A ring with `capacity` slots (tid 0, unregistered).
+    impl Ring {
+        /// A ring that drops its oldest event once it holds `capacity`,
+        /// so a model can wrap it in a few appends.
         pub fn with_capacity(capacity: usize) -> Self {
-            RawRing(ThreadRing::with_capacity(0, capacity))
+            Ring(ThreadRing::with_capacity(0, capacity))
         }
 
-        /// Single-producer append of a synthetic event carrying `arg`.
-        /// Callers must uphold the owner-thread-only discipline: exactly
-        /// one thread of a model may push.
-        pub fn push_synthetic(&self, arg: u64) {
+        pub fn capacity(&self) -> usize {
+            self.0.capacity
+        }
+
+        /// Appends a synthetic instant carrying `arg`, with
+        /// `wall_start_ns = arg * 3 + 1` so a reader can tell a whole
+        /// event from one mixed out of two.
+        pub fn push(&self, arg: u64) {
             self.0.push(TraceEvent {
                 name: "model",
                 cat: Category::App,
@@ -513,17 +433,15 @@ pub mod model {
             });
         }
 
-        /// Snapshot from any thread; returns `(arg, wall_start_ns)` pairs
-        /// so tests can assert the torn-read consistency relation.
-        pub fn snapshot_pairs(&self) -> Vec<(u64, u64)> {
-            let mut out = Vec::new();
-            self.0.snapshot_into(&mut out);
-            out.iter().map(|ev| (ev.arg, ev.wall_start_ns)).collect()
+        /// Takes every buffered event, as [`super::drain`] does per ring,
+        /// and returns their args, oldest first.
+        pub fn drain(&self) -> Vec<u64> {
+            self.0.take().iter().map(|ev| ev.arg).collect()
         }
 
-        /// Ring capacity (snapshot can never return more events).
-        pub fn capacity(&self) -> usize {
-            self.0.slots.len()
+        /// As [`Ring::drain`], returning `(arg, wall_start_ns)` pairs.
+        pub fn drain_pairs(&self) -> Vec<(u64, u64)> {
+            self.0.take().iter().map(|ev| (ev.arg, ev.wall_start_ns)).collect()
         }
     }
 }
@@ -710,29 +628,39 @@ pub fn span(cat: Category, name: &'static str) -> SpanGuard {
 /// Copies out every buffered event across all threads, oldest first
 /// (sorted by wall start, then thread). Does not clear.
 pub fn snapshot() -> Vec<TraceEvent> {
-    let rings: Vec<Arc<ThreadRing>> = registry().lock().clone();
-    let mut out = Vec::new();
-    for ring in rings {
-        ring.snapshot_into(&mut out);
+    let mut out: Vec<TraceEvent> = Vec::new();
+    for ring in registry().lock().iter() {
+        out.extend(ring.events.lock().iter());
     }
     out.sort_by_key(|e| (e.wall_start_ns, e.tid));
     out
 }
 
-/// Logically clears every thread's buffered events (threads may keep
-/// appending concurrently; their new events survive).
-pub fn clear() {
-    for ring in registry().lock().iter() {
-        let head = ring.head.load(Ordering::Acquire);
-        ring.cleared.store(head, Ordering::Release);
-    }
+/// Empties every ring into `sink`, and unregisters the rings of threads
+/// that have exited.
+fn take_rings(mut sink: impl FnMut(VecDeque<TraceEvent>)) {
+    registry().lock().retain(|ring| {
+        // Once the registry holds the only handle, the thread's
+        // thread-local is gone and nothing can append after this check.
+        let exited = Arc::strong_count(ring) == 1;
+        sink(ring.take());
+        !exited
+    });
 }
 
-/// [`snapshot`] then [`clear`]: take the buffered events exactly once.
+/// Discards every thread's buffered events (threads may keep appending
+/// concurrently; their new events survive).
+pub fn clear() {
+    take_rings(drop);
+}
+
+/// Takes the buffered events of every thread: each event is returned by
+/// exactly one drain. Sorted like [`snapshot`].
 pub fn drain() -> Vec<TraceEvent> {
-    let events = snapshot();
-    clear();
-    events
+    let mut out = Vec::new();
+    take_rings(|events| out.extend(events));
+    out.sort_by_key(|e| (e.wall_start_ns, e.tid));
+    out
 }
 
 /// Clears events **and** zeroes every counter (test isolation).
@@ -967,6 +895,33 @@ mod tests {
         assert_eq!(events.len(), 5, "dead threads' rings are still drained");
         let tids: std::collections::HashSet<u64> = events.iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 5, "each thread has its own trace tid");
+    }
+
+    #[test]
+    fn drain_unregisters_the_rings_of_exited_threads() {
+        let _l = TEST_LOCK.lock();
+        set_enabled(true);
+        let tids: Vec<u64> = (0..4)
+            .map(|i| {
+                thread::spawn(move || {
+                    instant(Category::App, "trace_test_exit", i);
+                    THREAD_RING.with(|cell| cell.get().expect("ring registered").tid)
+                })
+                .join()
+                .unwrap()
+            })
+            .collect();
+        set_enabled(false);
+        let drained = drain()
+            .into_iter()
+            .filter(|e| e.name == "trace_test_exit")
+            .count();
+        assert_eq!(drained, 4, "exited threads' events are drained once");
+        let registry = registry().lock();
+        assert!(
+            registry.iter().all(|ring| !tids.contains(&ring.tid)),
+            "a drained ring of an exited thread stays registered"
+        );
     }
 
     #[test]

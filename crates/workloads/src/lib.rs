@@ -15,6 +15,7 @@
 //! * [`passmark`] — the PassMark-shaped 2D/3D GPU tests behind
 //!   **Figures 6/8/10**.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

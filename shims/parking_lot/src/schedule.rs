@@ -4,9 +4,9 @@
 //! Every synchronization-relevant operation in the workspace funnels
 //! through [`point`]: lock acquire/release in this shim, plus the explicit
 //! `schedule_point()` calls `cycada_sim` sprinkles over its lock-free
-//! structures (trace seqlock, `SlotTable` chunk publication, `FnTable`
-//! interning, the `VirtualClock` charge ledger) and `cycada_diplomat`'s
-//! impersonation begin/end.
+//! structures (`SlotTable` chunk publication, `FnTable` interning, the
+//! `VirtualClock` charge ledger) and `cycada_diplomat`'s impersonation
+//! begin/end.
 //!
 //! The contract mirrors the trace gate in `cycada_sim::trace`:
 //!
@@ -70,7 +70,7 @@ impl Access {
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// Static description of the call site (e.g. `"mutex"`,
-    /// `"trace.push"`).
+    /// `"gralloc.handle"`).
     pub label: &'static str,
     /// Identity of the touched object — typically its address. Only
     /// compared for equality, and only against events from the same

@@ -40,7 +40,7 @@ use cycada_gles::{
 use cycada_gpu::math::Mat4;
 use cycada_gpu::{GpuDevice, Image, PixelFormat};
 use cycada_replay::{
-    gles_code, gles_from_code, replay_on_device, Fault, ReplayOptions, ReplayOutcome, MARK_SESSION,
+    gles_code, gles_from_code, replay_on_device, ReplayOptions, ReplayOutcome, MARK_SESSION,
 };
 use cycada_sim::replay::{
     arg_f32, arg_i32, f32_arg, i32_arg, op, Call, Stream, StreamMeta, MARK_END,
@@ -609,10 +609,30 @@ fn replay_fresh(stream: &Stream, opts: &ReplayOptions) -> Result<(ReplayOutcome,
     Ok((outcome, scanout))
 }
 
-fn check(stream: &Stream, fault: Option<Fault>) -> Result<(), String> {
+/// A deliberately wrong clear colour: moves the red channel of every
+/// `app:clear` by half its range and keeps the recorded digests, so a
+/// replay of the result diverges at the next present.
+pub fn wrong_clear_color(stream: &Stream) -> Stream {
+    let mut out = stream.clone();
+    for call in &mut out.calls {
+        if stream.name_of(call) != op::CLEAR {
+            continue;
+        }
+        if let Some(r) = call.args.first_mut() {
+            *r = f32_arg((arg_f32(*r) + 0.5) % 1.0);
+        }
+    }
+    out
+}
+
+fn check(stream: &Stream, mutate: Option<fn(&Stream) -> Stream>) -> Result<(), String> {
     let (expected, ref_frags) =
         run_reference(stream).map_err(|e| format!("reference path failed: {e}"))?;
-    let probe = ReplayOptions { check_timestamps: false, fault, rerecord: true, ..Default::default() };
+    let expected = match mutate {
+        Some(f) => f(&expected),
+        None => expected,
+    };
+    let probe = ReplayOptions { check_timestamps: false, rerecord: true, ..Default::default() };
     let (diplomat, scanout) =
         replay_fresh(&expected, &probe).map_err(|e| format!("diplomat path: {e}"))?;
     if diplomat.frags != ref_frags {
@@ -626,7 +646,7 @@ fn check(stream: &Stream, fault: Option<Fault>) -> Result<(), String> {
     // replay must repeat all of them and scan out the same bytes.
     let rerecording = diplomat.rerecording.expect("rerecord requested");
     let (_, rerun_scanout) =
-        replay_fresh(&rerecording, &ReplayOptions { fault, ..Default::default() })
+        replay_fresh(&rerecording, &ReplayOptions::default())
             .map_err(|e| format!("full-contract rerun: {e}"))?;
     if rerun_scanout != scanout {
         return Err("the full-contract rerun produced a different scanout".into());
@@ -635,14 +655,16 @@ fn check(stream: &Stream, fault: Option<Fault>) -> Result<(), String> {
 }
 
 /// Runs `stream` through the reference and twice through the diplomat
-/// path (module docs), injecting `fault` into both diplomat replays. A
-/// panic anywhere counts as a failure, so panicking streams shrink too.
+/// path (module docs). `mutate`, if given, rewrites the stream after the
+/// reference has computed its digests and before the diplomat path
+/// replays it. A panic anywhere counts as a failure, so panicking
+/// streams shrink too.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first divergence.
-pub fn check_stream(stream: &Stream, fault: Option<Fault>) -> Result<(), String> {
-    catch_unwind(AssertUnwindSafe(|| check(stream, fault))).unwrap_or_else(|panic| {
+pub fn check_stream(stream: &Stream, mutate: Option<fn(&Stream) -> Stream>) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(|| check(stream, mutate))).unwrap_or_else(|panic| {
         let msg = (panic.downcast_ref::<&str>().copied())
             .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
         Err(format!("panicked: {}", msg.unwrap_or("")))

@@ -1,7 +1,6 @@
-//! Fleet-plane correctness: the work-stealing orchestrator
-//! (`cycada-fleet`) must not perturb the session plane's determinism
-//! contract, no matter how sessions interleave across workers and
-//! shared devices.
+//! Fleet-plane correctness: the orchestrator (`cycada-fleet`) must not
+//! perturb the session plane's determinism contract, no matter how
+//! sessions interleave across workers and shared devices.
 //!
 //! Three angles:
 //!  * small-fleet-matches-solo — every session's framebuffer hash and
@@ -9,7 +8,7 @@
 //!    `(scenario, seed, frames, display)` on a private device;
 //!  * two-run determinism — the full per-session digest of a fleet run
 //!    is identical across two runs of the same seed and config, even
-//!    though scheduling (and who steals what) differs;
+//!    though scheduling (which worker claims which session) differs;
 //!  * oversubscription — sessions ≫ workers ≫ devices completes with
 //!    every session accounted for and no starvation.
 
@@ -85,8 +84,8 @@ fn different_seeds_change_the_digest() {
 fn oversubscribed_fleet_completes_every_session() {
     // Sessions ≫ workers ≫ devices: 48 sessions churn through 3 workers
     // on 2 shared devices. Every session completes (no starvation), the
-    // device rollups account for all of them, and with deques this
-    // oversubscribed the load stays meaningfully spread.
+    // device rollups account for all of them, and with this many
+    // sessions per worker the load stays meaningfully spread.
     let cfg = small_config("oversub", 2, 48, 3);
     let report = run_fleet(&cfg).expect("oversubscribed fleet must complete");
     assert_eq!(report.outcomes.len(), 48, "every session must finish");

@@ -18,9 +18,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use cycada_gles::{Capability, GlesVersion, Primitive, TexFormat};
-use cycada_integration::fuzz::{check_stream, generate, perturb_arg, StreamBuilder};
+use cycada_integration::fuzz::{
+    check_stream, generate, perturb_arg, wrong_clear_color, StreamBuilder,
+};
 use cycada_replay::{
-    corpus, f32_arg, i32_arg, replay_stream, shrink_calls, Fault, ReplayOptions,
+    corpus, f32_arg, i32_arg, replay_stream, shrink_calls, ReplayOptions,
     ReplayStream as Stream,
 };
 use cycada_sim::replay::op;
@@ -127,13 +129,13 @@ fn committed_fuzz_regressions_replay_clean() {
     }
 }
 
-/// A deliberately wrong clear color on the diplomat side fails the check
-/// on a generated stream, and the failure shrinks to a ≤ 3-call stream
+/// A deliberately wrong clear color on the diplomat side
+/// ([`wrong_clear_color`]) fails the check on a generated stream, and the failure shrinks to a ≤ 3-call stream
 /// that still fails after a `.cyt` round trip (and passes without the
 /// fault).
 #[test]
 fn injected_fault_fails_and_shrinks_to_a_minimal_stream() {
-    let fault = Some(Fault::WrongClearColor);
+    let fault: Option<fn(&Stream) -> Stream> = Some(wrong_clear_color);
     let stream = generate(BASE_SEED);
     assert!(check_stream(&stream, fault).is_err(), "faulted diplomat side must diverge");
     let shrunk = shrink_calls(&stream, |s| check_stream(s, fault).is_err());

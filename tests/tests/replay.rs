@@ -12,9 +12,9 @@ use cycada::{AppGl, CycadaError};
 use cycada_fleet::{solo_outcome, FleetConfig};
 use cycada_gles::{GlesVersion, Primitive};
 use cycada_gpu::raster::Rect;
-use cycada_integration::fuzz::StreamBuilder;
+use cycada_integration::fuzz::{wrong_clear_color, StreamBuilder};
 use cycada_replay::{
-    corpus, f64_arg, replay_stream, shrink_divergence, DivergenceKind, Fault, Recording,
+    corpus, f64_arg, replay_stream, shrink_divergence, DivergenceKind, Recording,
     ReplayError, ReplayOptions, MARK_SESSION,
 };
 use cycada_sim::replay::{op, Stream};
@@ -118,7 +118,6 @@ fn attached_session_stream_replays_and_rerecords_identically() {
         check_digests: false,
         check_timestamps: false,
         rerecord: true,
-        ..Default::default()
     };
     let recorded = replay_stream(&two_session_stream(), &probe)
         .expect("first replay")
@@ -147,23 +146,24 @@ fn session_marker_off_cycada_is_a_session_error() {
     }
 }
 
-/// The wrong-clear-color fault forces a pixel divergence, and
-/// ddmin shrinks the diverging trace to a minimal (≤ 3 call) trace that
-/// still reproduces it.
+/// A wrong clear colour under the recorded digests forces a pixel
+/// divergence, and ddmin shrinks the diverging trace to a minimal (≤ 3
+/// call) trace that still reproduces it.
 #[test]
 fn fault_diverges_and_shrinks_to_minimal_trace() {
     let stream = cycada_replay::record_scenario(Scenario::Passmark, SEED, FRAMES, DISPLAY)
         .expect("record must succeed");
 
-    let opts = ReplayOptions { fault: Some(Fault::WrongClearColor), ..Default::default() };
+    let faulted = wrong_clear_color(&stream);
+    let opts = ReplayOptions::default();
 
-    let err = replay_stream(&stream, &opts).expect_err("faulted replay must diverge");
+    let err = replay_stream(&faulted, &opts).expect_err("faulted replay must diverge");
     match &err {
         ReplayError::Diverged(d) => assert_eq!(d.kind, DivergenceKind::Pixels, "{err}"),
         other => panic!("expected a pixel divergence, got: {other}"),
     }
 
-    let minimal = shrink_divergence(&stream, &opts);
+    let minimal = shrink_divergence(&faulted, &opts);
     assert!(
         minimal.calls.len() <= 3,
         "ddmin must reach a ≤3-call trace, got {} calls",
@@ -181,8 +181,8 @@ fn fault_diverges_and_shrinks_to_minimal_trace() {
     let decoded = Stream::decode(&minimal.encode()).expect("minimal trace must encode/decode");
     assert_eq!(decoded, minimal);
 
-    // Without the fault machinery the original stream replays clean —
-    // the divergence was the fault's, not the recorder's.
+    // The unperturbed stream replays clean — the divergence was the
+    // fault's, not the recorder's.
     replay_stream(&stream, &ReplayOptions::default()).expect("unfaulted replay is clean");
 }
 
