@@ -444,11 +444,11 @@ impl AppGl {
         }
     }
 
-    /// Per-GLES-function diplomat statistics — only meaningful on
-    /// Cycada iOS (Figures 7–10).
+    /// A snapshot of the device's per-GLES-function diplomat statistics —
+    /// only meaningful on Cycada iOS (Figures 7–10).
     pub fn gl_stats(&self) -> Option<FunctionStats> {
         match &self.backend {
-            Backend::CycadaIos { device, .. } => Some(device.engine().stats().clone()),
+            Backend::CycadaIos { device, .. } => Some(device.engine().stats()),
             _ => None,
         }
     }

@@ -174,13 +174,28 @@ impl fmt::Debug for DiplomatEntry {
     }
 }
 
+/// Stripes of the engine-wide stats collector. Every host thread driving a
+/// session on the device records every bridged call there, so each thread
+/// writes its own stripe (assigned round-robin at its first call) and
+/// concurrent sessions do not share a stats lock; readers merge the stripes.
+const STATS_STRIPES: usize = 16;
+
+/// The calling host thread's stripe of the engine-wide collector.
+fn stats_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STATS_STRIPES;
+    }
+    STRIPE.with(|s| *s)
+}
+
 /// The engine executing diplomat calls for one Cycada process.
 pub struct DiplomatEngine {
     kernel: Arc<Kernel>,
     linker: Arc<DynamicLinker>,
     foreign: Persona,
     domestic: Persona,
-    stats: FunctionStats,
+    stats: [FunctionStats; STATS_STRIPES],
     graphics_tls: Arc<GraphicsTls>,
     gate_depth: Arc<AtomicUsize>,
     hook_id: u64,
@@ -206,7 +221,7 @@ impl DiplomatEngine {
             linker,
             foreign: Persona::Ios,
             domestic: Persona::Android,
-            stats: FunctionStats::new(),
+            stats: Default::default(),
             graphics_tls,
             gate_depth,
             hook_id,
@@ -233,9 +248,14 @@ impl DiplomatEngine {
         &self.linker
     }
 
-    /// Per-diplomat virtual-time statistics (Figures 7–10).
-    pub fn stats(&self) -> &FunctionStats {
-        &self.stats
+    /// A snapshot of the per-diplomat virtual-time statistics recorded so
+    /// far by every host thread (Figures 7–10).
+    pub fn stats(&self) -> FunctionStats {
+        let snapshot = FunctionStats::new();
+        for stripe in &self.stats {
+            snapshot.merge(stripe);
+        }
+        snapshot
     }
 
     /// The graphics TLS slot registry.
@@ -352,7 +372,7 @@ impl DiplomatEngine {
     /// foreign-only paths use this so their calls are attributed the same
     /// way diplomat calls are.
     pub fn record_call(&self, id: FnId, elapsed: Nanos) {
-        self.stats.record_id(id, elapsed);
+        self.stats[stats_stripe()].record_id(id, elapsed);
         STATS_SCOPES.with(|scopes| {
             for scoped in scopes.borrow().iter() {
                 scoped.record_id(id, elapsed);

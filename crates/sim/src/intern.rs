@@ -10,10 +10,11 @@
 //!
 //! This module restores the paper's shape. [`FnId`] interns a function name
 //! into a small dense integer (a `u32` index into a global append-only
-//! table); [`FnTable`] and [`FnDense`] are chunked, lock-free tables keyed
-//! by that integer. Steady-state dispatch becomes: load a cached [`FnId`],
-//! index a dense slot table, bump atomic counters. Locks are taken only at
-//! registration (first intern of a name) and snapshot time.
+//! table); [`FnTable`] is a chunked, lock-free table keyed by that integer.
+//! Steady-state dispatch becomes: load a cached [`FnId`], index a dense
+//! slot table, add to the collector's per-id record
+//! ([`crate::stats::FunctionStats`], one lock per collector). The intern
+//! lock is taken only at registration (first intern of a name).
 //!
 //! # Examples
 //!
@@ -201,90 +202,6 @@ impl<T> std::fmt::Debug for FnTable<T> {
     }
 }
 
-/// A chunked table of default-initialized values keyed by [`FnId`].
-///
-/// Unlike [`FnTable`], every slot in a touched chunk exists immediately with
-/// `T::default()`; [`FnDense::slot`] therefore always returns a reference.
-/// This is the shape the sharded stats accumulator needs: a slot of atomic
-/// counters that any thread can bump without an init handshake per slot.
-pub struct FnDense<T: Default> {
-    chunks: [OnceLock<Box<DenseChunk<T>>>; MAX_CHUNKS],
-}
-
-struct DenseChunk<T> {
-    slots: [T; CHUNK],
-}
-
-impl<T: Default> FnDense<T> {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        FnDense {
-            chunks: [const { OnceLock::new() }; MAX_CHUNKS],
-        }
-    }
-
-    /// Returns the slot for `id`, allocating its chunk on first touch.
-    pub fn slot(&self, id: FnId) -> &T {
-        let i = id.index();
-        let chunk = self.chunks[i / CHUNK].get_or_init(|| {
-            Box::new(DenseChunk {
-                slots: std::array::from_fn(|_| T::default()),
-            })
-        });
-        &chunk.slots[i % CHUNK]
-    }
-
-    /// Returns the slot for `id` only if its chunk is already allocated —
-    /// snapshot reads use this to skip untouched regions without allocating.
-    pub fn peek(&self, id: FnId) -> Option<&T> {
-        let i = id.index();
-        Some(&self.chunks.get(i / CHUNK)?.get()?.slots[i % CHUNK])
-    }
-}
-
-impl<T: Default> Default for FnDense<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Default> std::fmt::Debug for FnDense<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let populated = self.chunks.iter().filter(|c| c.get().is_some()).count();
-        f.debug_struct("FnDense")
-            .field("chunks", &populated)
-            .finish()
-    }
-}
-
-/// Pads and aligns `T` to a 64-byte cache line so per-shard counters do not
-/// false-share (the role crossbeam's `CachePadded` plays upstream).
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct CachePadded<T> {
-    value: T,
-}
-
-impl<T> CachePadded<T> {
-    /// Wraps `value`.
-    pub const fn new(value: T) -> Self {
-        CachePadded { value }
-    }
-}
-
-impl<T> std::ops::Deref for CachePadded<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T> std::ops::DerefMut for CachePadded<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.value
-    }
-}
-
 /// Caches a [`FnId`] in a call-site-local static, mirroring the paper's
 /// "locally-scoped static variable" symbol cache: the intern lock is taken
 /// at most once per call site, after which dispatch reads a plain static.
@@ -342,27 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn fn_dense_slots_default_and_persist() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let table: FnDense<AtomicU64> = FnDense::new();
-        let id = FnId::intern("intern_test_fn_dense");
-        assert!(table.peek(id).is_none());
-        table.slot(id).fetch_add(3, Ordering::Relaxed);
-        table.slot(id).fetch_add(4, Ordering::Relaxed);
-        assert_eq!(table.peek(id).unwrap().load(Ordering::Relaxed), 7);
-    }
-
-    #[test]
     fn fn_id_macro_caches_per_site() {
         fn site() -> FnId {
             crate::fn_id!("intern_test_macro_site")
         }
         assert_eq!(site(), site());
         assert_eq!(site().name(), "intern_test_macro_site");
-    }
-
-    #[test]
-    fn cache_padded_is_line_aligned() {
-        assert_eq!(std::mem::align_of::<CachePadded<u8>>(), 64);
     }
 }

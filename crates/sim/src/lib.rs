@@ -17,8 +17,8 @@
 //!   configurations the paper evaluates (stock Android, Cycada Android,
 //!   Cycada iOS, native iOS on the iPad mini).
 //! * [`stats::FunctionStats`] — per-function call-count and virtual-time
-//!   accounting used to regenerate Figures 7–10, recorded through the
-//!   interned function-id dispatch plane in [`intern`].
+//!   accounting used to regenerate Figures 7–10: one locked table per
+//!   collector, indexed by the interned function ids of [`intern`].
 //!
 //! # Examples
 //!

@@ -5,7 +5,7 @@
 //! not a hash map behind one global mutex. [`SlotTable`] stores each id in
 //! its own lock so readers on different ids never contend, and readers on
 //! the *same* id only take an uncontended per-slot read lock — the same
-//! read-mostly discipline as [`crate::intern::FnDense`], generalised to
+//! read-mostly discipline as [`crate::intern::FnTable`], generalised to
 //! mutable values.
 //!
 //! Chunks are allocated on demand (ids cluster near zero but sessions churn

@@ -6,16 +6,15 @@
 //! collects exactly those two quantities for every named function in the
 //! simulated graphics stack.
 //!
-//! # Sharded accumulator
+//! # One locked table per collector
 //!
-//! Recording sits on the per-call diplomat dispatch path, so it must not
-//! serialize the simulated stack. Storage is a set of cache-line-padded
-//! shards (boxed lazily on first record, so an idle collector — and thus
-//! `attach_session` — costs a few hundred bytes, not tens of kilobytes),
-//! each a dense table of atomic `(calls, ns)` slots keyed by
-//! [`FnId`]; every thread is assigned a shard round-robin and records with
-//! two relaxed `fetch_add`s plus two running-total bumps on its own shard.
-//! No locks, no hashing, no allocation in the steady state.
+//! Storage is a single `Mutex<Vec<FunctionRecord>>` indexed by
+//! [`FnId::index`] and grown on first record of an id. The lock is meant
+//! to be uncontended: a session's collector is written by the one host
+//! thread that drives it, and a device's engine-wide collector is striped
+//! per host thread by its owner (`cycada-diplomat`'s `DiplomatEngine`),
+//! which merges the stripes for readers. A collector that never records
+//! allocates nothing beyond its `Arc`, which keeps `attach_session` cheap.
 //!
 //! Totals stay exact and deterministic: per-function sums are `u64`
 //! additions, which commute, so any interleaving of recording threads
@@ -24,15 +23,12 @@
 //! time ([`FunctionStats::ranked_by_total`]).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crate::intern::{CachePadded, FnDense, FnId};
+use parking_lot::Mutex;
+
+use crate::intern::FnId;
 use crate::Nanos;
-
-/// Number of shards; a small power of two well above typical simulated
-/// thread counts.
-const SHARDS: usize = 16;
 
 /// Accumulated measurements for one named function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,6 +48,18 @@ impl FunctionRecord {
             self.total_ns as f64 / self.calls as f64
         }
     }
+
+    /// True for a slot no call or pre-aggregated record has touched.
+    fn is_zero(&self) -> bool {
+        self.calls == 0 && self.total_ns == 0
+    }
+
+    /// Adds `calls` and `ns`, wrapping on overflow instead of panicking in
+    /// debug builds: accounting must never abort the call it records.
+    fn add(&mut self, calls: u64, ns: Nanos) {
+        self.calls = self.calls.wrapping_add(calls);
+        self.total_ns = self.total_ns.wrapping_add(ns);
+    }
 }
 
 /// A named function's share of the total recorded time.
@@ -63,74 +71,6 @@ pub struct FunctionShare {
     pub record: FunctionRecord,
     /// Percentage of the total recorded time (0–100).
     pub percent_of_total: f64,
-}
-
-/// One per-function counter slot. Zero-initialized; bumped with relaxed
-/// atomics from the recording thread's shard.
-#[derive(Debug, Default)]
-struct Slot {
-    calls: AtomicU64,
-    ns: AtomicU64,
-}
-
-/// One shard: a dense slot table plus running totals so `total_ns()` /
-/// `total_calls()` are O(shards) reads instead of a full-table scan.
-#[derive(Debug, Default)]
-struct Shard {
-    slots: FnDense<Slot>,
-    total_calls: AtomicU64,
-    total_ns: AtomicU64,
-}
-
-/// Shards are allocated on a thread's first record, not up front: every
-/// session carries its own collector, and `attach_session` must stay a
-/// sub-microsecond operation. An eager `[Shard; SHARDS]` is ~65 KiB of
-/// `OnceLock` arrays per collector; allocating and freeing that block on
-/// every attach fragments the heap badly enough to turn attach from ~10 µs
-/// into milliseconds once a device has churned a few thousand sessions.
-/// Lazily boxed shards make an idle collector a couple of hundred bytes and
-/// a recording session pay only for the shards its threads actually touch.
-#[derive(Debug, Default)]
-struct Storage {
-    shards: [OnceLock<Box<CachePadded<Shard>>>; SHARDS],
-}
-
-impl Storage {
-    /// The calling thread's home shard index (round-robin at first use).
-    fn home_shard() -> usize {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            static HOME: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        }
-        HOME.with(|h| *h)
-    }
-
-    fn add(&self, id: FnId, calls: u64, ns: Nanos) {
-        let shard = self.shards[Self::home_shard()]
-            .get_or_init(|| Box::new(CachePadded::new(Shard::default())));
-        let slot = shard.slots.slot(id);
-        slot.calls.fetch_add(calls, Ordering::Relaxed);
-        slot.ns.fetch_add(ns, Ordering::Relaxed);
-        shard.total_calls.fetch_add(calls, Ordering::Relaxed);
-        shard.total_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// The shards that have been touched so far.
-    fn live_shards(&self) -> impl Iterator<Item = &Shard> {
-        self.shards.iter().filter_map(|s| s.get().map(|b| &***b))
-    }
-
-    /// Sums one function's record across all shards.
-    fn record_for(&self, id: FnId) -> FunctionRecord {
-        let mut rec = FunctionRecord::default();
-        for shard in self.live_shards() {
-            if let Some(slot) = shard.slots.peek(id) {
-                rec.calls += slot.calls.load(Ordering::Relaxed);
-                rec.total_ns += slot.ns.load(Ordering::Relaxed);
-            }
-        }
-        rec
-    }
 }
 
 /// Thread-safe registry of per-function call counts and virtual time.
@@ -153,13 +93,24 @@ impl Storage {
 /// ```
 #[derive(Clone, Default)]
 pub struct FunctionStats {
-    inner: Arc<Storage>,
+    /// One record per [`FnId::index`]; ids past the end were never recorded.
+    inner: Arc<Mutex<Vec<FunctionRecord>>>,
 }
 
 impl FunctionStats {
     /// Creates an empty collector.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Adds `calls` and `ns` to `id`'s record, growing the table to reach it.
+    fn add(&self, id: FnId, calls: u64, ns: Nanos) {
+        let mut table = self.inner.lock();
+        let i = id.index();
+        if i >= table.len() {
+            table.resize(i + 1, FunctionRecord::default());
+        }
+        table[i].add(calls, ns);
     }
 
     /// Records one call to `name` costing `ns` virtual nanoseconds.
@@ -172,10 +123,9 @@ impl FunctionStats {
     }
 
     /// Records one call to the interned function `id` costing `ns` virtual
-    /// nanoseconds. Lock-free: two relaxed counter bumps on the calling
-    /// thread's shard plus its running totals.
+    /// nanoseconds: one lock, one indexed add.
     pub fn record_id(&self, id: FnId, ns: Nanos) {
-        self.inner.add(id, 1, ns);
+        self.add(id, 1, ns);
     }
 
     /// Returns the record for `name`, if it was ever called.
@@ -186,61 +136,42 @@ impl FunctionStats {
     /// Returns the record for the interned function `id`, if it was ever
     /// called on this collector.
     pub fn get_id(&self, id: FnId) -> Option<FunctionRecord> {
-        let record = self.inner.record_for(id);
-        if record.calls == 0 && record.total_ns == 0 {
-            None
-        } else {
-            Some(record)
-        }
+        let record = *self.inner.lock().get(id.index())?;
+        (!record.is_zero()).then_some(record)
     }
 
-    /// Total virtual time across all recorded functions. O(shards): sums
-    /// the running per-shard totals, no table scan.
+    /// Total virtual time across all recorded functions.
     pub fn total_ns(&self) -> Nanos {
-        self.inner
-            .live_shards()
-            .map(|s| s.total_ns.load(Ordering::Relaxed))
-            .sum()
+        self.inner.lock().iter().map(|r| r.total_ns).sum()
     }
 
-    /// Total number of recorded calls across all functions. O(shards).
+    /// Total number of recorded calls across all functions.
     pub fn total_calls(&self) -> u64 {
-        self.inner
-            .live_shards()
-            .map(|s| s.total_calls.load(Ordering::Relaxed))
-            .sum()
+        self.inner.lock().iter().map(|r| r.calls).sum()
     }
 
     /// Number of distinct functions with at least one recorded call or
     /// pre-aggregated record.
     pub fn function_count(&self) -> usize {
-        FnId::all()
-            .filter(|&id| {
-                let r = self.inner.record_for(id);
-                r.calls != 0 || r.total_ns != 0
-            })
-            .count()
+        self.inner.lock().iter().filter(|r| !r.is_zero()).count()
     }
 
     /// All functions ranked by descending total time, each annotated with
     /// its share of the grand total — the layout of Figures 7 and 8.
     pub fn ranked_by_total(&self) -> Vec<FunctionShare> {
-        let total = self.total_ns();
+        let table = self.inner.lock().clone();
+        let total: Nanos = table.iter().map(|r| r.total_ns).sum();
         let mut rows: Vec<FunctionShare> = FnId::all()
-            .filter_map(|id| {
-                let record = self.inner.record_for(id);
-                if record.calls == 0 && record.total_ns == 0 {
-                    return None;
-                }
-                Some(FunctionShare {
-                    name: id.name().to_owned(),
-                    record,
-                    percent_of_total: if total == 0 {
-                        0.0
-                    } else {
-                        100.0 * record.total_ns as f64 / total as f64
-                    },
-                })
+            .zip(table)
+            .filter(|(_, record)| !record.is_zero())
+            .map(|(id, record)| FunctionShare {
+                name: id.name().to_owned(),
+                record,
+                percent_of_total: if total == 0 {
+                    0.0
+                } else {
+                    100.0 * record.total_ns as f64 / total as f64
+                },
             })
             .collect();
         rows.sort_by(|a, b| {
@@ -266,31 +197,27 @@ impl FunctionStats {
 
     /// Adds a pre-aggregated record under an already-interned id.
     pub fn add_record_id(&self, id: FnId, record: FunctionRecord) {
-        self.inner.add(id, record.calls, record.total_ns);
+        self.add(id, record.calls, record.total_ns);
     }
 
     /// Merges another collector's records into this one.
+    ///
+    /// `other`'s table is copied out before `self` is locked, so merging a
+    /// clone of this very collector doubles it instead of deadlocking.
     pub fn merge(&self, other: &FunctionStats) {
-        for id in FnId::all() {
-            let record = other.inner.record_for(id);
-            if record.calls != 0 || record.total_ns != 0 {
-                self.add_record_id(id, record);
-            }
+        let theirs = other.inner.lock().clone();
+        let mut table = self.inner.lock();
+        if theirs.len() > table.len() {
+            table.resize(theirs.len(), FunctionRecord::default());
+        }
+        for (mine, record) in table.iter_mut().zip(theirs) {
+            mine.add(record.calls, record.total_ns);
         }
     }
 
     /// Clears all recorded data.
     pub fn reset(&self) {
-        for shard in self.inner.live_shards() {
-            for id in FnId::all() {
-                if let Some(slot) = shard.slots.peek(id) {
-                    slot.calls.store(0, Ordering::Relaxed);
-                    slot.ns.store(0, Ordering::Relaxed);
-                }
-            }
-            shard.total_calls.store(0, Ordering::Relaxed);
-            shard.total_ns.store(0, Ordering::Relaxed);
-        }
+        self.inner.lock().clear();
     }
 }
 
@@ -408,6 +335,41 @@ mod tests {
         assert_eq!(a.get("stats_test_n").unwrap().calls, 1);
         // b is untouched by the merge.
         assert_eq!(b.total_calls(), 2);
+    }
+
+    #[test]
+    fn merging_a_clone_of_itself_doubles_every_record() {
+        let s = FunctionStats::new();
+        s.record("stats_test_self_a", 10);
+        s.record("stats_test_self_a", 20);
+        s.record("stats_test_self_b", 7);
+        // Run the merge off-thread so a self-deadlock fails the test
+        // instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        let t = s.clone();
+        std::thread::spawn(move || {
+            t.merge(&t.clone());
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("merging a collector with its own clone must return");
+        assert_eq!(
+            s.get("stats_test_self_a"),
+            Some(FunctionRecord {
+                calls: 4,
+                total_ns: 60
+            })
+        );
+        assert_eq!(
+            s.get("stats_test_self_b"),
+            Some(FunctionRecord {
+                calls: 2,
+                total_ns: 14
+            })
+        );
+        assert_eq!(s.total_calls(), 6);
+        assert_eq!(s.total_ns(), 74);
     }
 
     #[test]

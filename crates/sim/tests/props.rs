@@ -140,7 +140,7 @@ proptest! {
             *total_ns += *v;
         }
 
-        // Sharded accumulator fed the same records from several threads.
+        // The collector fed the same records from several threads.
         let sharded = FunctionStats::new();
         let per_thread = records.len().div_ceil(threads);
         std::thread::scope(|scope| {

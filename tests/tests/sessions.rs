@@ -8,12 +8,17 @@
 //! (a) the final framebuffer is byte-identical to the same workload run
 //!     solo on a private device, and
 //! (b) the virtual-time total metered inside the session's scope is
-//!     identical to the solo run — i.e. independent of interleaving.
+//!     identical to the solo run — i.e. independent of interleaving, and
+//! (c) so is its per-function stats ranking, while the device's
+//!     engine-wide collector gains exactly the sum of all sessions' calls
+//!     and time.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
 
 use cycada::{AndroidDevice, AppGl, CycadaDevice, IosDevice};
 use cycada_gles::{GlesVersion, Primitive, TexFormat};
+use cycada_sim::stats::FunctionShare;
 use cycada_sim::trace::{self, Counter};
 use cycada_sim::{Nanos, Platform};
 
@@ -55,9 +60,20 @@ fn drive_frames(app: &mut AppGl, tex: u32, seed: u64, frames: u32) {
     }
 }
 
-/// Runs the workload solo — one session on a private device — returning
-/// the final framebuffer bytes and the metered virtual-time total.
-fn solo_run(seed: u64) -> (Vec<u8>, Nanos) {
+/// What one session's metered frames leave behind: the final framebuffer
+/// bytes, the metered virtual-time total and the per-function stats.
+type Outcome = (Vec<u8>, Nanos, Vec<FunctionShare>);
+
+fn outcome(app: &AppGl) -> Outcome {
+    (
+        app.render_target().unwrap().to_rgba_vec(),
+        app.session_virtual_ns(),
+        app.session_stats().unwrap().ranked_by_total(),
+    )
+}
+
+/// Runs the workload solo — one session on a private device.
+fn solo_run(seed: u64) -> Outcome {
     let mut app =
         AppGl::boot_with_display(Platform::CycadaIos, GlesVersion::V1, Some((W, H))).unwrap();
     let tex = drive_setup(&mut app, seed);
@@ -65,27 +81,29 @@ fn solo_run(seed: u64) -> (Vec<u8>, Nanos) {
         let _scope = app.session_scope();
         drive_frames(&mut app, tex, seed, FRAMES);
     }
-    (
-        app.render_target().unwrap().to_rgba_vec(),
-        app.session_virtual_ns(),
-    )
+    outcome(&app)
 }
 
 #[test]
 fn concurrent_sessions_match_solo_runs() {
     // Solo baselines, one per distinct workload.
-    let solos: Vec<(Vec<u8>, Nanos)> = (0..8).map(|i| solo_run(seed(i))).collect();
+    let solos: Vec<Outcome> = (0..8).map(|i| solo_run(seed(i))).collect();
     assert!(solos[0].1 > 0, "the meter must actually accumulate");
+    assert!(!solos[0].2.is_empty(), "the sessions must record diplomat calls");
 
     for &n in &[1usize, 2, 4, 8] {
         let device = CycadaDevice::boot_with_display(Some((W, H))).unwrap();
-        let barrier = Arc::new(Barrier::new(n));
+        // N sessions plus this thread, met twice: once when every session
+        // has finished set-up, so the engine snapshot below excludes it,
+        // and once to release the metered frames together.
+        let barrier = Arc::new(Barrier::new(n + 1));
         let handles: Vec<_> = (0..n)
             .map(|i| {
                 let mut app = AppGl::attach_cycada(&device, GlesVersion::V1).unwrap();
                 let barrier = barrier.clone();
                 std::thread::spawn(move || {
                     let tex = drive_setup(&mut app, seed(i));
+                    barrier.wait();
                     // Line every session up so the metered frames really
                     // interleave on the shared device.
                     barrier.wait();
@@ -93,16 +111,16 @@ fn concurrent_sessions_match_solo_runs() {
                         let _scope = app.session_scope();
                         drive_frames(&mut app, tex, seed(i), FRAMES);
                     }
-                    (
-                        i,
-                        app.render_target().unwrap().to_rgba_vec(),
-                        app.session_virtual_ns(),
-                    )
+                    (i, outcome(&app))
                 })
             })
             .collect();
+        barrier.wait();
+        let before = device.engine().stats();
+        barrier.wait();
+        let mut sessions = Vec::new();
         for handle in handles {
-            let (i, rgba, virtual_ns) = handle.join().unwrap();
+            let (i, (rgba, virtual_ns, ranked)) = handle.join().unwrap();
             assert_eq!(
                 rgba, solos[i].0,
                 "N={n}: session {i} framebuffer differs from its solo run"
@@ -110,6 +128,27 @@ fn concurrent_sessions_match_solo_runs() {
             assert_eq!(
                 virtual_ns, solos[i].1,
                 "N={n}: session {i} virtual-time total differs from its solo run"
+            );
+            assert_eq!(
+                ranked, solos[i].2,
+                "N={n}: session {i} per-function stats differ from its solo run"
+            );
+            sessions.push(ranked);
+        }
+        // The engine-wide collector gains exactly the sessions' sum.
+        let after = device.engine().stats();
+        let rows = || sessions.iter().flatten();
+        let names: BTreeSet<&str> = rows().map(|r| r.name.as_str()).collect();
+        for name in names {
+            let now = after.get(name).unwrap();
+            let then = before.get(name).unwrap_or_default();
+            let sum = rows()
+                .filter(|r| r.name == name)
+                .fold((0, 0), |(c, ns), r| (c + r.record.calls, ns + r.record.total_ns));
+            assert_eq!(
+                (now.calls - then.calls, now.total_ns - then.total_ns),
+                sum,
+                "N={n}: {name}: the engine-wide delta must equal the sessions' sum"
             );
         }
     }
