@@ -3,7 +3,7 @@
 //! and writes the committed `BENCH_fleet.json` — total frame throughput,
 //! p50/p95/p99 attach and frame wall latency, per-device
 //! virtual-vs-wall efficiency, and trace-plane counter rollups (deadline
-//! misses, lock waits, ledger inversions) for each fleet shape.
+//! misses, lock waits) for each fleet shape.
 //!
 //! Shapes scale from one device up to thousands of devices and sessions;
 //! every session still runs the full stack (attach → scenario setup →
@@ -13,7 +13,8 @@
 //!
 //! Usage:
 //!   cargo bench --bench fleet               # all shapes, writes BENCH_fleet.json
-//!   cargo bench --bench fleet -- --test     # one tiny smoke shape, no file
+//!   cargo bench --bench fleet -- --test     # one tiny smoke shape and its
+//!                                           # per-device virtual ms, no file
 //!   CYCADA_FLEET_DEVICES=64 CYCADA_FLEET_SESSIONS=4096 \
 //!       cargo bench --bench fleet           # override the sweep shape
 //!   CYCADA_FLEET_JSON_OUT=/tmp/f.json cargo bench --bench fleet
@@ -69,6 +70,14 @@ fn main() {
         // fleet proves the harness end to end, no file written.
         let report = run_shape(&shape("smoke_d2_s8", 2, 8));
         assert_eq!(report.outcomes.len(), 8);
+        for d in &report.devices {
+            println!(
+                "fleet/smoke_d2_s8 device {}: {} sessions, {:.3} virtual ms",
+                d.device,
+                d.sessions,
+                d.virtual_ns as f64 / 1e6
+            );
+        }
         println!("fleet bench smoke ok");
         return;
     }

@@ -10,7 +10,7 @@ use cycada::CycadaDevice;
 use cycada_diplomat::{DiplomatEntry, DiplomatPattern, HookKind};
 use cycada_gles::{GlesVersion, Primitive};
 use cycada_gpu::{DrawClass, GpuDevice, Image, PixelFormat, Rgba, Vertex};
-use cycada_sim::{GpuCostModel, Platform, VirtualClock};
+use cycada_sim::{GpuCostModel, Platform};
 
 fn bench_diplomat_dispatch(c: &mut Criterion) {
     let device = CycadaDevice::boot_with_display(Some((64, 48))).expect("boot");
@@ -71,7 +71,7 @@ fn bench_thread_impersonation(c: &mut Criterion) {
 }
 
 fn bench_rasterizer_fullscreen(c: &mut Criterion) {
-    let gpu = GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3());
+    let gpu = GpuDevice::new(GpuCostModel::tegra3());
     let target = Image::new(256, 256, PixelFormat::Rgba8888);
     let verts = vec![
         Vertex::colored([-1.0, -1.0, 0.0], Rgba::RED),

@@ -18,7 +18,7 @@ use cycada::{AppGl, CycadaDevice};
 use cycada_bench::{fmt_ratio, rule};
 use cycada_diplomat::{DiplomatEntry, DiplomatPattern, HookKind};
 use cycada_gles::{GlesVersion, Primitive};
-use cycada_sim::Platform;
+use cycada_sim::{clock, Platform};
 
 fn main() {
     ablation_hooks();
@@ -47,11 +47,11 @@ fn ablation_hooks() {
             hooks,
         );
         device.engine().call(tid, &entry, || {}).expect("warm");
-        let before = device.kernel().clock().now_ns();
+        let before = clock::now_ns();
         for _ in 0..100 {
             device.engine().call(tid, &entry, || {}).expect("call");
         }
-        let per_call = (device.kernel().clock().now_ns() - before) / 100;
+        let per_call = (clock::now_ns() - before) / 100;
         println!("  {label:<14} {per_call} ns");
     }
     println!();
@@ -73,28 +73,28 @@ fn ablation_coalescing() {
     device.engine().call(tid, &entry, || {}).expect("warm");
     for steps in [2u64, 5, 10] {
         // Coalesced: one diplomat wrapping all N domestic steps.
-        let before = device.kernel().clock().now_ns();
+        let before = clock::now_ns();
         device
             .engine()
             .call(tid, &entry, || {
                 for _ in 0..steps {
-                    device.kernel().clock().charge_ns(9); // domestic call
+                    clock::charge_ns(9); // domestic call
                 }
             })
             .expect("coalesced");
-        let coalesced = device.kernel().clock().now_ns() - before;
+        let coalesced = clock::now_ns() - before;
 
         // Separate: one diplomat per domestic step.
-        let before = device.kernel().clock().now_ns();
+        let before = clock::now_ns();
         for _ in 0..steps {
             device
                 .engine()
                 .call(tid, &entry, || {
-                    device.kernel().clock().charge_ns(9);
+                    clock::charge_ns(9);
                 })
                 .expect("separate");
         }
-        let separate = device.kernel().clock().now_ns() - before;
+        let separate = clock::now_ns() - before;
         println!(
             "  {steps:>2} Android calls: coalesced {coalesced} ns, separate {separate} ns ({}x)",
             fmt_ratio(separate as f64 / coalesced as f64)
@@ -110,18 +110,18 @@ fn ablation_present_path() {
     let app = AppGl::boot_with_display(Platform::CycadaIos, GlesVersion::V1, None).expect("boot");
     app.clear(0.3, 0.3, 0.3, 1.0).expect("clear");
     // The real (unoptimized, §5) path.
-    let before = app.now_ns();
+    let before = clock::now_ns();
     app.present().expect("present");
-    let quad_path = app.now_ns() - before;
+    let quad_path = clock::now_ns() - before;
 
     // Hypothetical optimized path: post the drawable straight to the
     // compositor (what "more complicated management of underlying graphics
     // memory" could achieve, §5).
     let device = app.cycada_device().expect("cycada");
     let drawable = app.render_target().expect("drawable");
-    let before = app.now_ns();
+    let before = clock::now_ns();
     device.flinger().post_image(&drawable);
-    let direct_path = app.now_ns() - before;
+    let direct_path = clock::now_ns() - before;
     println!("  quad+swap present: {} us", quad_path / 1000);
     println!("  direct post:       {} us", direct_path / 1000);
     println!(
@@ -138,12 +138,12 @@ fn ablation_dlr_cost() {
     let device = CycadaDevice::boot_with_display(Some((64, 48))).expect("boot");
     let tid = device.main_tid();
     device.egl().initialize(tid).expect("init");
-    let before = device.kernel().clock().now_ns();
+    let before = clock::now_ns();
     let n = 8;
     for _ in 0..n {
         device.eagl().init_with_api(tid, GlesVersion::V2).expect("ctx");
     }
-    let per_ctx = (device.kernel().clock().now_ns() - before) / n;
+    let per_ctx = (clock::now_ns() - before) / n;
     println!(
         "  context creation incl. replica: {} us (libui_wrapper + vendor EGL/GLES + deps)",
         per_ctx / 1000
@@ -165,7 +165,7 @@ fn ablation_batching() {
         let app =
             AppGl::boot_with_display(Platform::CycadaIos, GlesVersion::V1, Some((320, 200)))
                 .expect("boot");
-        let start = app.now_ns();
+        let start = clock::now_ns();
         let mut drawn = 0;
         app.clear(0.1, 0.1, 0.15, 1.0).expect("clear");
         while drawn < TRIS {
@@ -191,7 +191,7 @@ fn ablation_batching() {
             drawn += batch;
         }
         app.present().expect("present");
-        let frame_us = (app.now_ns() - start) / 1000;
+        let frame_us = (clock::now_ns() - start) / 1000;
         println!(
             "  batch {batch:>3} ({:>3} draws): frame {frame_us} us",
             TRIS / batch

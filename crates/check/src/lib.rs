@@ -7,9 +7,9 @@
 //! provided by `parking_lot::schedule` (every shim `Mutex`/`RwLock`
 //! acquire/release, the trace rings' locks among them) and
 //! `cycada_sim::check::schedule_point` (`SlotTable` chunk publication,
-//! `FnId` interning, the `VirtualClock` charge ledger,
-//! `ImpersonationGuard` begin/end). Because the scheduler controls every
-//! interleaving of those points, it can enumerate them:
+//! `FnId` interning, `ImpersonationGuard` begin/end). Because the
+//! scheduler controls every interleaving of those points, it can
+//! enumerate them:
 //!
 //! * [`Checker::exhaustive`] — iterative-replay DFS over all schedules
 //!   within a preemption bound, pruned with DPOR-lite sleep sets (a

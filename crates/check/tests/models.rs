@@ -291,7 +291,7 @@ fn real_impersonation_guard_passes_exhaustively() {
         .preemption_bound(1)
         .exhaustive(|| {
             let kernel = Arc::new(Kernel::for_platform(Platform::CycadaIos));
-            let linker = Arc::new(DynamicLinker::new(kernel.clock().clone()));
+            let linker = Arc::new(DynamicLinker::new());
             let engine = cycada_diplomat::DiplomatEngine::new(kernel.clone(), linker);
             engine
                 .graphics_tls()
@@ -566,10 +566,10 @@ fn flinger_present_latches_disjoint_layers() {
     use cycada_gpu::{GpuDevice, PixelFormat, Rgba};
     use cycada_gralloc::{GraphicBuffer, SurfaceFlinger};
     use cycada_kernel::Display;
-    use cycada_sim::{GpuCostModel, VirtualClock};
+    use cycada_sim::GpuCostModel;
 
     let report = Checker::new().preemption_bound(2).exhaustive(|| {
-        let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+        let gpu = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
         let sf = Arc::new(SurfaceFlinger::new(Display::new(4, 2), gpu));
         let presenter = |handle: u64, x: u32, color: Rgba| {
             let sf = sf.clone();
@@ -606,7 +606,7 @@ fn flinger_overlapping_presents_latch_in_lock_order() {
     use cycada_gpu::{GpuDevice, Image, PixelFormat, Rgba};
     use cycada_gralloc::SurfaceFlinger;
     use cycada_kernel::Display;
-    use cycada_sim::{GpuCostModel, VirtualClock};
+    use cycada_sim::GpuCostModel;
 
     const A_DST: Rect = Rect { x: 0, y: 0, w: 4, h: 2 };
     // Layer B overlaps the right half and hangs one column past the
@@ -615,7 +615,7 @@ fn flinger_overlapping_presents_latch_in_lock_order() {
     const DAB: Rect = Rect { x: 0, y: 0, w: 1, h: 1 };
 
     let report = Checker::new().preemption_bound(2).exhaustive(|| {
-        let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+        let gpu = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
         let sf = Arc::new(SurfaceFlinger::new(Display::new(4, 2), gpu));
         let a = Image::new(4, 2, PixelFormat::Rgba8888);
         a.fill(Rgba::RED);
@@ -658,7 +658,7 @@ fn flinger_overlapping_presents_latch_in_lock_order() {
                 assert_eq!(sf2.display().frames_presented(), 3, "a frame was dropped");
                 // Replay the latched order with fresh source images, each
                 // post on a fresh flinger over one display.
-                let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+                let gpu = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
                 let display = Display::new(4, 2);
                 let oracle = |stack: &[(&Image, Rect)]| {
                     SurfaceFlinger::new(display.clone(), gpu.clone()).composite(stack)
@@ -693,12 +693,12 @@ fn gpu_clear_is_target_atomic() {
     // the two colors — a torn mix means a clear broke per-target
     // atomicity.
     use cycada_gpu::{DrawClass, GpuDevice, Image, PixelFormat, Rgba};
-    use cycada_sim::{GpuCostModel, VirtualClock};
+    use cycada_sim::GpuCostModel;
 
     let report = Checker::new()
         .preemption_bound(2)
         .exhaustive(|| {
-            let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+            let gpu = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
             let target = Image::new(2, 2, PixelFormat::Rgba8888);
             let clearer = |color: Rgba| {
                 let gpu = gpu.clone();
@@ -729,12 +729,12 @@ fn gpu_fence_slot_churn_keeps_fences_independent() {
     // gen → set → flush → test → delete. Ids must never collide and each
     // thread's fence must signal regardless of the neighbor's schedule.
     use cycada_gpu::{FenceCondition, GpuDevice};
-    use cycada_sim::{GpuCostModel, VirtualClock};
+    use cycada_sim::GpuCostModel;
 
     let report = Checker::new()
         .preemption_bound(1)
         .exhaustive(|| {
-            let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+            let gpu = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
             let ids = Arc::new(Mutex::new(Vec::new()));
             let worker = || {
                 let gpu = gpu.clone();
@@ -801,80 +801,4 @@ fn slot_table_chunk_boundary_churn() {
         })
         .expect("chunk-boundary churn must preserve per-slot atomicity");
     assert!(report.complete);
-}
-
-// ---------------------------------------------------------------------
-// Satellite: the charge-ledger inversion under work-stealing handoff
-// ---------------------------------------------------------------------
-
-/// A `MeterGuard` entered on one host thread and dropped on another (the
-/// shape a work-stealing pool produces when a task migrates mid-scope)
-/// reads a foreign charge ledger: the delta is meaningless. Under every
-/// interleaving the meter must never be credited a wrapped (huge) total,
-/// and whenever the handoff actually crosses threads the always-on
-/// `meter-ledger-inversions` counter must record the loss.
-#[test]
-fn meter_guard_crossing_threads_counts_inversion_never_wraps() {
-    use cycada_sim::trace::{counter, Counter};
-    use cycada_sim::{MeterGuard, SessionMeter, VirtualClock};
-
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let report = Checker::new()
-        .preemption_bound(2)
-        .exhaustive(|| {
-            let clock = VirtualClock::new();
-            let meter = SessionMeter::new();
-            let slot: Arc<Mutex<Option<MeterGuard>>> = Arc::new(Mutex::new(None));
-            let migrated = Arc::new(AtomicBool::new(false));
-            let (clock_a, meter_a, slot_a) = (clock.clone(), meter.clone(), slot.clone());
-            let (clock_b, slot_b, migrated_b) = (clock.clone(), slot.clone(), migrated.clone());
-            let meter_post = meter.clone();
-            let before = counter(Counter::MeterLedgerInversions);
-            Model::new()
-                .thread(move || {
-                    // Thread A charges well ahead, then opens the meter
-                    // scope and hands the live guard off. If B already
-                    // ran, the guard stays in the slot and is dropped on
-                    // A's own thread when the last Arc goes away — the
-                    // no-migration control case.
-                    clock_a.charge_ns(1_000);
-                    let guard = meter_a.enter();
-                    *slot_a.lock() = Some(guard);
-                })
-                .thread(move || {
-                    // Thread B charges a little, then (under schedules
-                    // where the handoff happened first) drops the guard
-                    // on its own ledger — behind A's start position.
-                    clock_b.charge_ns(7);
-                    let taken = slot_b.lock().take();
-                    if taken.is_some() {
-                        migrated_b.store(true, Ordering::SeqCst);
-                    }
-                    drop(taken);
-                })
-                .post(move || {
-                    // A wrapped delta would credit ~u64::MAX; any sound
-                    // outcome is bounded by the total charged anywhere.
-                    assert!(
-                        meter_post.total_ns() <= 1_007,
-                        "meter credited a wrapped ledger delta: {}",
-                        meter_post.total_ns()
-                    );
-                    // Whenever the guard really crossed threads, B's
-                    // ledger (7) sat behind A's start (1000): the
-                    // inversion must be detected and counted, and the
-                    // meter credited zero — never a clamped lie without
-                    // a trace.
-                    if migrated.load(Ordering::SeqCst) {
-                        assert_eq!(meter_post.total_ns(), 0, "inverted delta must credit zero");
-                        assert!(
-                            counter(Counter::MeterLedgerInversions) > before,
-                            "inversion clamped silently"
-                        );
-                    }
-                })
-        })
-        .expect("cross-thread guard handoff must never wrap the meter");
-    assert!(report.complete, "handoff model must be fully explored");
 }

@@ -20,7 +20,7 @@ use cycada_gpu::math::Mat4;
 use cycada_gpu::Image;
 use cycada_kernel::{Display, SimTid};
 use cycada_sim::replay::{self, f32_arg, f64_arg, i32_arg, op};
-use cycada_sim::{stats::FunctionStats, trace, Nanos, Platform, VirtualClock};
+use cycada_sim::{clock, stats::FunctionStats, trace, Nanos, Platform};
 
 use crate::eagl::EaglContextId;
 use crate::error::CycadaError;
@@ -412,27 +412,11 @@ impl AppGl {
                  {MAX_CPU_CHARGE_NS} ns"
             )));
         }
-        let kernel = self.kernel();
-        let cost = kernel.profile().cpu_cost(base_ns);
-        kernel.clock().charge_ns_f64(cost);
+        clock::charge_ns_f64(self.kernel().profile().cpu_cost(base_ns));
         if replay::active() {
             replay::record(op::CHARGE_CPU, &[f64_arg(base_ns)], &[]);
         }
         Ok(())
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> VirtualClock {
-        match &self.backend {
-            Backend::CycadaIos { device, .. } => device.kernel().clock().clone(),
-            Backend::Android { device, .. } => device.kernel().clock().clone(),
-            Backend::NativeIos { device, .. } => device.kernel().clock().clone(),
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now_ns(&self) -> Nanos {
-        self.clock().now_ns()
     }
 
     /// The device display.

@@ -34,7 +34,7 @@ use cycada_gles::{
 };
 use cycada_gpu::math::Mat4;
 use cycada_kernel::SimTid;
-use cycada_sim::{fn_id, trace};
+use cycada_sim::{clock, fn_id, trace};
 
 
 use crate::error::CycadaError;
@@ -171,15 +171,12 @@ impl GlesBridge {
     /// foreign-side cost.
     fn foreign_only<R>(&self, tid: SimTid, id: FnId, f: impl FnOnce() -> R) -> R {
         let _ = tid;
-        let clock = self.engine.kernel().clock();
-        // Thread-scoped like DiplomatEngine::call: concurrent sessions'
-        // charges must not leak into this call's recorded time.
-        let span = clock.thread_span();
+        let start = clock::now_ns();
         // Ensure the entry exists for classification introspection.
         let _ = self.entry(id, id.name(), DiplomatPattern::DataDependent);
-        clock.charge_ns(40); // parameter inspection in foreign code
+        clock::charge_ns(40); // parameter inspection in foreign code
         let r = f();
-        self.engine.record_call(id, span.elapsed_ns());
+        self.engine.record_call(id, clock::now_ns() - start);
         r
     }
 
@@ -219,10 +216,7 @@ impl GlesBridge {
     }
 
     fn charge_repack(&self, bytes: usize) {
-        self.engine
-            .kernel()
-            .clock()
-            .charge_ns_f64(bytes as f64 * REPACK_BYTE_NS);
+        clock::charge_ns_f64(bytes as f64 * REPACK_BYTE_NS);
     }
 
     // ==================================================================

@@ -195,10 +195,7 @@ impl CycadaDevice {
     pub fn boot_with_display(display: Option<(u32, u32)>) -> Result<Self> {
         let profile = profile_with_display(Platform::CycadaIos, display)?;
         let kernel = Arc::new(Kernel::with_profile(profile));
-        let gpu = Arc::new(GpuDevice::new(
-            kernel.clock().clone(),
-            kernel.profile().gpu.clone(),
-        ));
+        let gpu = Arc::new(GpuDevice::new(kernel.profile().gpu.clone()));
         let flinger = Arc::new(SurfaceFlinger::new(kernel.display().clone(), gpu.clone()));
         let gralloc = GrallocDriver::new();
         kernel.register_driver(gralloc.clone());
@@ -207,7 +204,7 @@ impl CycadaDevice {
         let coresurface = CoreSurfaceService::new();
         kernel.register_service(coresurface.clone());
 
-        let linker = Arc::new(DynamicLinker::new(kernel.clock().clone()));
+        let linker = Arc::new(DynamicLinker::new());
         register_android_graphics(&linker, &kernel, &gpu, &flinger, &gralloc);
         register_bridge_libraries(&linker);
 
@@ -461,14 +458,11 @@ impl AndroidDevice {
         }
         let profile = profile_with_display(platform, display)?;
         let kernel = Arc::new(Kernel::with_profile(profile));
-        let gpu = Arc::new(GpuDevice::new(
-            kernel.clock().clone(),
-            kernel.profile().gpu.clone(),
-        ));
+        let gpu = Arc::new(GpuDevice::new(kernel.profile().gpu.clone()));
         let flinger = Arc::new(SurfaceFlinger::new(kernel.display().clone(), gpu.clone()));
         let gralloc = GrallocDriver::new();
         kernel.register_driver(gralloc.clone());
-        let linker = Arc::new(DynamicLinker::new(kernel.clock().clone()));
+        let linker = Arc::new(DynamicLinker::new());
         register_android_graphics(&linker, &kernel, &gpu, &flinger, &gralloc);
         let egl = linker
             .dlopen(LIBEGL)
@@ -647,14 +641,11 @@ impl IosDevice {
     pub fn boot_with_display(display: Option<(u32, u32)>) -> Result<Self> {
         let profile = profile_with_display(Platform::NativeIos, display)?;
         let kernel = Arc::new(Kernel::with_profile(profile));
-        let gpu = Arc::new(GpuDevice::new(
-            kernel.clock().clone(),
-            kernel.profile().gpu.clone(),
-        ));
+        let gpu = Arc::new(GpuDevice::new(kernel.profile().gpu.clone()));
         let coresurface = CoreSurfaceService::new();
         kernel.register_service(coresurface.clone());
         register_ios_display(&kernel, &gpu, &coresurface);
-        let linker = Arc::new(DynamicLinker::new(kernel.clock().clone()));
+        let linker = Arc::new(DynamicLinker::new());
         register_ios_graphics(&linker, &gpu);
         let stack = Arc::new(NativeIosStack::new(kernel.clone(), &linker, coresurface)?);
         let shared = Arc::new(IosShared {

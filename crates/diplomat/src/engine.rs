@@ -1,12 +1,12 @@
 //! The diplomat engine: the 11-step call procedure.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cycada_kernel::{bsd_errno_from_linux, Kernel, SimTid};
 use cycada_linker::{DynamicLinker, SymbolAddr};
-use cycada_sim::{intern::FnId, stats::FunctionStats, trace, Nanos, Persona};
+use cycada_sim::{clock, intern::FnId, stats::FunctionStats, trace, Nanos, Persona};
 
 use crate::tls::GraphicsTls;
 use crate::Result;
@@ -90,7 +90,6 @@ pub struct DiplomatEntry {
     pattern: DiplomatPattern,
     hooks: HookKind,
     resolved: OnceLock<SymbolAddr>,
-    calls: AtomicU64,
 }
 
 impl DiplomatEntry {
@@ -128,7 +127,6 @@ impl DiplomatEntry {
             pattern,
             hooks,
             resolved: OnceLock::new(),
-            calls: AtomicU64::new(0),
         }
     }
 
@@ -152,11 +150,6 @@ impl DiplomatEntry {
         self.hooks
     }
 
-    /// How many times the diplomat has been invoked.
-    pub fn call_count(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
     /// The resolved domestic symbol, if the diplomat has been called.
     pub fn resolved_symbol(&self) -> Option<SymbolAddr> {
         self.resolved.get().copied()
@@ -169,7 +162,6 @@ impl fmt::Debug for DiplomatEntry {
             .field("name", &self.name())
             .field("pattern", &self.pattern)
             .field("hooks", &self.hooks)
-            .field("calls", &self.call_count())
             .finish()
     }
 }
@@ -283,12 +275,7 @@ impl DiplomatEngine {
         entry: &DiplomatEntry,
         domestic: impl FnOnce() -> R,
     ) -> Result<R> {
-        let clock = self.kernel.clock();
-        // Measure the thread's own charges, not global clock movement:
-        // under concurrent sessions the shared clock advances from other
-        // host threads mid-call, and recording that would make per-call
-        // figures depend on interleaving.
-        let span = clock.thread_span();
+        let start = clock::now_ns();
         // One relaxed load when tracing is off; when on, the span records
         // the whole 11-step procedure with the diplomat's name, pattern,
         // and this thread's wall/virtual durations. The per-call counters
@@ -299,7 +286,6 @@ impl DiplomatEngine {
             tspan.set_arg(entry.pattern as u64);
             trace::bump(trace::Counter::DiplomatCalls);
         }
-        entry.calls.fetch_add(1, Ordering::Relaxed);
 
         // (1) Lazy symbol resolution, cached for efficient reuse.
         if entry.resolved.get().is_none() {
@@ -312,16 +298,16 @@ impl DiplomatEngine {
         match entry.hooks {
             HookKind::None => {}
             HookKind::Empty => {
-                clock.charge_ns(HOOK_DISPATCH_NS);
+                clock::charge_ns(HOOK_DISPATCH_NS);
             }
             HookKind::Gles => {
-                clock.charge_ns(HOOK_DISPATCH_NS + GLES_PRELUDE_NS);
+                clock::charge_ns(HOOK_DISPATCH_NS + GLES_PRELUDE_NS);
                 self.gate_depth.fetch_add(1, Ordering::AcqRel);
             }
         }
 
         // (3) Arguments stored on the stack.
-        clock.charge_ns(ARG_SAVE_NS);
+        clock::charge_ns(ARG_SAVE_NS);
 
         // (4) set_persona: foreign -> domestic.
         self.kernel.set_persona(tid, self.domestic)?;
@@ -331,11 +317,11 @@ impl DiplomatEngine {
 
         // (5) Arguments restored; (6) direct invocation via the stored
         // symbol.
-        clock.charge_ns(ARG_RESTORE_NS + FUNCTION_CALL_NS);
+        clock::charge_ns(ARG_RESTORE_NS + FUNCTION_CALL_NS);
         let result = domestic();
 
         // (7) Return value saved.
-        clock.charge_ns(RET_SAVE_NS);
+        clock::charge_ns(RET_SAVE_NS);
 
         // (8) set_persona: domestic -> foreign.
         self.kernel.set_persona(tid, self.foreign)?;
@@ -344,7 +330,7 @@ impl DiplomatEngine {
         }
 
         // (9) Domestic TLS values (errno) converted into the foreign area.
-        clock.charge_ns(ERRNO_CONVERT_NS);
+        clock::charge_ns(ERRNO_CONVERT_NS);
         let linux_errno = self.kernel.errno(tid, self.domestic)?;
         self.kernel
             .set_errno(tid, self.foreign, bsd_errno_from_linux(linux_errno))?;
@@ -353,17 +339,17 @@ impl DiplomatEngine {
         match entry.hooks {
             HookKind::None => {}
             HookKind::Empty => {
-                clock.charge_ns(HOOK_DISPATCH_NS);
+                clock::charge_ns(HOOK_DISPATCH_NS);
             }
             HookKind::Gles => {
-                clock.charge_ns(HOOK_DISPATCH_NS + GLES_POSTLUDE_NS);
+                clock::charge_ns(HOOK_DISPATCH_NS + GLES_POSTLUDE_NS);
                 self.gate_depth.fetch_sub(1, Ordering::AcqRel);
             }
         }
 
         // (11) Return value restored; control returns to foreign code.
-        clock.charge_ns(RET_RESTORE_NS);
-        self.record_call(entry.fn_id, span.elapsed_ns());
+        clock::charge_ns(RET_RESTORE_NS);
+        self.record_call(entry.fn_id, clock::now_ns() - start);
         Ok(result)
     }
 
@@ -436,7 +422,7 @@ mod tests {
 
     fn setup() -> (Arc<Kernel>, Arc<DiplomatEngine>, SimTid) {
         let kernel = Arc::new(Kernel::for_platform(Platform::CycadaIos));
-        let linker = Arc::new(DynamicLinker::new(kernel.clock().clone()));
+        let linker = Arc::new(DynamicLinker::new());
         linker.register_image(
             LibraryImage::builder("libGLESv2_tegra.so")
                 .symbols(["glFlush"])
@@ -459,32 +445,32 @@ mod tests {
 
     #[test]
     fn table3_bare_diplomat_costs_816ns() {
-        let (kernel, engine, tid) = setup();
+        let (_kernel, engine, tid) = setup();
         let e = entry(HookKind::None);
         engine.call(tid, &e, || {}).unwrap(); // first call resolves symbols
-        let before = kernel.clock().now_ns();
+        let before = clock::now_ns();
         engine.call(tid, &e, || {}).unwrap();
-        assert_eq!(kernel.clock().now_ns() - before, 816);
+        assert_eq!(clock::now_ns() - before, 816);
     }
 
     #[test]
     fn table3_empty_hooks_cost_828ns() {
-        let (kernel, engine, tid) = setup();
+        let (_kernel, engine, tid) = setup();
         let e = entry(HookKind::Empty);
         engine.call(tid, &e, || {}).unwrap();
-        let before = kernel.clock().now_ns();
+        let before = clock::now_ns();
         engine.call(tid, &e, || {}).unwrap();
-        assert_eq!(kernel.clock().now_ns() - before, 828);
+        assert_eq!(clock::now_ns() - before, 828);
     }
 
     #[test]
     fn table3_gles_hooks_cost_933ns() {
-        let (kernel, engine, tid) = setup();
+        let (_kernel, engine, tid) = setup();
         let e = entry(HookKind::Gles);
         engine.call(tid, &e, || {}).unwrap();
-        let before = kernel.clock().now_ns();
+        let before = clock::now_ns();
         engine.call(tid, &e, || {}).unwrap();
-        assert_eq!(kernel.clock().now_ns() - before, 933);
+        assert_eq!(clock::now_ns() - before, 933);
     }
 
     #[test]
@@ -525,7 +511,7 @@ mod tests {
         let first = e.resolved_symbol().unwrap();
         engine.call(tid, &e, || {}).unwrap();
         assert_eq!(e.resolved_symbol().unwrap(), first);
-        assert_eq!(e.call_count(), 2);
+        assert_eq!(engine.stats().get("glFlush").unwrap().calls, 2);
         // The library was loaded exactly once.
         assert_eq!(engine.linker().constructor_runs("libGLESv2_tegra.so"), 1);
     }

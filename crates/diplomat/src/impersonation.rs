@@ -209,7 +209,7 @@ mod tests {
 
     fn setup() -> (Arc<Kernel>, Arc<DiplomatEngine>, SimTid, SimTid) {
         let kernel = Arc::new(Kernel::for_platform(Platform::CycadaIos));
-        let linker = Arc::new(DynamicLinker::new(kernel.clock().clone()));
+        let linker = Arc::new(DynamicLinker::new());
         let engine = DiplomatEngine::new(kernel.clone(), linker);
         let target = kernel.spawn_process_main(Persona::Ios).unwrap();
         let running = kernel.spawn_thread(target, Persona::Ios).unwrap();

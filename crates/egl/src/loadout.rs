@@ -123,18 +123,17 @@ mod tests {
     use super::*;
     use cycada_gles::GlesVersion;
     use cycada_kernel::Persona;
-    use cycada_sim::{Platform, VirtualClock};
+    use cycada_sim::Platform;
 
     /// Builds a full simulated Android graphics stack and returns the
     /// pieces tests need.
     pub(crate) fn android_stack() -> (Arc<Kernel>, Arc<DynamicLinker>, Arc<AndroidEgl>) {
         let kernel = Arc::new(Kernel::for_platform(Platform::CycadaAndroid));
-        let clock: VirtualClock = kernel.clock().clone();
-        let gpu = Arc::new(GpuDevice::new(clock.clone(), kernel.profile().gpu.clone()));
+        let gpu = Arc::new(GpuDevice::new(kernel.profile().gpu.clone()));
         let flinger = Arc::new(SurfaceFlinger::new(kernel.display().clone(), gpu.clone()));
         let gralloc = GrallocDriver::new();
         kernel.register_driver(gralloc.clone());
-        let linker = Arc::new(DynamicLinker::new(clock));
+        let linker = Arc::new(DynamicLinker::new());
         register_android_graphics(&linker, &kernel, &gpu, &flinger, &gralloc);
         let egl = linker
             .dlopen(LIBEGL)

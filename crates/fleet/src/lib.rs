@@ -13,10 +13,9 @@
 //! The batch of tasks is closed, so distributing it takes one shared
 //! atomic cursor: each worker (a scoped thread, no async runtime) claims
 //! the next session index with `fetch_add` until the cursor passes the
-//! last session. A task runs *entirely on one worker thread*, so the
-//! session plane's per-host-thread charge ledger never crosses threads
-//! mid-scope (the `meter-ledger-inversions` counter stands guard over
-//! exactly that invariant).
+//! last session. A task runs *entirely on one worker thread*, and virtual
+//! time is that thread's charge ledger, so a device's total is the sum
+//! of its tasks' ledger deltas, whichever workers ran them.
 //!
 //! # Determinism contract
 //!
@@ -39,7 +38,7 @@ use std::time::Instant;
 use cycada::{AppGl, CycadaDevice};
 use cycada_replay::{replay_on_device, ReplayOptions};
 use cycada_sim::replay::Stream;
-use cycada_sim::{trace, Nanos, SimRng};
+use cycada_sim::{clock, trace, Nanos, SimRng};
 
 pub mod metrics;
 
@@ -195,10 +194,11 @@ pub struct DeviceReport {
     pub device: usize,
     /// Sessions that ran on it.
     pub sessions: usize,
-    /// Virtual nanoseconds its shared clock advanced during the run.
-    /// Divided by the fleet's wall time this is the device's
-    /// virtual-vs-wall efficiency (how much simulated time one wall
-    /// second buys).
+    /// Virtual nanoseconds its sessions charged during the run, attach
+    /// to teardown: the sum of each worker's ledger delta around each of
+    /// the device's tasks. Divided by the fleet's wall time this is the
+    /// device's virtual-vs-wall efficiency (how much simulated time one
+    /// wall second buys).
     pub virtual_ns: Nanos,
 }
 
@@ -354,48 +354,52 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
                 .map_err(|e| format!("device {d}: boot failed: {e}"))
         })
         .collect::<Result<_, String>>()?;
-    let clock_floor: Vec<Nanos> =
-        devices.iter().map(|d| d.kernel().clock().now_ns()).collect();
 
     let workers = cfg.workers.max(1);
     // The index publishes no data, so relaxed claims suffice.
     let next = AtomicUsize::new(0);
-    let mut results: Vec<Result<SessionOutcome, String>> = std::thread::scope(|s| {
+    let mut results: Vec<Result<SessionOutcome, String>> = Vec::with_capacity(cfg.sessions);
+    // Virtual ns each device's sessions charged, teardown included.
+    let mut device_ns: Vec<Nanos> = vec![0; devices.len()];
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let (next, devices) = (&next, &devices);
                 s.spawn(move || {
                     let mut mine = Vec::new();
+                    let mut ns: Vec<Nanos> = vec![0; devices.len()];
                     loop {
                         let session = next.fetch_add(1, Ordering::Relaxed);
                         if session >= cfg.sessions {
-                            return mine;
+                            return (mine, ns);
                         }
+                        let start = clock::now_ns();
                         mine.push(run_task(cfg, devices, session));
+                        ns[session_device(session, devices.len())] += clock::now_ns() - start;
                     }
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fleet worker panicked"))
-            .collect()
+        for h in handles {
+            let (mine, ns) = h.join().expect("fleet worker panicked");
+            results.extend(mine);
+            for (total, n) in device_ns.iter_mut().zip(ns) {
+                *total += n;
+            }
+        }
     });
     let wall_ns = started.elapsed().as_nanos() as u64;
 
-    let mut outcomes = Vec::with_capacity(results.len());
-    for result in results.drain(..) {
-        outcomes.push(result?);
-    }
+    let mut outcomes = results.into_iter().collect::<Result<Vec<_>, String>>()?;
     outcomes.sort_by_key(|o| o.session);
 
-    let device_reports: Vec<DeviceReport> = devices
-        .iter()
+    let device_reports: Vec<DeviceReport> = device_ns
+        .into_iter()
         .enumerate()
-        .map(|(d, dev)| DeviceReport {
+        .map(|(d, virtual_ns)| DeviceReport {
             device: d,
             sessions: outcomes.iter().filter(|o| o.device == d).count(),
-            virtual_ns: dev.kernel().clock().now_ns().saturating_sub(clock_floor[d]),
+            virtual_ns,
         })
         .collect();
 

@@ -23,14 +23,14 @@
 //! use std::sync::Arc;
 //! use cycada_gles::{ApiFlavor, GlesRegistry, GlesVersion, VendorGles};
 //! use cycada_gpu::GpuDevice;
-//! use cycada_sim::{GpuCostModel, VirtualClock};
+//! use cycada_sim::GpuCostModel;
 //!
 //! // Table 1: iOS implements 94 extension functions, Android only 42.
 //! let t1 = GlesRegistry::global().table1();
 //! assert_eq!(t1.extension_functions.0, 94);
 //! assert_eq!(t1.extension_functions.1, 42);
 //!
-//! let device = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+//! let device = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
 //! let tegra = VendorGles::new(ApiFlavor::Android, device);
 //! let ctx = tegra.create_context(GlesVersion::V2);
 //! assert_eq!(tegra.context_version(ctx), Some(GlesVersion::V2));

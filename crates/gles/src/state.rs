@@ -1374,9 +1374,7 @@ impl GlesContext {
             DrawClass::TwoD => self.device.cost_model().scale_2d,
             DrawClass::ThreeD => self.device.cost_model().scale_3d,
         };
-        self.device
-            .clock()
-            .charge_ns_f64(DRAW_CALL_DRIVER_NS * class_scale);
+        cycada_sim::clock::charge_ns_f64(DRAW_CALL_DRIVER_NS * class_scale);
         let Some(target) = self.render_target() else {
             self.record_error(GlError::InvalidFramebufferOperation);
             return 0;
@@ -1662,10 +1660,10 @@ fn unpack_rows(image: &Image, data: &[u8], stride: usize, rect: (u32, u32, u32, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cycada_sim::{GpuCostModel, VirtualClock};
+    use cycada_sim::GpuCostModel;
 
     fn ctx(version: GlesVersion, flavor: ApiFlavor) -> GlesContext {
-        let device = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+        let device = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
         let mut c = GlesContext::new(version, flavor, device);
         c.set_default_framebuffer(Some(Image::new(
             32,

@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 use cycada_gpu::{DrawClass, GpuDevice, Image};
 use cycada_kernel::SimTid;
 use cycada_sim::slots::SlotTable;
-use cycada_sim::Nanos;
+use cycada_sim::{clock, Nanos};
 
 use crate::registry::{ApiFlavor, GlesRegistry, GlesVersion};
 use crate::state::GlesContext;
@@ -91,10 +91,6 @@ impl VendorGles {
         self.calls_without_context.load(Ordering::Relaxed)
     }
 
-    fn charge(&self, ns: Nanos) {
-        self.device.clock().charge_ns(ns);
-    }
-
     // ------------------------------------------------------------------
     // Context management (driven by EGL / EAGL)
     // ------------------------------------------------------------------
@@ -133,7 +129,7 @@ impl VendorGles {
         ctx: Option<ContextId>,
         default_fb: Option<Image>,
     ) -> bool {
-        self.charge(MAKE_CURRENT_NS);
+        clock::charge_ns(MAKE_CURRENT_NS);
         match ctx {
             None => {
                 self.current.set(tid.as_u64(), None);
@@ -166,7 +162,7 @@ impl VendorGles {
         tid: SimTid,
         f: impl FnOnce(&mut GlesContext) -> R,
     ) -> R {
-        self.charge(GL_CALL_BASE_NS);
+        clock::charge_ns(GL_CALL_BASE_NS);
         // One dense-slot read resolves both the binding and the context
         // handle; no shared map lock on the dispatch path.
         match self.current.get(tid.as_u64()) {
@@ -223,14 +219,14 @@ impl VendorGles {
 
     /// `glFlush` — expensive driver queue submission.
     pub fn flush(&self, tid: SimTid) {
-        self.charge(FLUSH_NS);
+        clock::charge_ns(FLUSH_NS);
         self.with_current(tid, |_| {});
         self.device.flush();
     }
 
     /// `glFinish` — submission plus wait-for-idle.
     pub fn finish(&self, tid: SimTid) {
-        self.charge(FINISH_NS);
+        clock::charge_ns(FINISH_NS);
         self.with_current(tid, |_| {});
         self.device.flush();
     }
@@ -238,20 +234,20 @@ impl VendorGles {
     /// `glBindFramebuffer` — carries a large render-target validation cost
     /// on the Tegra driver (Figure 9).
     pub fn bind_framebuffer(&self, tid: SimTid, name: u32) {
-        self.charge(BIND_FRAMEBUFFER_NS);
+        clock::charge_ns(BIND_FRAMEBUFFER_NS);
         self.with_current(tid, |ctx| ctx.bind_framebuffer(name));
     }
 
     /// `glBindTexture` — residency check cost.
     pub fn bind_texture(&self, tid: SimTid, name: u32) {
-        self.charge(BIND_TEXTURE_NS);
+        clock::charge_ns(BIND_TEXTURE_NS);
         self.with_current(tid, |ctx| ctx.bind_texture(name));
     }
 
     /// `glDeleteTextures` — cost scales with textures actually freed.
     pub fn delete_textures(&self, tid: SimTid, names: &[u32]) {
         let freed = self.with_current(tid, |ctx| ctx.delete_textures(names));
-        self.charge(DELETE_TEXTURE_NS * freed as u64);
+        clock::charge_ns(DELETE_TEXTURE_NS * freed as u64);
     }
 
     // ------------------------------------------------------------------
@@ -383,7 +379,7 @@ impl fmt::Debug for VendorGles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cycada_sim::{GpuCostModel, VirtualClock};
+    use cycada_sim::GpuCostModel;
 
     fn tid(n: u64) -> SimTid {
         // Tests fabricate tids through the kernel normally; here we use the
@@ -400,7 +396,7 @@ mod tests {
     }
 
     fn lib(flavor: ApiFlavor) -> VendorGles {
-        let device = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+        let device = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
         VendorGles::new(flavor, device)
     }
 
@@ -519,9 +515,9 @@ mod tests {
         let ctx = gles.create_context(GlesVersion::V2);
         gles.make_current(t, Some(ctx), None);
         let names = gles.with_current(t, |c| c.gen_textures(2));
-        let before = gles.device().clock().now_ns();
+        let before = clock::now_ns();
         gles.delete_textures(t, &names);
-        let cost = gles.device().clock().now_ns() - before;
+        let cost = clock::now_ns() - before;
         assert!(cost >= 2 * DELETE_TEXTURE_NS, "cost {cost}");
     }
 }

@@ -9,10 +9,10 @@ use cycada_gles::{
     PixelStoreParam, Primitive, StdAvailability, TexFormat,
 };
 use cycada_gpu::{GpuDevice, Image, PixelFormat};
-use cycada_sim::{GpuCostModel, VirtualClock};
+use cycada_sim::GpuCostModel;
 
 fn ctx(version: GlesVersion, flavor: ApiFlavor, size: u32) -> GlesContext {
-    let device = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+    let device = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
     let mut c = GlesContext::new(version, flavor, device);
     c.set_default_framebuffer(Some(Image::new(size, size, PixelFormat::Rgba8888)));
     c
@@ -245,7 +245,7 @@ proptest! {
         // The triangle overhangs the clip volume on every side, so only
         // the viewport clip bounds what it writes.
         let draw = |reference: bool| {
-            let device = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+            let device = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
             device.set_reference_raster(reference);
             let mut c = GlesContext::new(GlesVersion::V1, ApiFlavor::Android, device);
             c.set_default_framebuffer(Some(Image::new(12, 12, PixelFormat::Rgba8888)));

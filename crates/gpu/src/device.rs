@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cycada_sim::check::{self, Access};
 use cycada_sim::slots::SlotTable;
-use cycada_sim::{trace, GpuCostModel, Nanos, VirtualClock};
+use cycada_sim::{clock, trace, GpuCostModel, Nanos};
 
 use crate::fence::{Fence, FenceCondition, FenceId};
 use crate::format::{PixelFormat, Rgba};
@@ -132,9 +132,8 @@ const QUAD_INDICES: [u32; 6] = [0, 1, 2, 3, 4, 5];
 /// fences observe, mirroring the asynchronous completion model of a real
 /// GPU closely enough to exercise `APPLE_fence`/`NV_fence` logic.
 ///
-/// Every command charges calibrated virtual time to the shared clock.
+/// Every command charges calibrated virtual time to the calling thread.
 pub struct GpuDevice {
-    clock: VirtualClock,
     cost: GpuCostModel,
     reference_raster: AtomicBool,
     next_fence: AtomicU64,
@@ -145,10 +144,9 @@ pub struct GpuDevice {
 }
 
 impl GpuDevice {
-    /// Creates a device charging costs from `cost` to `clock`.
-    pub fn new(clock: VirtualClock, cost: GpuCostModel) -> Self {
+    /// Creates a device charging costs from `cost`.
+    pub fn new(cost: GpuCostModel) -> Self {
         GpuDevice {
-            clock,
             cost,
             reference_raster: AtomicBool::new(false),
             next_fence: AtomicU64::new(0),
@@ -178,11 +176,6 @@ impl GpuDevice {
         &self.cost
     }
 
-    /// The shared clock this device charges to.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
     fn class_scale(&self, class: DrawClass) -> f64 {
         match class {
             DrawClass::TwoD => self.cost.scale_2d,
@@ -198,7 +191,7 @@ impl GpuDevice {
         );
         self.submitted_seq.fetch_add(1, Ordering::AcqRel);
         self.stats.commands.fetch_add(1, Ordering::Relaxed);
-        self.clock.charge_ns(self.cost.command_submit_ns);
+        clock::charge_ns(self.cost.command_submit_ns);
     }
 
     /// Clears `target` to a solid color.
@@ -210,7 +203,7 @@ impl GpuDevice {
     }
 
     fn charge_clear(&self, target: &Image, class: DrawClass) {
-        self.clock.charge_ns_f64(
+        clock::charge_ns_f64(
             target.pixel_count() as f64 * self.cost.per_clear_pixel_ns * self.class_scale(class),
         );
     }
@@ -256,7 +249,7 @@ impl GpuDevice {
 
     fn charge_draw(&self, metrics: RasterMetrics, class: DrawClass) {
         let scale = self.class_scale(class);
-        self.clock.charge_ns_f64(
+        clock::charge_ns_f64(
             (metrics.vertices as f64 * self.cost.per_vertex_ns
                 + metrics.fragments as f64 * self.cost.per_fragment_ns)
                 * scale,
@@ -339,7 +332,7 @@ impl GpuDevice {
     pub fn charge_blit_pixels(&self, pixels: u64, class: DrawClass) {
         self.submit();
         self.stats.blits.fetch_add(1, Ordering::Relaxed);
-        self.clock.charge_ns_f64(
+        clock::charge_ns_f64(
             pixels as f64 * 4.0 * self.cost.per_copy_byte_ns * self.class_scale(class),
         );
     }
@@ -359,27 +352,25 @@ impl GpuDevice {
     pub fn charge_upload(&self, bytes: u64) {
         self.submit();
         self.stats.upload_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.clock
-            .charge_ns_f64(bytes as f64 * self.cost.per_upload_byte_ns);
+        clock::charge_ns_f64(bytes as f64 * self.cost.per_upload_byte_ns);
     }
 
     /// Charges for reading `bytes` back from GPU memory (`glReadPixels`).
     pub fn charge_readback(&self, bytes: u64) {
         self.submit();
-        self.clock
-            .charge_ns_f64(bytes as f64 * self.cost.per_copy_byte_ns);
+        clock::charge_ns_f64(bytes as f64 * self.cost.per_copy_byte_ns);
     }
 
     /// Charges the fixed cost of compiling and linking a shader program.
     pub fn charge_link_program(&self) {
         self.submit();
-        self.clock.charge_ns(self.cost.link_program_ns);
+        clock::charge_ns(self.cost.link_program_ns);
     }
 
     /// Charges the fixed cost of the display controller latching a frame.
     pub fn charge_present(&self) {
         self.stats.presents.fetch_add(1, Ordering::Relaxed);
-        self.clock.charge_ns(self.cost.present_fixed_ns);
+        clock::charge_ns(self.cost.present_fixed_ns);
     }
 
     /// Fixed present cost (exposed for schedulers that batch frames).
@@ -474,7 +465,7 @@ impl GpuDevice {
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         // Flush drains the command queue; cost scales with nothing we track
         // per-command, so charge a fixed submit cost.
-        self.clock.charge_ns(self.cost.command_submit_ns);
+        clock::charge_ns(self.cost.command_submit_ns);
     }
 
     /// Snapshot of execution counters. Each counter is exact; the
@@ -501,16 +492,16 @@ mod tests {
     use crate::format::PixelFormat;
 
     fn device() -> GpuDevice {
-        GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3())
+        GpuDevice::new(GpuCostModel::tegra3())
     }
 
     #[test]
     fn clear_charges_per_pixel() {
         let gpu = device();
         let img = Image::new(100, 100, PixelFormat::Rgba8888);
-        let before = gpu.clock().now_ns();
+        let before = clock::now_ns();
         gpu.clear(&img, Rgba::WHITE, DrawClass::ThreeD);
-        let cost = gpu.clock().now_ns() - before;
+        let cost = clock::now_ns() - before;
         // 10_000 pixels * 0.9 ns + 900 submit = 9_900.
         assert_eq!(cost, 9_900);
         assert_eq!(img.pixel_rgba(50, 50).to_bytes(), [255, 255, 255, 255]);
@@ -522,14 +513,14 @@ mod tests {
         let mut cost = GpuCostModel::tegra3();
         cost.scale_2d = 2.0;
         cost.command_submit_ns = 0;
-        let gpu = GpuDevice::new(VirtualClock::new(), cost);
+        let gpu = GpuDevice::new(cost);
         let img = Image::new(10, 10, PixelFormat::Rgba8888);
-        let before = gpu.clock().now_ns();
+        let before = clock::now_ns();
         gpu.clear(&img, Rgba::BLACK, DrawClass::TwoD);
-        let two_d = gpu.clock().now_ns() - before;
-        let before = gpu.clock().now_ns();
+        let two_d = clock::now_ns() - before;
+        let before = clock::now_ns();
         gpu.clear(&img, Rgba::BLACK, DrawClass::ThreeD);
-        let three_d = gpu.clock().now_ns() - before;
+        let three_d = clock::now_ns() - before;
         assert_eq!(two_d, 2 * three_d);
     }
 
@@ -542,11 +533,11 @@ mod tests {
             Vertex::colored([3.0, -1.0, 0.0], Rgba::RED),
             Vertex::colored([-1.0, 3.0, 0.0], Rgba::RED),
         ];
-        let before = gpu.clock().now_ns();
+        let before = clock::now_ns();
         let m = gpu.draw(&img, None, &verts, None, &Pipeline::default(), DrawClass::ThreeD);
         assert_eq!(m.vertices, 3);
         assert_eq!(m.fragments, 64);
-        assert!(gpu.clock().now_ns() > before);
+        assert!(clock::now_ns() > before);
         let stats = gpu.stats();
         assert_eq!(stats.draws, 1);
         assert_eq!(stats.vertices, 3);
@@ -590,14 +581,14 @@ mod tests {
     #[test]
     fn upload_and_link_charges() {
         let gpu = device();
-        let before = gpu.clock().now_ns();
+        let before = clock::now_ns();
         gpu.charge_upload(1000);
         // 1000 * 0.12 = 120 + 900 submit
-        assert_eq!(gpu.clock().now_ns() - before, 1020);
-        let before = gpu.clock().now_ns();
+        assert_eq!(clock::now_ns() - before, 1020);
+        let before = clock::now_ns();
         gpu.charge_link_program();
         assert_eq!(
-            gpu.clock().now_ns() - before,
+            clock::now_ns() - before,
             900 + GpuCostModel::tegra3().link_program_ns
         );
         assert_eq!(gpu.stats().upload_bytes, 1000);
@@ -679,14 +670,18 @@ mod tests {
 
                 let fast_gpu = device();
                 let fast_dst = Image::new(w, h, df);
+                let before = clock::now_ns();
                 let mf = fast_gpu.fullscreen_image(&fast_dst, &src, DrawClass::TwoD);
+                let fast_ns = clock::now_ns() - before;
 
                 let slow_gpu = device();
                 let slow_dst = Image::new(w, h, df);
                 let quad = fullscreen_quad();
                 let pipeline = Pipeline { texture: Some(&src), ..Pipeline::default() };
+                let before = clock::now_ns();
                 let ms =
                     slow_gpu.draw(&slow_dst, None, &quad, None, &pipeline, DrawClass::TwoD);
+                let slow_ns = clock::now_ns() - before;
 
                 assert_eq!(mf, ms, "metrics diverged {w}x{h} {sf:?}->{df:?}");
                 assert_eq!(
@@ -696,8 +691,7 @@ mod tests {
                 );
                 assert_eq!(fast_gpu.stats(), slow_gpu.stats());
                 assert_eq!(
-                    fast_gpu.clock().now_ns(),
-                    slow_gpu.clock().now_ns(),
+                    fast_ns, slow_ns,
                     "virtual time diverged {w}x{h} {sf:?}->{df:?}"
                 );
             }
@@ -725,14 +719,18 @@ mod tests {
         speckle(&src, 99);
         let span_gpu = device();
         let span_dst = Image::new(64, 48, PixelFormat::Rgba8888);
+        let before = clock::now_ns();
         let ms = span_gpu.fullscreen_image(&span_dst, &src, DrawClass::TwoD);
+        let span_ns = clock::now_ns() - before;
         let ref_gpu = device();
         ref_gpu.set_reference_raster(true);
         let ref_dst = Image::new(64, 48, PixelFormat::Rgba8888);
+        let before = clock::now_ns();
         let mr = ref_gpu.fullscreen_image(&ref_dst, &src, DrawClass::TwoD);
+        let ref_ns = clock::now_ns() - before;
         assert_eq!(ms, mr);
         assert_eq!(span_dst.to_rgba_vec(), ref_dst.to_rgba_vec());
-        assert_eq!(span_gpu.clock().now_ns(), ref_gpu.clock().now_ns());
+        assert_eq!(span_ns, ref_ns);
         assert_eq!(span_gpu.stats(), ref_gpu.stats());
     }
 

@@ -17,11 +17,10 @@
 //! # Examples
 //!
 //! ```
-//! use cycada_sim::{GpuCostModel, VirtualClock};
+//! use cycada_sim::GpuCostModel;
 //! use cycada_gpu::{DrawClass, GpuDevice, Image, PixelFormat, Rgba};
 //!
-//! let clock = VirtualClock::new();
-//! let gpu = GpuDevice::new(clock, GpuCostModel::tegra3());
+//! let gpu = GpuDevice::new(GpuCostModel::tegra3());
 //! let target = Image::new(64, 64, PixelFormat::Rgba8888);
 //! gpu.clear(&target, Rgba::RED, DrawClass::ThreeD);
 //! assert_eq!(target.pixel(0, 0), Rgba::RED.to_bytes());

@@ -15,7 +15,7 @@
 //! span-based — per-row edge terms are hoisted so the per-candidate test
 //! is one multiply-subtract per edge — and run serially, triangle by
 //! triangle in submission order. Every path is byte-identical to the
-//! per-pixel [`reference`] rasterizer, which is kept as the executable
+//! per-pixel [`reference`](mod@reference) rasterizer, which is kept as the executable
 //! specification (asserted against by property tests) and as the
 //! fallback for a texture that aliases its render target.
 
@@ -837,7 +837,7 @@ fn shade_textured(
 /// on blending, texturing or the depth test (the fill loops count a
 /// fragment *before* the depth reject), so the count is a pure
 /// function of the prepared triangles. Each row's count is found with the
-/// same [`edge_interval`] search the span lane uses — O(log W) evaluations
+/// same `edge_interval` search the span lane uses — O(log W) evaluations
 /// of the exact per-pixel predicate — falling back to a scalar predicate
 /// scan when an edge term is non-finite (where monotonicity, and thus the
 /// search, is not guaranteed).

@@ -110,9 +110,8 @@ impl SurfaceFlinger {
     ///
     /// The rectangle may extend past the panel edge; it is kept as the
     /// layer's logical geometry (so a post scales the buffer across the
-    /// whole rectangle) and [`SurfaceFlinger::present`] clips every
-    /// write to the panel — crop semantics, nothing out of bounds is
-    /// ever touched.
+    /// whole rectangle) and every present clips each write to the
+    /// panel — crop semantics, nothing out of bounds is ever touched.
     pub fn assign_layer(&self, handle: u64, rect: Rect) {
         check::schedule_point("flinger.layer", handle as usize, Access::Write);
         self.layers.set(handle, Some(rect));
@@ -202,10 +201,10 @@ impl fmt::Debug for SurfaceFlinger {
 mod tests {
     use super::*;
     use cycada_gpu::{PixelFormat, Rgba};
-    use cycada_sim::{GpuCostModel, VirtualClock};
+    use cycada_sim::GpuCostModel;
 
     fn flinger() -> SurfaceFlinger {
-        let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+        let gpu = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
         SurfaceFlinger::new(Display::new(8, 8), gpu)
     }
 
@@ -304,7 +303,7 @@ mod tests {
         // concurrently through the compositor lock. Every frame must
         // latch, and each quadrant must end with its owner's color
         // (disjoint rects commute, so any lock order is correct).
-        let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+        let gpu = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
         let sf = Arc::new(SurfaceFlinger::new(Display::new(16, 16), gpu));
         let colors = [Rgba::RED, Rgba::GREEN, Rgba::BLUE, Rgba::WHITE];
         const POSTS: usize = 25;
@@ -365,8 +364,8 @@ mod tests {
     fn composition_charges_gpu_time() {
         let sf = flinger();
         let frame = Image::new(8, 8, PixelFormat::Rgba8888);
-        let before = sf.gpu.clock().now_ns();
+        let before = cycada_sim::clock::now_ns();
         sf.post_image(&frame);
-        assert!(sf.gpu.clock().now_ns() > before);
+        assert!(cycada_sim::clock::now_ns() > before);
     }
 }

@@ -120,14 +120,14 @@ fn sessions_torn_down_mid_present_never_wedge_or_panic() {
     use cycada_gpu::{GpuDevice, Rgba};
     use cycada_gralloc::SurfaceFlinger;
     use cycada_kernel::Display;
-    use cycada_sim::{GpuCostModel, VirtualClock};
+    use cycada_sim::GpuCostModel;
 
     const PRESENTERS: usize = 4;
     const CHURNERS: usize = 3;
     const ROUNDS: usize = 40;
 
     let (kernel, driver, alloc, main) = stack();
-    let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+    let gpu = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
     let sf = Arc::new(SurfaceFlinger::new(Display::new(32, 32), gpu));
 
     let presenters: Vec<_> = (0..PRESENTERS)

@@ -100,10 +100,10 @@ mod tests {
     use super::*;
     use crate::service::SurfaceProps;
     use cycada_gpu::Rgba;
-    use cycada_sim::{GpuCostModel, VirtualClock};
+    use cycada_sim::GpuCostModel;
 
     fn setup() -> (Arc<IoMobileFramebuffer>, Arc<CoreSurfaceService>) {
-        let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::sgx543()));
+        let gpu = Arc::new(GpuDevice::new(GpuCostModel::sgx543()));
         let surfaces = CoreSurfaceService::new();
         let fb = IoMobileFramebuffer::new(Display::new(16, 16), gpu, surfaces.clone());
         (fb, surfaces)

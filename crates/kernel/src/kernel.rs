@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 
 use cycada_sim::check::{self, Access};
 use cycada_sim::slots::SlotTable;
-use cycada_sim::{DeviceProfile, Nanos, Persona, Platform, VirtualClock};
+use cycada_sim::{clock, DeviceProfile, Nanos, Persona, Platform};
 
 use crate::display::Display;
 use crate::error::KernelError;
@@ -66,7 +66,6 @@ type TlsHook = Box<dyn Fn(TlsKeyEvent) + Send + Sync>;
 /// run on real host threads.
 pub struct Kernel {
     profile: DeviceProfile,
-    clock: VirtualClock,
     display: Display,
     /// Thread table, sharded per-tid: lookups touch only the target
     /// thread's slot, so syscalls from different simulated threads never
@@ -95,7 +94,6 @@ impl Kernel {
         let display = Display::new(profile.display_width, profile.display_height);
         Kernel {
             profile,
-            clock: VirtualClock::new(),
             display,
             threads: SlotTable::new(),
             next_tid: AtomicU64::new(1),
@@ -111,11 +109,6 @@ impl Kernel {
     /// The device cost profile this kernel was booted with.
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
     }
 
     /// The device display.
@@ -457,7 +450,7 @@ impl Kernel {
             .cloned()
             .ok_or_else(|| KernelError::NoSuchService(service.to_owned()))?;
         self.charge_trap(persona);
-        self.clock.charge_ns(MACH_IPC_EXTRA_NS);
+        clock::charge_ns(MACH_IPC_EXTRA_NS);
         self.counts.mach_ipc.fetch_add(1, Ordering::Relaxed);
         handler.handle(msg)
     }
@@ -485,7 +478,7 @@ impl Kernel {
             .cloned()
             .ok_or_else(|| KernelError::NoSuchDriver(driver.to_owned()))?;
         self.charge_trap(persona);
-        self.clock.charge_ns(IOCTL_EXTRA_NS);
+        clock::charge_ns(IOCTL_EXTRA_NS);
         self.counts.ioctl.fetch_add(1, Ordering::Relaxed);
         handler.ioctl(cmd, arg)
     }
@@ -529,7 +522,7 @@ impl Kernel {
     }
 
     fn charge_trap(&self, persona: Persona) {
-        self.clock.charge_ns(self.profile.trap_ns(persona));
+        clock::charge_ns(self.profile.trap_ns(persona));
     }
 
     fn fire_tls_hooks(&self, event: TlsKeyEvent) {
@@ -573,7 +566,6 @@ impl fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("platform", &self.profile.platform)
             .field("threads", &self.threads.len())
-            .field("now_ns", &self.clock.now_ns())
             .finish()
     }
 }
@@ -615,17 +607,17 @@ mod tests {
     fn set_persona_switches_and_charges_entry_cost() {
         let k = cycada();
         let tid = k.spawn_process_main(Persona::Ios).unwrap();
-        let before = k.clock().now_ns();
+        let before = clock::now_ns();
         k.set_persona(tid, Persona::Android).unwrap();
         // Trap paid at the iOS (calling persona) rate: 305 ns.
-        assert_eq!(k.clock().now_ns() - before, 305);
+        assert_eq!(clock::now_ns() - before, 305);
         assert_eq!(k.current_persona(tid).unwrap(), Persona::Android);
         assert!(k.has_visited(tid, Persona::Android).unwrap());
 
-        let before = k.clock().now_ns();
+        let before = clock::now_ns();
         k.set_persona(tid, Persona::Ios).unwrap();
         // Return trap paid at the Android rate: 244 ns.
-        assert_eq!(k.clock().now_ns() - before, 244);
+        assert_eq!(clock::now_ns() - before, 244);
         assert_eq!(k.syscall_counts().set_persona, 2);
     }
 
@@ -639,9 +631,9 @@ mod tests {
         ] {
             let k = Kernel::for_platform(platform);
             let tid = k.spawn_process_main(persona).unwrap();
-            let before = k.clock().now_ns();
+            let before = clock::now_ns();
             k.null_syscall(tid).unwrap();
-            assert_eq!(k.clock().now_ns() - before, expect, "{platform:?}");
+            assert_eq!(clock::now_ns() - before, expect, "{platform:?}");
         }
     }
 
@@ -749,12 +741,12 @@ mod tests {
         let k = cycada();
         let tid = k.spawn_process_main(Persona::Ios).unwrap();
         k.register_service(Arc::new(Echo));
-        let before = k.clock().now_ns();
+        let before = clock::now_ns();
         let reply = k
             .mach_ipc_call(tid, "echo", IpcMessage::new(1, [42]))
             .unwrap();
         assert_eq!(reply.word(0).unwrap(), 42);
-        assert_eq!(k.clock().now_ns() - before, 305 + 320);
+        assert_eq!(clock::now_ns() - before, 305 + 320);
         assert_eq!(k.syscall_counts().mach_ipc, 1);
     }
 

@@ -26,9 +26,8 @@
 //! ```
 //! use std::sync::Arc;
 //! use cycada_linker::{DynamicLinker, LibraryImage};
-//! use cycada_sim::VirtualClock;
 //!
-//! let linker = DynamicLinker::new(VirtualClock::new());
+//! let linker = DynamicLinker::new();
 //! linker.register_image(
 //!     LibraryImage::builder("libnvos.so")
 //!         .symbols(["NvOsAlloc"])

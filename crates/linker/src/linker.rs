@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cycada_sim::{trace, Nanos, VirtualClock};
+use cycada_sim::{clock, trace, Nanos};
 
 use crate::error::LinkerError;
 use crate::image::LibraryImage;
@@ -141,7 +141,6 @@ impl LoadCache<'_> {
 
 /// The DLR-enabled dynamic linker for one simulated process.
 pub struct DynamicLinker {
-    clock: VirtualClock,
     images: Mutex<HashMap<String, LibraryImage>>,
     default_ns: Mutex<DefaultNamespace>,
     replicas: Mutex<HashMap<u64, Replica>>,
@@ -152,10 +151,9 @@ pub struct DynamicLinker {
 }
 
 impl DynamicLinker {
-    /// Creates a linker charging load costs to `clock`.
-    pub fn new(clock: VirtualClock) -> Self {
+    /// Creates an empty linker.
+    pub fn new() -> Self {
         DynamicLinker {
-            clock,
             images: Mutex::new(HashMap::new()),
             default_ns: Mutex::new(DefaultNamespace::default()),
             replicas: Mutex::new(HashMap::new()),
@@ -198,7 +196,7 @@ impl DynamicLinker {
         let mut ns = self.default_ns.lock();
         if let Some((lib, refs)) = ns.loaded.get_mut(name) {
             *refs += 1;
-            self.clock.charge_ns(OPEN_CACHED_NS);
+            clock::charge_ns(OPEN_CACHED_NS);
             return Ok(lib.clone());
         }
         let lib = self.load_tree(name, &mut LoadCache::Default(&mut ns), &mut Vec::new())?;
@@ -213,7 +211,7 @@ impl DynamicLinker {
     ///
     /// Returns [`LinkerError::SymbolNotFound`].
     pub fn dlsym(&self, lib: &Arc<LoadedLibrary>, symbol: &str) -> Result<SymbolAddr> {
-        self.clock.charge_ns(DLSYM_NS);
+        clock::charge_ns(DLSYM_NS);
         lib.symbol(symbol).ok_or_else(|| LinkerError::SymbolNotFound {
             library: lib.name().to_owned(),
             symbol: symbol.to_owned(),
@@ -384,8 +382,14 @@ impl DynamicLinker {
             .lock()
             .entry(image.name().to_owned())
             .or_insert(0) += 1;
-        self.clock.charge_ns(LOAD_FRESH_NS);
+        clock::charge_ns(LOAD_FRESH_NS);
         Arc::new(LoadedLibrary::new(image, instance, base_va, deps))
+    }
+}
+
+impl Default for DynamicLinker {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -406,7 +410,7 @@ mod tests {
     /// Builds the NVIDIA-style dependency chain from the paper:
     /// libGLESv2_tegra.so -> libnvrm.so -> libnvos.so, all over libc.
     fn nvidia_linker() -> DynamicLinker {
-        let linker = DynamicLinker::new(VirtualClock::new());
+        let linker = DynamicLinker::new();
         linker.register_image(
             LibraryImage::builder("libc.so")
                 .symbols(["malloc", "free"])
@@ -558,7 +562,7 @@ mod tests {
 
     #[test]
     fn circular_dependency_detected() {
-        let linker = DynamicLinker::new(VirtualClock::new());
+        let linker = DynamicLinker::new();
         linker.register_image(LibraryImage::builder("a.so").deps(["b.so"]).build());
         linker.register_image(LibraryImage::builder("b.so").deps(["a.so"]).build());
         assert!(matches!(
@@ -569,7 +573,7 @@ mod tests {
 
     #[test]
     fn diamond_dependency_loads_once_per_namespace() {
-        let linker = DynamicLinker::new(VirtualClock::new());
+        let linker = DynamicLinker::new();
         linker.register_image(LibraryImage::builder("base.so").build());
         linker.register_image(LibraryImage::builder("l.so").deps(["base.so"]).build());
         linker.register_image(LibraryImage::builder("r.so").deps(["base.so"]).build());

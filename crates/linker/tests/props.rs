@@ -5,11 +5,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cycada_linker::{DynamicLinker, LibraryImage};
-use cycada_sim::VirtualClock;
 
 /// Builds a linear dependency chain `lib0 <- lib1 <- ... <- libN`.
 fn chain_linker(depth: usize) -> DynamicLinker {
-    let linker = DynamicLinker::new(VirtualClock::new());
+    let linker = DynamicLinker::new();
     for i in 0..depth {
         let mut builder = LibraryImage::builder(format!("lib{i}.so"))
             .symbols([format!("fn{i}")])

@@ -56,10 +56,11 @@ use std::time::Instant;
 use cycada::{AppGl, CycadaDevice, SessionScope};
 use cycada_gles::{Capability, GlesVersion, Primitive, TexFormat};
 use cycada_gpu::DrawClass;
+use cycada_sim::clock::now_ns;
 use cycada_sim::replay::{
     arg_f32, arg_f64, arg_i32, mark, op, Call, Stream, MARK_END, MARK_METER_BEGIN, MARK_METER_END,
 };
-use cycada_sim::{Nanos, Platform, VirtualClock};
+use cycada_sim::{Nanos, Platform};
 
 pub use cycada_sim::replay::{
     f32_arg, f64_arg, i32_arg, platform_code, platform_from_code, CodecError, Recording,
@@ -376,7 +377,7 @@ fn drive(
     let rerec = opts.rerecord.then(|| Recording::new(stream.meta.clone()));
     let _guard = rerec.as_ref().map(|r| r.attach());
 
-    let base = VirtualClock::thread_charged_ns();
+    let base = now_ns();
     let mut sessions = vec![Session::new(0, app)];
     let mut cur = 0usize;
     let mut scope: Option<SessionScope> = None;
@@ -566,7 +567,7 @@ fn drive(
             }
         }
         if opts.check_timestamps {
-            let vts = VirtualClock::thread_charged_ns().saturating_sub(base);
+            let vts = now_ns().saturating_sub(base);
             if vts != call.vts {
                 return Err(diverged(
                     index,

@@ -13,8 +13,6 @@
 //!
 //! * [`crate::slots::SlotTable`] chunk publication;
 //! * [`crate::intern`] `FnId` interning and `FnTable` slot initialisation;
-//! * [`crate::VirtualClock::charge_ns`] — the charge ledger, the hottest
-//!   path in the simulator;
 //! * `cycada_diplomat`'s `ImpersonationGuard` begin/end persona walks;
 //! * every `parking_lot` `Mutex`/`RwLock` acquire and release (modeled
 //!   directly by the shim), which covers the [`crate::trace`] rings.

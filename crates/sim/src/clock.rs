@@ -1,200 +1,64 @@
-//! The virtual nanosecond clock all simulated costs are charged to.
+//! Virtual time: the calling host thread's charge ledger.
+//!
+//! Every simulated call runs synchronously on the host thread that issued
+//! it, so the ledger attributes costs exactly: a thread's virtual time is
+//! what that thread charged, independent of how concurrent sessions
+//! interleave on a shared device. Components call [`charge_ns`] to model
+//! the cost of an operation; measurements read [`now_ns`] deltas on the
+//! same thread, or scope a [`SessionMeter`].
+//!
+//! # Examples
+//!
+//! ```
+//! use cycada_sim::clock;
+//!
+//! let start = clock::now_ns();
+//! clock::charge_ns(100);
+//! clock::charge_ns(25);
+//! assert_eq!(clock::now_ns() - start, 125);
+//! ```
 
 use std::cell::Cell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::Nanos;
 
 thread_local! {
-    /// Total virtual nanoseconds charged *by this host thread*, across all
-    /// clocks. Because every simulated call runs synchronously on the host
-    /// thread that issued it (raster worker threads compute pixels but the
-    /// caller charges their cost), this ledger attributes costs exactly,
-    /// independent of how concurrent sessions interleave on the shared
-    /// device clock.
+    /// Total virtual nanoseconds charged by this host thread.
     static THREAD_CHARGED_NS: Cell<Nanos> = const { Cell::new(0) };
 }
 
-/// A monotonically increasing virtual clock measured in nanoseconds.
-///
-/// The clock is shared (cheaply clonable) between the simulated kernel, GPU,
-/// linker and libraries. Components call [`VirtualClock::charge_ns`] to model
-/// the cost of an operation; benchmark harnesses read elapsed virtual time
-/// with [`VirtualClock::now_ns`] or a [`ClockGuard`].
-///
-/// The clock is thread-safe: concurrent charges are totalled atomically, so
-/// aggregate times remain deterministic even when simulated threads run on
-/// real host threads.
+/// Charges `ns` nanoseconds to the calling thread's ledger.
+#[inline]
+pub fn charge_ns(ns: Nanos) {
+    THREAD_CHARGED_NS.with(|c| c.set(c.get() + ns));
+}
+
+/// Charges a floating-point nanosecond cost, rounded to the nearest
+/// nanosecond. Costs scaled by a [`crate::DeviceProfile`] are fractional;
+/// rounding per charge keeps totals stable.
+pub fn charge_ns_f64(ns: f64) {
+    charge_ns(ns.max(0.0).round() as Nanos);
+}
+
+/// Total virtual nanoseconds charged by the calling host thread since it
+/// started. Only deltas taken on one thread are meaningful.
 ///
 /// # Examples
 ///
 /// ```
-/// use cycada_sim::VirtualClock;
+/// use cycada_sim::clock;
 ///
-/// let clock = VirtualClock::new();
-/// let span = clock.span();
-/// clock.charge_ns(100);
-/// clock.charge_ns(25);
-/// assert_eq!(span.elapsed_ns(), 125);
+/// let start = clock::now_ns();
+/// clock::charge_ns(42);
+/// assert_eq!(clock::now_ns() - start, 42);
 /// ```
-#[derive(Clone, Default)]
-pub struct VirtualClock {
-    ns: Arc<AtomicU64>,
-}
-
-impl VirtualClock {
-    /// Creates a new clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the current virtual time in nanoseconds.
-    pub fn now_ns(&self) -> Nanos {
-        self.ns.load(Ordering::Relaxed)
-    }
-
-    /// Advances the clock by `ns` nanoseconds, returning the new time.
-    pub fn charge_ns(&self, ns: Nanos) -> Nanos {
-        // Schedule point for the charge ledger: the thread-local add and
-        // the shared fetch_add are one explorable step. This is the
-        // hottest path in the simulator, so it carries exactly one gate
-        // (a relaxed load) when the checker is not driving.
-        crate::check::schedule_point(
-            "clock.charge",
-            Arc::as_ptr(&self.ns) as usize,
-            crate::check::Access::Write,
-        );
-        THREAD_CHARGED_NS.with(|c| c.set(c.get() + ns));
-        self.ns.fetch_add(ns, Ordering::Relaxed) + ns
-    }
-
-    /// Advances the clock by a floating-point nanosecond cost, rounding to
-    /// the nearest nanosecond. Costs scaled by a [`crate::DeviceProfile`]
-    /// are fractional; rounding per charge keeps totals stable.
-    pub fn charge_ns_f64(&self, ns: f64) -> Nanos {
-        self.charge_ns(ns.max(0.0).round() as Nanos)
-    }
-
-    /// Starts a measurement span anchored at the current time.
-    pub fn span(&self) -> ClockGuard {
-        ClockGuard {
-            clock: self.clone(),
-            start: self.now_ns(),
-        }
-    }
-
-    /// Returns `true` if two handles refer to the same underlying clock.
-    pub fn same_clock(&self, other: &VirtualClock) -> bool {
-        Arc::ptr_eq(&self.ns, &other.ns)
-    }
-
-    /// Total virtual nanoseconds charged by the calling host thread, across
-    /// all clocks, since the thread started.
-    pub fn thread_charged_ns() -> Nanos {
-        THREAD_CHARGED_NS.with(Cell::get)
-    }
-
-    /// Starts a span that measures only charges made *by the calling host
-    /// thread* — immune to concurrent charges from other threads sharing
-    /// this clock. The span must be read on the thread that created it.
-    pub fn thread_span(&self) -> ThreadSpan {
-        ThreadSpan { start: Self::thread_charged_ns() }
-    }
-}
-
-impl fmt::Debug for VirtualClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("VirtualClock")
-            .field("now_ns", &self.now_ns())
-            .finish()
-    }
-}
-
-/// A span of virtual time anchored at the moment [`VirtualClock::span`] was
-/// called.
-///
-/// # Examples
-///
-/// ```
-/// use cycada_sim::VirtualClock;
-///
-/// let clock = VirtualClock::new();
-/// let span = clock.span();
-/// clock.charge_ns(42);
-/// assert_eq!(span.elapsed_ns(), 42);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ClockGuard {
-    clock: VirtualClock,
-    start: Nanos,
-}
-
-/// Delta between two positions of a host thread's charge ledger.
-///
-/// The ledger is monotonic on its own thread, so `now < start` proves the
-/// span or guard migrated host threads between creation and observation
-/// (e.g. a work-stealing pool moved the task mid-scope): the delta is
-/// meaningless, and crediting the raw wrapped difference would be
-/// catastrophic. Bump the always-on `meter-ledger-inversions` counter so
-/// the loss is observable, then credit zero — previously this was a bare
-/// `saturating_sub` that zeroed the delta silently.
-fn ledger_delta(start: Nanos, now: Nanos) -> Nanos {
-    match now.checked_sub(start) {
-        Some(delta) => delta,
-        None => {
-            crate::trace::bump(crate::trace::Counter::MeterLedgerInversions);
-            0
-        }
-    }
-}
-
-impl ClockGuard {
-    /// Virtual nanoseconds elapsed since the span started.
-    pub fn elapsed_ns(&self) -> Nanos {
-        // The shared clock is monotonic from every thread (fetch_add
-        // only), so unlike the per-thread ledger spans below this
-        // difference cannot invert; saturating_sub is only belt and
-        // braces against a future non-monotonic clock.
-        self.clock.now_ns().saturating_sub(self.start)
-    }
-
-    /// The virtual time at which this span started.
-    pub fn start_ns(&self) -> Nanos {
-        self.start
-    }
-}
-
-/// A span over the calling thread's charge ledger: measures virtual time
-/// charged by this host thread alone, regardless of what other threads
-/// charge to a shared clock in the meantime.
-///
-/// # Examples
-///
-/// ```
-/// use cycada_sim::VirtualClock;
-///
-/// let clock = VirtualClock::new();
-/// let span = clock.thread_span();
-/// clock.charge_ns(42);
-/// assert_eq!(span.elapsed_ns(), 42);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ThreadSpan {
-    start: Nanos,
-}
-
-impl ThreadSpan {
-    /// Virtual nanoseconds charged by this thread since the span started.
-    ///
-    /// Reading the span on a different host thread than the one that
-    /// created it yields a meaningless delta; such an inversion is
-    /// detected and counted (`meter-ledger-inversions`), and reported
-    /// as zero.
-    pub fn elapsed_ns(&self) -> Nanos {
-        ledger_delta(self.start, VirtualClock::thread_charged_ns())
-    }
+#[inline]
+pub fn now_ns() -> Nanos {
+    THREAD_CHARGED_NS.with(Cell::get)
 }
 
 /// An accumulator of virtual time attributed to one *session* (or any other
@@ -204,7 +68,7 @@ impl ThreadSpan {
 /// snapshots the thread's charge ledger and, when dropped, credits the delta
 /// to the meter. Because charges are attributed per host thread, the metered
 /// total for a session is identical whether it runs solo or interleaved with
-/// other sessions on the same shared device clock.
+/// other sessions on the same device.
 ///
 /// Guards of *different* meters may nest (both accumulate the inner charges);
 /// re-entering the *same* meter while a guard is live on the same thread
@@ -213,15 +77,14 @@ impl ThreadSpan {
 /// # Examples
 ///
 /// ```
-/// use cycada_sim::{SessionMeter, VirtualClock};
+/// use cycada_sim::{clock, SessionMeter};
 ///
-/// let clock = VirtualClock::new();
 /// let meter = SessionMeter::new();
 /// {
 ///     let _scope = meter.enter();
-///     clock.charge_ns(30);
+///     clock::charge_ns(30);
 /// }
-/// clock.charge_ns(99); // outside the scope: not metered
+/// clock::charge_ns(99); // outside the scope: not metered
 /// assert_eq!(meter.total_ns(), 30);
 /// ```
 #[derive(Clone)]
@@ -269,7 +132,8 @@ impl SessionMeter {
         crate::trace::push_meter_scope(self.trace_id);
         MeterGuard {
             meter: self.clone(),
-            start: VirtualClock::thread_charged_ns(),
+            start: now_ns(),
+            _not_send: PhantomData,
         }
     }
 
@@ -289,28 +153,35 @@ impl fmt::Debug for SessionMeter {
 
 /// Live scope of a [`SessionMeter`] on one host thread. Dropping the guard
 /// credits the thread's charges made during the scope to the meter.
+///
+/// The guard reads the ledger of the thread that entered the meter, so it
+/// cannot leave that thread:
+///
+/// ```compile_fail
+/// use cycada_sim::SessionMeter;
+///
+/// let guard = SessionMeter::new().enter();
+/// std::thread::spawn(move || drop(guard)).join().unwrap();
+/// ```
 #[must_use = "the meter only accumulates while the guard is alive"]
 #[derive(Debug)]
 pub struct MeterGuard {
     meter: SessionMeter,
     start: Nanos,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl MeterGuard {
     /// Nanoseconds charged by this thread since the scope opened (not yet
     /// credited to the meter — that happens on drop).
     pub fn pending_ns(&self) -> Nanos {
-        ledger_delta(self.start, VirtualClock::thread_charged_ns())
+        now_ns() - self.start
     }
 }
 
 impl Drop for MeterGuard {
     fn drop(&mut self) {
-        // A guard dropped on a different host thread than the one that
-        // entered the meter has crossed a work-stealing boundary; its
-        // scoped charges are unattributable. ledger_delta counts the
-        // inversion and credits zero rather than a wrapped total.
-        self.meter.add_ns(ledger_delta(self.start, VirtualClock::thread_charged_ns()));
+        self.meter.add_ns(self.pending_ns());
         crate::trace::pop_meter_scope();
     }
 }
@@ -322,104 +193,92 @@ mod tests {
 
     #[test]
     fn starts_at_zero() {
-        assert_eq!(VirtualClock::new().now_ns(), 0);
+        assert_eq!(thread::spawn(now_ns).join().unwrap(), 0);
     }
 
     #[test]
     fn charge_accumulates() {
-        let clock = VirtualClock::new();
-        assert_eq!(clock.charge_ns(10), 10);
-        assert_eq!(clock.charge_ns(5), 15);
-        assert_eq!(clock.now_ns(), 15);
+        let start = now_ns();
+        charge_ns(10);
+        assert_eq!(now_ns() - start, 10);
+        charge_ns(5);
+        assert_eq!(now_ns() - start, 15);
     }
 
     #[test]
     fn fractional_charge_rounds() {
-        let clock = VirtualClock::new();
-        clock.charge_ns_f64(1.4);
-        assert_eq!(clock.now_ns(), 1);
-        clock.charge_ns_f64(1.5);
-        assert_eq!(clock.now_ns(), 3);
-        clock.charge_ns_f64(-7.0);
-        assert_eq!(clock.now_ns(), 3, "negative costs clamp to zero");
+        let start = now_ns();
+        charge_ns_f64(1.4);
+        assert_eq!(now_ns() - start, 1);
+        charge_ns_f64(1.5);
+        assert_eq!(now_ns() - start, 3);
+        charge_ns_f64(-7.0);
+        assert_eq!(now_ns() - start, 3, "negative costs clamp to zero");
     }
 
     #[test]
     fn clones_share_time() {
-        let a = VirtualClock::new();
+        let a = SessionMeter::new();
         let b = a.clone();
-        a.charge_ns(7);
-        assert_eq!(b.now_ns(), 7);
-        assert!(a.same_clock(&b));
-        assert!(!a.same_clock(&VirtualClock::new()));
+        {
+            let _scope = a.enter();
+            charge_ns(7);
+        }
+        assert_eq!(b.total_ns(), 7);
+        assert!(a.same_meter(&b));
+        assert!(!a.same_meter(&SessionMeter::new()));
     }
 
     #[test]
     fn span_measures_elapsed() {
-        let clock = VirtualClock::new();
-        clock.charge_ns(100);
-        let span = clock.span();
-        assert_eq!(span.start_ns(), 100);
-        clock.charge_ns(50);
-        assert_eq!(span.elapsed_ns(), 50);
+        let base = now_ns();
+        charge_ns(100);
+        let start = now_ns();
+        assert_eq!(start - base, 100);
+        charge_ns(50);
+        assert_eq!(now_ns() - start, 50);
     }
 
     #[test]
-    fn thread_span_ignores_other_threads() {
-        let clock = VirtualClock::new();
-        let span = clock.thread_span();
-        clock.charge_ns(10);
-        let c = clock.clone();
-        thread::spawn(move || c.charge_ns(1_000_000)).join().unwrap();
-        clock.charge_ns(5);
-        assert_eq!(span.elapsed_ns(), 15, "only this thread's charges count");
-        assert_eq!(clock.now_ns(), 1_000_015, "global clock sees everything");
-    }
-
-    #[test]
-    fn thread_span_covers_all_clocks_on_thread() {
-        let a = VirtualClock::new();
-        let b = VirtualClock::new();
-        let span = a.thread_span();
-        a.charge_ns(3);
-        b.charge_ns(4);
-        assert_eq!(span.elapsed_ns(), 7);
+    fn ledger_ignores_other_threads() {
+        let start = now_ns();
+        charge_ns(10);
+        thread::spawn(|| charge_ns(1_000_000)).join().unwrap();
+        charge_ns(5);
+        assert_eq!(now_ns() - start, 15, "only this thread's charges count");
     }
 
     #[test]
     fn meter_credits_scoped_charges_only() {
-        let clock = VirtualClock::new();
         let meter = SessionMeter::new();
-        clock.charge_ns(100);
+        charge_ns(100);
         {
             let guard = meter.enter();
-            clock.charge_ns(30);
+            charge_ns(30);
             assert_eq!(guard.pending_ns(), 30);
             assert_eq!(meter.total_ns(), 0, "credited only on drop");
         }
-        clock.charge_ns(50);
+        charge_ns(50);
         assert_eq!(meter.total_ns(), 30);
         {
             let _guard = meter.enter();
-            clock.charge_ns(12);
+            charge_ns(12);
         }
         assert_eq!(meter.total_ns(), 42, "scopes accumulate");
     }
 
     #[test]
     fn meter_totals_independent_of_interleaving() {
-        let clock = VirtualClock::new();
         let meters: Vec<SessionMeter> = (0..4).map(|_| SessionMeter::new()).collect();
         let handles: Vec<_> = meters
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                let clock = clock.clone();
                 let meter = m.clone();
                 thread::spawn(move || {
                     let _scope = meter.enter();
                     for _ in 0..1000 {
-                        clock.charge_ns(i as Nanos + 1);
+                        charge_ns(i as Nanos + 1);
                     }
                 })
             })
@@ -430,90 +289,41 @@ mod tests {
         for (i, m) in meters.iter().enumerate() {
             assert_eq!(m.total_ns(), 1000 * (i as Nanos + 1));
         }
-        assert_eq!(clock.now_ns(), 1000 * (1 + 2 + 3 + 4));
     }
 
     #[test]
     fn nested_distinct_meters_both_accumulate() {
-        let clock = VirtualClock::new();
         let outer = SessionMeter::new();
         let inner = SessionMeter::new();
         assert!(!outer.same_meter(&inner));
         {
             let _o = outer.enter();
-            clock.charge_ns(5);
+            charge_ns(5);
             {
                 let _i = inner.enter();
-                clock.charge_ns(7);
+                charge_ns(7);
             }
-            clock.charge_ns(2);
+            charge_ns(2);
         }
         assert_eq!(outer.total_ns(), 14);
         assert_eq!(inner.total_ns(), 7);
     }
 
     #[test]
-    fn guard_dropped_on_foreign_thread_counts_inversion_not_wraparound() {
-        use crate::trace::{counter, Counter};
-        let clock = VirtualClock::new();
-        let meter = SessionMeter::new();
-        let before = counter(Counter::MeterLedgerInversions);
-        // Enter the meter on a thread whose ledger is well ahead, then
-        // drop the guard on a fresh thread whose ledger is behind the
-        // guard's start position: the exact shape fleet-scale work
-        // stealing produces when a task migrates mid-scope.
-        let guard = thread::spawn(move || {
-            clock.charge_ns(10_000);
-            meter.enter()
-        })
-        .join()
-        .unwrap();
-        let meter = guard.meter.clone();
-        thread::spawn(move || {
-            assert_eq!(guard.pending_ns(), 0, "inverted delta reads as zero");
-            drop(guard);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(meter.total_ns(), 0, "no wrapped credit");
-        assert!(
-            counter(Counter::MeterLedgerInversions) >= before + 2,
-            "pending_ns and drop each detect the inversion"
-        );
-    }
-
-    #[test]
-    fn thread_span_read_on_foreign_thread_counts_inversion() {
-        use crate::trace::{counter, Counter};
-        let clock = VirtualClock::new();
-        let before = counter(Counter::MeterLedgerInversions);
-        let span = thread::spawn(move || {
-            clock.charge_ns(5_000);
-            clock.thread_span()
-        })
-        .join()
-        .unwrap();
-        let elapsed = thread::spawn(move || span.elapsed_ns()).join().unwrap();
-        assert_eq!(elapsed, 0);
-        assert!(counter(Counter::MeterLedgerInversions) > before);
-    }
-
-    #[test]
     fn concurrent_charges_total_correctly() {
-        let clock = VirtualClock::new();
         let handles: Vec<_> = (0..8)
             .map(|_| {
-                let c = clock.clone();
-                thread::spawn(move || {
+                thread::spawn(|| {
+                    let start = now_ns();
                     for _ in 0..1000 {
-                        c.charge_ns(3);
+                        charge_ns(3);
                     }
+                    now_ns() - start
                 })
             })
             .collect();
         for h in handles {
-            h.join().unwrap();
+            assert_eq!(h.join().unwrap(), 1000 * 3);
         }
-        assert_eq!(clock.now_ns(), 8 * 1000 * 3);
     }
 }

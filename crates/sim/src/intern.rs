@@ -139,7 +139,7 @@ impl FnId {
 
 /// A chunked, lock-free table mapping [`FnId`] to a once-initialized `T`.
 ///
-/// Slots are write-once ([`OnceLock`] semantics); chunks of [`CHUNK`] slots
+/// Slots are write-once ([`OnceLock`] semantics); chunks of 256 slots
 /// are heap-allocated on first touch so an empty table stays small. Reads
 /// on the dispatch fast path are two relaxed pointer loads and an index —
 /// no locks, no hashing.

@@ -6,10 +6,10 @@
 //! simulation; this crate provides the shared building blocks every other
 //! crate relies on:
 //!
-//! * [`VirtualClock`] — an atomic nanosecond clock that all simulated
-//!   components charge costs to. Virtual time, not wall-clock time, is what
-//!   the benchmark harness reports, which makes every figure in the paper
-//!   reproducible bit-for-bit on any host.
+//! * [`clock`] — virtual nanoseconds, charged by every simulated component
+//!   to the calling host thread's ledger. Virtual time, not wall-clock
+//!   time, is what the benchmark harness reports, which makes every figure
+//!   in the paper reproducible bit-for-bit on any host.
 //! * [`SharedBuffer`] — reference-counted, lockable byte buffers used to
 //!   model zero-copy graphics memory (IOSurface / GraphicBuffer backing
 //!   stores).
@@ -23,11 +23,11 @@
 //! # Examples
 //!
 //! ```
-//! use cycada_sim::VirtualClock;
+//! use cycada_sim::clock;
 //!
-//! let clock = VirtualClock::new();
-//! clock.charge_ns(225); // a simulated stock-Android kernel trap
-//! assert_eq!(clock.now_ns(), 225);
+//! let start = clock::now_ns();
+//! clock::charge_ns(225); // a simulated stock-Android kernel trap
+//! assert_eq!(clock::now_ns() - start, 225);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,7 +36,7 @@
 
 mod buffer;
 pub mod check;
-mod clock;
+pub mod clock;
 pub mod intern;
 mod profile;
 pub mod replay;
@@ -46,7 +46,7 @@ pub mod stats;
 pub mod trace;
 
 pub use buffer::{BufferReadGuard, BufferWriteGuard, SharedBuffer};
-pub use clock::{ClockGuard, MeterGuard, SessionMeter, ThreadSpan, VirtualClock};
+pub use clock::{MeterGuard, SessionMeter};
 pub use profile::{CpuClass, DeviceProfile, GpuCostModel, Persona, Platform};
 pub use rng::SimRng;
 

@@ -14,7 +14,7 @@
 //!
 //! Recording **never interacts with the virtual clock**: a call site reads
 //! the calling thread's charge ledger
-//! ([`crate::VirtualClock::thread_charged_ns`]) but charges nothing, so a
+//! ([`crate::clock::now_ns`]) but charges nothing, so a
 //! session records the same framebuffer bytes and metered nanoseconds it
 //! produces with recording off (the trace plane's contract, §5d, applies
 //! verbatim).
@@ -49,7 +49,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::{Nanos, Platform, VirtualClock};
+use crate::clock::now_ns;
+use crate::{Nanos, Platform};
 
 /// `.cyt` file magic.
 pub const MAGIC: [u8; 4] = *b"CYT1";
@@ -331,7 +332,7 @@ impl Recording {
     /// Attaches this recording to the calling host thread and arms the
     /// process-wide gate. Timestamps are measured from the attach point.
     pub fn attach(&self) -> RecordGuard {
-        self.inner.lock().base = VirtualClock::thread_charged_ns();
+        self.inner.lock().base = now_ns();
         ATTACHED.with(|t| t.borrow_mut().push(self.inner.clone()));
         ACTIVE.fetch_add(1, Ordering::Relaxed);
         RecordGuard { _private: () }
@@ -384,7 +385,7 @@ pub fn record(name: &str, args: &[u64], payload: &[u8]) {
         let stack = t.borrow();
         let Some(inner) = stack.last() else { return };
         let mut inner = inner.lock();
-        let vts = VirtualClock::thread_charged_ns().saturating_sub(inner.base);
+        let vts = now_ns().saturating_sub(inner.base);
         let idx = match inner.index.get(name).copied() {
             Some(i) => i,
             None => {

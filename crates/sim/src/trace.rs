@@ -7,7 +7,7 @@
 //!
 //! The trace plane **never interacts with the virtual clock**: recording an
 //! event reads the calling thread's charge ledger
-//! ([`crate::VirtualClock::thread_charged_ns`]) but charges nothing, so all
+//! ([`crate::clock::now_ns`]) but charges nothing, so all
 //! figure/table regenerators produce byte-identical output whether tracing
 //! is disabled or force-enabled (`CYCADA_TRACE=1`). Wall-clock timestamps
 //! appear only in trace output, never in any figure.
@@ -51,7 +51,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::{Nanos, VirtualClock};
+use crate::clock::now_ns;
+use crate::Nanos;
 
 /// Events kept per host thread before the oldest is dropped.
 pub const RING_CAPACITY: usize = 4096;
@@ -162,12 +163,6 @@ pub enum Counter {
     /// Damage queries that fell back to full damage, from the former
     /// damage journals. Always 0; remove with the next benchmark change.
     DamageFullFallbacks,
-    /// Charge-ledger deltas observed to run backwards: a `ThreadSpan`
-    /// or `MeterGuard` was read or dropped on a different host thread
-    /// than the one that created it, making its ledger delta
-    /// meaningless. Always on — each bump is a metered span whose
-    /// virtual time was silently lost (credited as zero).
-    MeterLedgerInversions,
     /// Fleet tasks that finished after their per-task wall deadline.
     FleetDeadlineMisses,
     /// Teardown errors swallowed when a session's `AppGl` drops. Always
@@ -178,7 +173,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::DiplomatCalls,
         Counter::PersonaSwitches,
         Counter::ImpersonationsBegun,
@@ -202,7 +197,6 @@ impl Counter {
         Counter::TilesSkippedClean,
         Counter::TilesSkippedOccluded,
         Counter::DamageFullFallbacks,
-        Counter::MeterLedgerInversions,
         Counter::FleetDeadlineMisses,
         Counter::SessionTeardownErrors,
     ];
@@ -233,7 +227,6 @@ impl Counter {
             Counter::TilesSkippedClean => "tiles-skipped-clean",
             Counter::TilesSkippedOccluded => "tiles-skipped-occluded",
             Counter::DamageFullFallbacks => "damage-full-fallbacks",
-            Counter::MeterLedgerInversions => "meter-ledger-inversions",
             Counter::FleetDeadlineMisses => "fleet-deadline-misses",
             Counter::SessionTeardownErrors => "session-teardown-errors",
         }
@@ -337,7 +330,7 @@ pub struct TraceEvent {
     /// Wall-clock duration (0 for instants).
     pub wall_dur_ns: u64,
     /// The recording thread's charge-ledger position at span start
-    /// ([`VirtualClock::thread_charged_ns`]): deterministic virtual time.
+    /// ([`crate::clock::now_ns`]): deterministic virtual time.
     pub virt_start_ns: Nanos,
     /// Virtual nanoseconds the recording thread charged during the span
     /// (0 for instants).
@@ -526,7 +519,7 @@ fn instant_slow(cat: Category, name: &'static str, arg: u64) {
             tid: ring.tid,
             wall_start_ns: wall_now_ns(),
             wall_dur_ns: 0,
-            virt_start_ns: VirtualClock::thread_charged_ns(),
+            virt_start_ns: now_ns(),
             virt_dur_ns: 0,
             meter: current_meter(),
             arg,
@@ -587,7 +580,7 @@ impl fmt::Debug for SpanGuard {
 #[cold]
 fn finish_span(start: SpanStart) {
     let wall_end = wall_now_ns();
-    let virt_end = VirtualClock::thread_charged_ns();
+    let virt_end = now_ns();
     with_ring(|ring| {
         ring.push(TraceEvent {
             name: start.name,
@@ -615,7 +608,7 @@ pub fn span(cat: Category, name: &'static str) -> SpanGuard {
             cat,
             name,
             wall_start_ns: wall_now_ns(),
-            virt_start_ns: VirtualClock::thread_charged_ns(),
+            virt_start_ns: now_ns(),
             arg: 0,
         }),
     }
@@ -810,11 +803,10 @@ mod tests {
         let _l = TEST_LOCK.lock();
         set_enabled(true);
         clear();
-        let clock = VirtualClock::new();
         {
             let mut s = span(Category::Diplomat, "trace_test_span");
             s.set_arg(42);
-            clock.charge_ns(123);
+            crate::clock::charge_ns(123);
         }
         set_enabled(false);
         let events = drain();

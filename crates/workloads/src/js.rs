@@ -14,7 +14,7 @@
 //! overhead shows up on top of the interpreter penalty.
 
 use cycada_kernel::{Kernel, SimTid};
-use cycada_sim::Nanos;
+use cycada_sim::{clock, Nanos};
 
 /// The nine SunSpider categories of Figure 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,7 +171,7 @@ impl JsEngine {
     ///
     /// Panics if the thread is dead.
     pub fn run(&self, kernel: &Kernel, tid: SimTid, category: JsCategory) -> Nanos {
-        let start = kernel.clock().now_ns();
+        let start = clock::now_ns();
         let ops = category.op_count();
         let per_op = if self.jit {
             JIT_OP_NS
@@ -180,13 +180,13 @@ impl JsEngine {
         } * self.efficiency
             * self.kernel_tax;
         let cpu_cost = kernel.profile().cpu_cost(per_op * ops as f64);
-        kernel.clock().charge_ns_f64(cpu_cost);
+        clock::charge_ns_f64(cpu_cost);
         // Allocation/GC traps: where the kernel-entry overhead of each
         // platform surfaces in JS time.
         for _ in 0..(ops / OPS_PER_SYSCALL) {
             kernel.null_syscall(tid).expect("thread alive");
         }
-        kernel.clock().now_ns() - start
+        clock::now_ns() - start
     }
 
     /// Runs the full suite, returning `(per-category, total)` latencies.

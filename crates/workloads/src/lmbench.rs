@@ -11,7 +11,7 @@
 use cycada::CycadaDevice;
 use cycada_diplomat::{DiplomatEntry, DiplomatPattern, HookKind};
 use cycada_kernel::{Kernel, Persona};
-use cycada_sim::{Nanos, Platform};
+use cycada_sim::{clock, Nanos, Platform};
 
 /// Iterations per measurement (costs are deterministic; iterations verify
 /// stability, mirroring lmbench's repetition).
@@ -63,22 +63,22 @@ pub fn null_syscall_ns(platform: Platform) -> Nanos {
         Persona::Android
     };
     let tid = kernel.spawn_process_main(persona).expect("supported persona");
-    let start = kernel.clock().now_ns();
+    let start = clock::now_ns();
     for _ in 0..ITERS {
         kernel.null_syscall(tid).expect("thread alive");
     }
-    (kernel.clock().now_ns() - start) / ITERS
+    (clock::now_ns() - start) / ITERS
 }
 
 /// Measures a plain function call on the Cycada device.
 pub fn standard_function_ns() -> Nanos {
     let kernel = Kernel::for_platform(Platform::CycadaIos);
     let cost = kernel.profile().function_call_ns;
-    let start = kernel.clock().now_ns();
+    let start = clock::now_ns();
     for _ in 0..ITERS {
-        kernel.clock().charge_ns(cost);
+        clock::charge_ns(cost);
     }
-    (kernel.clock().now_ns() - start) / ITERS
+    (clock::now_ns() - start) / ITERS
 }
 
 /// Measures one diplomat variant on a booted Cycada device.
@@ -98,11 +98,11 @@ pub fn diplomat_ns(hooks: HookKind) -> Nanos {
     );
     // Warm the symbol cache (first call pays dlopen/dlsym).
     device.engine().call(tid, &entry, || {}).expect("warm call");
-    let start = device.kernel().clock().now_ns();
+    let start = clock::now_ns();
     for _ in 0..ITERS {
         device.engine().call(tid, &entry, || {}).expect("probe call");
     }
-    (device.kernel().clock().now_ns() - start) / ITERS
+    (clock::now_ns() - start) / ITERS
 }
 
 impl Table3 {

@@ -13,7 +13,7 @@
 use cycada::{AppGl, Result};
 use cycada_gles::{Capability, GlesVersion, Primitive, TexFormat};
 use cycada_gpu::DrawClass;
-use cycada_sim::{Platform, SimRng};
+use cycada_sim::{clock, Platform, SimRng};
 
 /// The seven PassMark tests of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,13 +115,13 @@ pub fn run_test(
     // performance than Android").
     let ios_style = platform.app_is_ios() && test.ios_batches();
     let mut rng = SimRng::new(0xAA55 ^ u64::from(frames));
-    let start = app.now_ns();
+    let start = clock::now_ns();
     let mut work_units: u64 = 0;
     for frame in 0..frames {
         work_units += run_frame(&mut app, test, ios_style, frame, &mut rng)?;
         app.present()?;
     }
-    let elapsed = app.now_ns() - start;
+    let elapsed = clock::now_ns() - start;
     Ok(PassmarkScore {
         test,
         platform,
@@ -161,13 +161,13 @@ pub fn run_suite_with_stats(
         let mut app = AppGl::boot_with_display(Platform::CycadaIos, GlesVersion::V1, display)?;
         app.set_draw_class(test.draw_class());
         let mut rng = SimRng::new(0xAA55 ^ u64::from(frames));
-        let start = app.now_ns();
+        let start = clock::now_ns();
         let mut work_units: u64 = 0;
         for frame in 0..frames {
             work_units += run_frame(&mut app, test, test.ios_batches(), frame, &mut rng)?;
             app.present()?;
         }
-        let elapsed = app.now_ns() - start;
+        let elapsed = clock::now_ns() - start;
         scores.push(PassmarkScore {
             test,
             platform: Platform::CycadaIos,

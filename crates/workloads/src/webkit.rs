@@ -344,9 +344,9 @@ mod tests {
     fn rendering_charges_virtual_time_and_uses_expected_calls() {
         let app = AppGl::boot_with_display(Platform::CycadaIos, GlesVersion::V2, SMALL).unwrap();
         let mut view = WebView::new(&app).unwrap();
-        let before = app.now_ns();
+        let before = cycada_sim::clock::now_ns();
         view.render_page(&app, &WebPage::for_site("cnn.com")).unwrap();
-        assert!(app.now_ns() > before);
+        assert!(cycada_sim::clock::now_ns() > before);
         let stats = app.gl_stats().unwrap();
         for name in [
             "glTexSubImage2D",

@@ -46,7 +46,7 @@ use cycada_sim::replay::{
     arg_f32, arg_i32, f32_arg, i32_arg, op, Call, Stream, StreamMeta, MARK_END,
     MARK_METER_BEGIN, MARK_METER_END,
 };
-use cycada_sim::{GpuCostModel, Platform, SimRng, VirtualClock};
+use cycada_sim::{GpuCostModel, Platform, SimRng};
 
 /// Display size of every generated stream (small keeps 200 cases fast).
 pub const WIDTH: u32 = 64;
@@ -492,7 +492,7 @@ impl RefCtx {
 /// Returns a description of the first call the reference cannot run: an
 /// operation it does not model, or malformed arguments.
 pub fn run_reference(stream: &Stream) -> Result<(Stream, Vec<u64>), String> {
-    let device = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+    let device = Arc::new(GpuDevice::new(GpuCostModel::tegra3()));
     device.set_reference_raster(true);
     let size = (stream.meta.width, stream.meta.height);
     let header = gles_from_code(stream.meta.gles.into()).ok_or("bad header GLES version")?;

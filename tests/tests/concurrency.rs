@@ -6,7 +6,7 @@ use std::sync::Arc;
 use cycada::CycadaDevice;
 use cycada_gles::{GlesVersion, TexFormat};
 use cycada_kernel::{Kernel, Persona};
-use cycada_sim::Platform;
+use cycada_sim::{clock, Platform};
 
 #[test]
 fn parallel_syscalls_accumulate_exact_virtual_time() {
@@ -18,16 +18,21 @@ fn parallel_syscalls_accumulate_exact_virtual_time() {
             let k = kernel.clone();
             let tid = k.spawn_process_main(Persona::Android).unwrap();
             std::thread::spawn(move || {
+                let start = clock::now_ns();
                 for _ in 0..iters {
                     k.null_syscall(tid).unwrap();
                 }
+                clock::now_ns() - start
             })
         })
         .collect();
     for h in handles {
-        h.join().unwrap();
+        assert_eq!(
+            h.join().unwrap(),
+            iters * 244,
+            "each thread pays exactly its own traps"
+        );
     }
-    assert_eq!(kernel.clock().now_ns(), threads * iters * 244);
     assert_eq!(kernel.syscall_counts().null, threads * iters);
 }
 

@@ -36,7 +36,7 @@ fn diplomat_call_on_exited_thread_fails_cleanly() {
 #[test]
 fn diplomat_against_unregistered_library_fails_without_poisoning() {
     let kernel = Arc::new(Kernel::for_platform(Platform::CycadaIos));
-    let linker = Arc::new(DynamicLinker::new(kernel.clock().clone()));
+    let linker = Arc::new(DynamicLinker::new());
     let engine = DiplomatEngine::new(kernel.clone(), linker);
     let tid = kernel.spawn_process_main(Persona::Ios).unwrap();
     let entry = DiplomatEntry::new(

@@ -8,7 +8,8 @@
 //!    `(scenario, seed, frames, display)` on a private device;
 //!  * two-run determinism — the full per-session digest of a fleet run
 //!    is identical across two runs of the same seed and config, even
-//!    though scheduling (which worker claims which session) differs;
+//!    though scheduling (which worker claims which session) differs,
+//!    and per-device virtual totals are identical for 1 and 4 workers;
 //!  * oversubscription — sessions ≫ workers ≫ devices completes with
 //!    every session accounted for and no starvation.
 
@@ -65,6 +66,18 @@ fn same_seed_and_config_reproduce_the_same_digest() {
         determinism_digest(&first.outcomes),
         determinism_digest(&second.outcomes),
         "per-session (hash, virtual_ns) digest must be schedule-independent"
+    );
+    // Per-device totals are sums of per-task ledger deltas, so they must
+    // not depend on how many workers shared the devices' tasks.
+    let device_ns = |workers| -> Vec<u64> {
+        let report =
+            run_fleet(&small_config("workers", 2, 24, workers)).expect("fleet run must succeed");
+        report.devices.iter().map(|d| d.virtual_ns).collect()
+    };
+    assert_eq!(
+        device_ns(1),
+        device_ns(4),
+        "per-device virtual ns must be worker-independent"
     );
 }
 

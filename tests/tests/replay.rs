@@ -18,7 +18,7 @@ use cycada_replay::{
     ReplayError, ReplayOptions, MARK_SESSION,
 };
 use cycada_sim::replay::{op, Stream};
-use cycada_sim::Platform;
+use cycada_sim::{clock, Platform};
 use cycada_workloads::scenario::Scenario;
 
 const SEED: u64 = 0x5EED;
@@ -315,7 +315,7 @@ fn rejected_arguments_charge_and_record_nothing() {
             .unwrap_or_else(|e| panic!("{platform:?}: boot failed: {e}"));
         let recording = Recording::new(stream_on(platform, &[]).meta);
         let guard = recording.attach();
-        let before = app.now_ns();
+        let before = clock::now_ns();
         let layer = Rect {
             x: 0,
             y: 0,
@@ -333,7 +333,7 @@ fn rejected_arguments_charge_and_record_nothing() {
             ));
         }
         assert_eq!(
-            app.now_ns(),
+            clock::now_ns(),
             before,
             "{platform:?}: a rejected call charged time"
         );

@@ -20,7 +20,7 @@ use cycada::{AndroidDevice, AppGl, CycadaDevice, IosDevice};
 use cycada_gles::{GlesVersion, Primitive, TexFormat};
 use cycada_sim::stats::FunctionShare;
 use cycada_sim::trace::{self, Counter};
-use cycada_sim::{Nanos, Platform};
+use cycada_sim::{clock, Nanos, Platform};
 
 const W: u32 = 48;
 const H: u32 = 32;
@@ -156,13 +156,15 @@ fn concurrent_sessions_match_solo_runs() {
 
 #[test]
 fn sessions_share_one_device_but_not_figures() {
-    // Two sessions on one device: the device clock totals both, but each
-    // session's scope only ever sees its own charges.
+    // Two sessions on one device driven by one thread: the thread's
+    // ledger totals both, but each session's scope only ever sees its own
+    // charges.
     let device = CycadaDevice::boot_with_display(Some((W, H))).unwrap();
     let mut a = AppGl::attach_cycada(&device, GlesVersion::V1).unwrap();
     let mut b = AppGl::attach_cycada(&device, GlesVersion::V1).unwrap();
     let tex_a = drive_setup(&mut a, seed(0));
     let tex_b = drive_setup(&mut b, seed(0));
+    let start = clock::now_ns();
     {
         let _scope = a.session_scope();
         drive_frames(&mut a, tex_a, seed(0), FRAMES);
@@ -173,9 +175,10 @@ fn sessions_share_one_device_but_not_figures() {
     }
     assert_eq!(a.session_virtual_ns(), b.session_virtual_ns(),
         "identical call sequences cost the same regardless of session");
-    assert!(
-        device.kernel().clock().now_ns() >= a.session_virtual_ns() + b.session_virtual_ns(),
-        "the shared device clock totals at least both sessions' metered work"
+    assert_eq!(
+        clock::now_ns() - start,
+        a.session_virtual_ns() + b.session_virtual_ns(),
+        "the driving thread's ledger totals exactly both sessions' metered work"
     );
     // Session stats stay private: each session recorded its own present
     // calls, not its neighbour's.
@@ -191,9 +194,9 @@ fn sessions_share_one_device_but_not_figures() {
 #[test]
 fn attach_reuses_the_shared_stack() {
     let device = CycadaDevice::boot_with_display(Some((W, H))).unwrap();
-    let before = device.kernel().clock().now_ns();
+    let before = clock::now_ns();
     let session = device.attach_session().unwrap();
-    let attach_cost = device.kernel().clock().now_ns() - before;
+    let attach_cost = clock::now_ns() - before;
     assert!(session.main_tid() != device.main_tid());
     // Attaching spawns a process; it must not re-boot the platform stack
     // (library loads, service registration), which costs milliseconds of
