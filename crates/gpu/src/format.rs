@@ -62,20 +62,33 @@ impl PixelFormat {
             PixelFormat::Rgba8888 => Rgba::from_bytes([raw[0], raw[1], raw[2], raw[3]]),
             PixelFormat::Bgra8888 => Rgba::from_bytes([raw[2], raw[1], raw[0], raw[3]]),
             PixelFormat::Rgb565 => {
-                let v = u16::from_le_bytes([raw[0], raw[1]]);
-                let r = ((v >> 11) & 0x1f) as u8;
-                let g = ((v >> 5) & 0x3f) as u8;
-                let b = (v & 0x1f) as u8;
-                Rgba::from_bytes([
-                    (r << 3) | (r >> 2),
-                    (g << 2) | (g >> 4),
-                    (b << 3) | (b >> 2),
-                    255,
-                ])
+                Rgba::from_bytes(rgb565_bytes(u16::from_le_bytes([raw[0], raw[1]])))
             }
             PixelFormat::Alpha8 => Rgba::new(0.0, 0.0, 0.0, f32::from(raw[0]) / 255.0),
         }
     }
+}
+
+/// Swaps bytes 0 and 2 of a packed little-endian pixel: the RGBA ↔ BGRA
+/// conversion, in either direction.
+#[inline]
+pub(crate) fn swap_rb(v: u32) -> u32 {
+    (v & 0xFF00_FF00) | (v >> 16 & 0xFF) | (v & 0xFF) << 16
+}
+
+/// Expands a 5-6-5 pixel to `[r, g, b, 255]`, widening each channel by
+/// bit replication so that 0 maps to 0 and the channel maximum to 255.
+#[inline]
+pub(crate) fn rgb565_bytes(v: u16) -> [u8; 4] {
+    let r = ((v >> 11) & 0x1f) as u8;
+    let g = ((v >> 5) & 0x3f) as u8;
+    let b = (v & 0x1f) as u8;
+    [
+        (r << 3) | (r >> 2),
+        (g << 2) | (g >> 4),
+        (b << 3) | (b >> 2),
+        255,
+    ]
 }
 
 impl fmt::Display for PixelFormat {

@@ -4,7 +4,7 @@ use std::fmt;
 
 use cycada_sim::SharedBuffer;
 
-use crate::format::{PixelFormat, Rgba};
+use crate::format::{rgb565_bytes, swap_rb, PixelFormat, Rgba};
 use crate::raster::Rect;
 
 /// A 2D pixel surface: textures, renderbuffers, IOSurface/GraphicBuffer
@@ -242,28 +242,68 @@ impl Image {
     /// the canonical form used by tests to compare renderings
     /// across formats and paddings.
     pub fn to_rgba_vec(&self) -> Vec<u8> {
-        let bpp = self.format.bytes_per_pixel();
         let mut out = Vec::with_capacity(self.pixel_count() as usize * 4);
-        self.read_rows(|rows| {
-            for y in 0..self.height {
-                let row = rows.row(y);
-                for px in row.chunks_exact(bpp) {
-                    out.extend_from_slice(&self.format.decode(px).to_bytes());
-                }
-            }
-        });
+        self.for_each_canonical(|px| out.extend_from_slice(&px));
         out
     }
 
-    /// A 64-bit FNV-1a hash of the canonical RGBA pixels — used for
-    /// "pixel for pixel" comparisons like the paper's Acid3 check.
+    /// A 64-bit FNV-1a hash of the canonical RGBA pixels (the bytes of
+    /// [`Image::to_rgba_vec`]) — the present digest that recording stores
+    /// and replay checks, and the "pixel for pixel" comparison of the
+    /// paper's Acid3 check. Hashed straight from the rows under one read
+    /// guard, with no allocation; the serial multiply of FNV-1a is its
+    /// whole cost.
     pub fn pixel_hash(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_rgba_vec() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.for_each_canonical(|px| {
+            for byte in px {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        });
         hash
+    }
+
+    /// Calls `f` with every pixel's canonical RGBA bytes in row-major
+    /// order under one read guard; row padding is never read.
+    fn for_each_canonical(&self, mut f: impl FnMut([u8; 4])) {
+        self.read_rows(|rows| {
+            for y in 0..self.height {
+                canonical_row(self.format, rows.row(y), &mut f);
+            }
+        });
+    }
+}
+
+/// Calls `f` with the canonical RGBA bytes of each pixel of `row`, a
+/// row of `format` pixels without padding. The bytes are
+/// `format.decode(px).to_bytes()`, computed on integers: that float round
+/// trip is the identity on 8-bit channels, so `Rgba8888` is the raw bytes,
+/// `Bgra8888` the raw bytes with 0 and 2 swapped, `Rgb565` its
+/// bit-replicated expansion with alpha 255, and `Alpha8` `[0, 0, 0, a]`
+/// (asserted over every pixel value by tests).
+fn canonical_row(format: PixelFormat, row: &[u8], mut f: impl FnMut([u8; 4])) {
+    match format {
+        PixelFormat::Rgba8888 => {
+            for p in row.chunks_exact(4) {
+                f([p[0], p[1], p[2], p[3]]);
+            }
+        }
+        PixelFormat::Bgra8888 => {
+            for p in row.chunks_exact(4) {
+                f(swap_rb(u32::from_le_bytes([p[0], p[1], p[2], p[3]])).to_le_bytes());
+            }
+        }
+        PixelFormat::Rgb565 => {
+            for p in row.chunks_exact(2) {
+                f(rgb565_bytes(u16::from_le_bytes([p[0], p[1]])));
+            }
+        }
+        PixelFormat::Alpha8 => {
+            for &a in row {
+                f([0, 0, 0, a]);
+            }
+        }
     }
 }
 
@@ -424,6 +464,77 @@ mod tests {
 
         b.set_pixel(7, 7, Rgba::RED);
         assert_ne!(a.pixel_hash(), b.pixel_hash());
+    }
+
+    /// The canonical bytes of one raw pixel of `format`.
+    fn canonical(format: PixelFormat, raw: &[u8]) -> [u8; 4] {
+        let mut out = Vec::new();
+        canonical_row(format, raw, |px| out.push(px));
+        assert_eq!(out.len(), 1);
+        out[0]
+    }
+
+    #[test]
+    fn canonical_bytes_match_decode_for_every_pixel_value() {
+        // 8-bit channels are independent, so a per-lane sweep is
+        // exhaustive for both 8888 layouts; RGB565 and ALPHA8 are swept
+        // over every encoding.
+        for v in 0..=255u8 {
+            for format in [PixelFormat::Rgba8888, PixelFormat::Bgra8888] {
+                for lane in 0..4 {
+                    let mut px = [0u8; 4];
+                    px[lane] = v;
+                    let want = format.decode(&px).to_bytes();
+                    assert_eq!(
+                        canonical(format, &px),
+                        want,
+                        "{format} lane {lane} value {v}"
+                    );
+                }
+            }
+            let want = PixelFormat::Alpha8.decode(&[v]).to_bytes();
+            assert_eq!(
+                canonical(PixelFormat::Alpha8, &[v]),
+                want,
+                "ALPHA8 value {v}"
+            );
+        }
+        for raw in 0..=u16::MAX {
+            let px = raw.to_le_bytes();
+            let want = PixelFormat::Rgb565.decode(&px).to_bytes();
+            assert_eq!(
+                canonical(PixelFormat::Rgb565, &px),
+                want,
+                "RGB565 value {raw:#06x}"
+            );
+        }
+    }
+
+    /// A 7×5 image of `format` whose every buffer byte, row padding
+    /// included, is a deterministic speckle.
+    fn speckled(format: PixelFormat) -> Image {
+        let img = Image::with_row_bytes(7, 5, format, 7 * format.bytes_per_pixel() + 3);
+        img.buffer().write(|b| {
+            for (i, v) in b.iter_mut().enumerate() {
+                *v = (i as u32).wrapping_mul(2_654_435_761).to_le_bytes()[3];
+            }
+        });
+        img
+    }
+
+    #[test]
+    fn pixel_hash_is_pinned_per_format() {
+        // Digests of the canonicalization the committed `.cyt` corpus and
+        // golden files were recorded with: a change to canonical bytes,
+        // or a read of row padding, fails here first.
+        for (format, want) in [
+            (PixelFormat::Rgba8888, 0x91af_4334_6c08_a500),
+            (PixelFormat::Bgra8888, 0xab5b_7689_b4a0_1ccc),
+            (PixelFormat::Rgb565, 0xc6ff_4700_c06a_a554),
+            (PixelFormat::Alpha8, 0xe016_4aee_d657_7844),
+        ] {
+            assert_eq!(speckled(format).pixel_hash(), want, "{format}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! specification (asserted against by property tests) and as the
 //! fallback for a texture that aliases its render target.
 
-use crate::format::{PixelFormat, Rgba};
+use crate::format::{swap_rb, PixelFormat, Rgba};
 use crate::image::Image;
 use crate::math::Mat4;
 
@@ -682,7 +682,7 @@ const SPAN_TILE: usize = 128;
 /// test accepts. Second, the interior loops repeat the scalar lane's
 /// weight, interpolation, sampling and [`quantize_unit`] expressions
 /// verbatim — the same arithmetic, merely restructured so the compiler
-/// can vectorize it: no coverage test, `i32` quantize casts, and packed
+/// can vectorize it: no coverage test, a cast-free quantize, and packed
 /// `u32` stores. Textured spans are shaded by [`shade_textured`].
 #[inline]
 fn fill_row_span(
@@ -809,7 +809,7 @@ fn shade_textured(
     }
     if tex.swap_rb {
         for v in &mut texel[..len] {
-            *v = (*v & 0xFF00_FF00) | (*v >> 16 & 0xFF) | (*v & 0xFF) << 16;
+            *v = swap_rb(*v);
         }
     }
 
@@ -980,7 +980,8 @@ pub fn blit_clipped(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect, cl
                 drow.copy_from_slice(srow);
             } else {
                 for (d, s) in drow.chunks_exact_mut(4).zip(srow.chunks_exact(4)) {
-                    d.copy_from_slice(&[s[2], s[1], s[0], s[3]]);
+                    let v = u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+                    d.copy_from_slice(&swap_rb(v).to_le_bytes());
                 }
             }
         }
@@ -1012,29 +1013,38 @@ fn edge(a: [f32; 3], b: [f32; 3], p: [f32; 3]) -> f32 {
 }
 
 /// Quantizes one linear color component exactly as [`Rgba::to_bytes`]
-/// does (clamp → ×255 → round half away from zero), but with a truncating
-/// cast and an explicit half-up carry instead of the `round()` intrinsic,
-/// which lowers to a libm call on baseline x86-64 and dominated the
-/// per-fragment cost of the raster plane.
+/// does (clamp → ×255 → round half away from zero), with no libm
+/// `round()` call and no float→int conversion, so the span lane's loops
+/// vectorize around it.
 ///
-/// Bit-for-bit equivalence: after the clamp, `x = v*255 ∈ [0, 255]`, so
-/// `x as i32` is the exact integer part and `x - i` is exactly
-/// representable (the fractional bits of a sub-2^8 f32 fit in the
-/// mantissa), making `i + (frac >= 0.5)` precisely round-half-away for
-/// non-negative input. NaN saturates to 0 through both code paths.
-/// Asserted against `to_bytes` over a dense sweep of the f32 bit space by
-/// tests.
+/// A saturating cast (`x as i32`) cannot do: on SSE2 it lowers to scalar
+/// `cvttss2si` wrapped in range-check branches, which pulls every
+/// channel of every pixel out of the vector lane. Instead:
 ///
-/// The intermediate is `i32` rather than `u32` deliberately: the only
-/// reachable inputs of the cast are `[-0.0, 255]` and NaN, where the two
-/// saturating casts agree, and `i32 → f32` is a single `cvtdq2ps` when
-/// the span lane vectorizes, while `u32 → f32` needs a multi-instruction
-/// fix-up sequence on SSE2.
+/// 1. `x = v.max(0.0).min(1.0) * 255.0` — `f32::max` sends NaN to 0,
+///    as the cast in `to_bytes` does, so `x ∈ [0, 255]`.
+/// 2. `t = x + 2²³`: in `[2²³, 2²⁴)` the f32 spacing is exactly 1, so the
+///    add rounds `x` to the nearest integer, ties to even, and that
+///    integer (at most 255) is the low byte of `t`'s mantissa.
+/// 3. `r = t − 2²³` is that integer as an `f32` (exact), and `x − r` is
+///    exact too — by Sterbenz's lemma (`r/2 ≤ x ≤ 2r` for `r ≥ 1`), or
+///    trivially when `r = 0`. It lies in `[−0.5, 0.5]` and equals `0.5`
+///    only on a tie that went down to even, where adding 1 turns ties to
+///    even into ties away from zero. The sum never exceeds 255: 255 is
+///    odd, so no tie rounds down onto it.
+///
+/// Every step is an add, sub, mul, max/min, bitcast, mask or compare.
+/// Asserted against `to_bytes` over a dense sweep of the f32 bit space
+/// by tests, and over all 2³² bit patterns by an ignored test.
+// `max`/`min`, not `clamp`: `clamp` keeps NaN, and step 1 needs NaN → 0.
+#[allow(clippy::manual_clamp)]
 #[inline]
 fn quantize_unit(v: f32) -> u8 {
-    let x = v.clamp(0.0, 1.0) * 255.0;
-    let i = x as i32;
-    (i + i32::from(x - i as f32 >= 0.5)) as u8
+    const TWO_23: f32 = 8_388_608.0;
+    let x = v.max(0.0).min(1.0) * 255.0;
+    let t = x + TWO_23;
+    let r = t - TWO_23;
+    ((t.to_bits() & 0xFF) + u32::from(x - r >= 0.5)) as u8
 }
 
 /// [`PixelFormat::encode`] with [`quantize_unit`] in place of
@@ -1723,6 +1733,22 @@ mod tests {
             }
             bits = next;
         }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 f32 bit patterns: run in release with --include-ignored quantize"]
+    fn quantize_unit_matches_to_bytes_over_every_f32() {
+        let reference = |v: f32| (v.clamp(0.0, 1.0) * 255.0).round() as u8;
+        let sweep = |lo: u32, hi: u32| {
+            for bits in lo..=hi {
+                let v = f32::from_bits(bits);
+                assert_eq!(quantize_unit(v), reference(v), "bits = {bits:#010x}");
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| sweep(0, u32::MAX / 2));
+            s.spawn(|| sweep(u32::MAX / 2 + 1, u32::MAX));
+        });
     }
 
     #[test]

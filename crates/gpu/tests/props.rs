@@ -187,6 +187,43 @@ proptest! {
         prop_assert_eq!(a.pixel_hash(), b.pixel_hash());
     }
 
+    #[test]
+    fn pixel_hash_and_rgba_vec_match_the_decode_oracle(
+        f in 0u8..4, w in 0u32..=40, h in 0u32..=40, pad in 0usize..=7, seed: u64,
+    ) {
+        let format = [
+            PixelFormat::Rgba8888,
+            PixelFormat::Bgra8888,
+            PixelFormat::Rgb565,
+            PixelFormat::Alpha8,
+        ][usize::from(f)];
+        let bpp = format.bytes_per_pixel();
+        let row_bytes = w as usize * bpp + pad;
+        let img = Image::with_row_bytes(w, h, format, row_bytes);
+        // Random pixels and random junk in the row padding.
+        let mut x = seed | 1;
+        img.buffer().write(|b| {
+            for v in b.iter_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *v = x as u8;
+            }
+        });
+        let oracle: Vec<u8> = img.buffer().read(|b| {
+            (0..h as usize)
+                .flat_map(|y| (0..w as usize).map(move |x| y * row_bytes + x * bpp))
+                .flat_map(|off| format.decode(&b[off..off + bpp]).to_bytes())
+                .collect()
+        });
+        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+        for &byte in &oracle {
+            fnv = (fnv ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        prop_assert_eq!(img.pixel_hash(), fnv);
+        prop_assert_eq!(img.to_rgba_vec(), oracle);
+    }
+
     // ------------------------------------------------------------------
     // Raster-plane equivalence: the span rasterizer and the per-pixel
     // reference implementation must be byte-identical on arbitrary input
