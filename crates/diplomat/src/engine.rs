@@ -4,6 +4,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use parking_lot::Mutex;
+
 use cycada_kernel::{bsd_errno_from_linux, Kernel, SimTid};
 use cycada_linker::{DynamicLinker, SymbolAddr};
 use cycada_sim::{clock, intern::FnId, stats::FunctionStats, trace, Nanos, Persona};
@@ -90,6 +92,9 @@ pub struct DiplomatEntry {
     pattern: DiplomatPattern,
     hooks: HookKind,
     resolved: OnceLock<SymbolAddr>,
+    /// Held while resolving, so racing first calls resolve (and are
+    /// charged for) the symbol once.
+    resolving: Mutex<()>,
 }
 
 impl DiplomatEntry {
@@ -127,6 +132,7 @@ impl DiplomatEntry {
             pattern,
             hooks,
             resolved: OnceLock::new(),
+            resolving: Mutex::new(()),
         }
     }
 
@@ -287,11 +293,17 @@ impl DiplomatEngine {
             trace::bump(trace::Counter::DiplomatCalls);
         }
 
-        // (1) Lazy symbol resolution, cached for efficient reuse.
+        // (1) Lazy symbol resolution, cached for efficient reuse. Racing
+        // first callers queue on the entry's lock and check again inside
+        // it, so one of them pays dlopen + dlsym and the rest find the
+        // symbol resolved.
         if entry.resolved.get().is_none() {
-            let lib = self.linker.dlopen(&entry.domestic_library)?;
-            let addr = self.linker.dlsym(&lib, &entry.domestic_symbol)?;
-            let _ = entry.resolved.set(addr);
+            let _resolving = entry.resolving.lock();
+            if entry.resolved.get().is_none() {
+                let lib = self.linker.dlopen(&entry.domestic_library)?;
+                let addr = self.linker.dlsym(&lib, &entry.domestic_symbol)?;
+                let _ = entry.resolved.set(addr);
+            }
         }
 
         // (2) Prelude in the foreign persona.
@@ -514,6 +526,52 @@ mod tests {
         assert_eq!(engine.stats().get("glFlush").unwrap().calls, 2);
         // The library was loaded exactly once.
         assert_eq!(engine.linker().constructor_runs("libGLESv2_tegra.so"), 1);
+    }
+
+    #[test]
+    fn racing_first_calls_charge_one_resolution() {
+        // Threads released together onto an unresolved entry: the sum of
+        // their ledger deltas is what the same threads pay on a resolved
+        // entry, plus exactly one dlopen + dlsym. Ten rounds, since a
+        // round need not race.
+        const THREADS: usize = 8;
+        let (kernel, engine, tid) = setup();
+        let warm = entry(HookKind::None);
+        engine.call(tid, &warm, || {}).unwrap(); // loads the library
+        let fresh = entry(HookKind::None);
+        let cost = || {
+            let t0 = clock::now_ns();
+            engine.call(tid, &fresh, || {}).unwrap();
+            clock::now_ns() - t0
+        };
+        let resolution = cost() - cost();
+        assert!(resolution > 0);
+        let racing_sum = |e: &DiplomatEntry| -> Nanos {
+            let tids: Vec<SimTid> = (0..THREADS)
+                .map(|_| kernel.spawn_thread(tid, Persona::Ios).unwrap())
+                .collect();
+            let barrier = std::sync::Barrier::new(THREADS);
+            let (barrier, engine) = (&barrier, &engine);
+            std::thread::scope(|s| {
+                let callers: Vec<_> = tids
+                    .into_iter()
+                    .map(|t| {
+                        s.spawn(move || {
+                            barrier.wait();
+                            let t0 = clock::now_ns();
+                            engine.call(t, e, || {}).unwrap();
+                            clock::now_ns() - t0
+                        })
+                    })
+                    .collect();
+                callers.into_iter().map(|c| c.join().unwrap()).sum()
+            })
+        };
+        let steady = racing_sum(&warm);
+        for round in 0..10 {
+            let racing = entry(HookKind::None);
+            assert_eq!(racing_sum(&racing), steady + resolution, "round {round}");
+        }
     }
 
     #[test]

@@ -1199,20 +1199,33 @@ impl GlesContext {
             }
         }
         if depth {
-            if let Some(d) = self.depth_for(&target) {
-                d.fill(f32::INFINITY);
+            if let Some(slot) = self.depth_slot() {
+                *slot = None;
             }
         }
     }
 
+    /// The bound framebuffer's depth buffer slot, or `None` when the
+    /// bound framebuffer object does not exist.
+    fn depth_slot(&mut self) -> Option<&mut Option<Vec<f32>>> {
+        if self.bound_framebuffer == 0 {
+            Some(&mut self.default_depth)
+        } else {
+            Some(&mut self.framebuffers.get_mut(&self.bound_framebuffer)?.depth)
+        }
+    }
+
+    /// The bound framebuffer's depth buffer, sized to `target`.
+    ///
+    /// Depth buffers are lazy: a missing one, or one of another size (the
+    /// target was resized), is allocated here at the far plane. So
+    /// `glClear(GL_DEPTH_BUFFER_BIT)` just drops the buffer, rather than
+    /// allocating and filling a full-target buffer that contexts which
+    /// never depth-test would never read; the next depth-tested draw sees
+    /// exactly the far-plane buffer a filling clear would have left.
     fn depth_for(&mut self, target: &Image) -> Option<&mut Vec<f32>> {
         let needed = target.pixel_count() as usize;
-        let slot = if self.bound_framebuffer == 0 {
-            &mut self.default_depth
-        } else {
-            let fb = self.framebuffers.get_mut(&self.bound_framebuffer)?;
-            &mut fb.depth
-        };
+        let slot = self.depth_slot()?;
         match slot {
             Some(d) if d.len() == needed => {}
             _ => *slot = Some(vec![f32::INFINITY; needed]),
@@ -2030,6 +2043,71 @@ mod tests {
         c.draw_arrays(Primitive::Triangles, 0, 3);
         let fb = c.default_framebuffer().unwrap();
         assert_eq!(fb.pixel_rgba(16, 16).to_bytes(), [0, 255, 0, 255]);
+    }
+
+    #[test]
+    fn lazy_depth_clear_matches_a_filling_clear() {
+        // `clear(_, true)` drops the depth buffer instead of filling it at
+        // the far plane. Against a context whose clear fills the buffer
+        // in place, the next depth-tested draw must leave the same color
+        // bytes and depth values: on the default framebuffer and on an
+        // FBO, with and without a resize between the clear and the draw.
+        let tri = |c: &mut GlesContext, z: f32, xs: [f32; 3], color: [f32; 4]| {
+            c.client_pointer(
+                ClientState::VertexArray,
+                3,
+                &[xs[0], -1.0, z, xs[1], -1.0, z, xs[2], 3.0, z],
+            );
+            c.color4f(color[0], color[1], color[2], color[3]);
+            c.draw_arrays(Primitive::Triangles, 0, 3);
+        };
+        for fbo in [false, true] {
+            for resize in [false, true] {
+                let run = |filling: bool| {
+                    let mut c = ctx(GlesVersion::V1, ApiFlavor::Android);
+                    let tex = c.gen_textures(1)[0];
+                    if fbo {
+                        c.bind_texture(tex);
+                        c.tex_image_2d(32, 32, TexFormat::Rgba, None);
+                        let name = c.gen_framebuffers(1)[0];
+                        c.bind_framebuffer(name);
+                        c.framebuffer_texture(tex);
+                    }
+                    c.enable(Capability::DepthTest);
+                    c.set_client_state(ClientState::VertexArray, true);
+                    // A near triangle over part of the target, then a
+                    // farther one that loses wherever the first landed.
+                    tri(&mut c, 0.0, [-1.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]);
+                    tri(&mut c, 0.5, [-3.0, 3.0, 1.0], [1.0, 0.0, 0.0, 1.0]);
+                    if filling {
+                        let target = c.render_target().unwrap();
+                        c.depth_for(&target).unwrap().fill(f32::INFINITY);
+                    } else {
+                        c.clear(false, true);
+                        assert!(c.depth_slot().unwrap().is_none(), "clear keeps no buffer");
+                    }
+                    if resize {
+                        if fbo {
+                            c.tex_image_2d(24, 20, TexFormat::Rgba, None);
+                        } else {
+                            c.set_default_framebuffer(Some(Image::new(
+                                24,
+                                20,
+                                cycada_gpu::PixelFormat::Rgba8888,
+                            )));
+                        }
+                    }
+                    // Farther than both: draws only where depth was cleared.
+                    tri(&mut c, 0.75, [-3.0, 3.0, -1.0], [0.0, 0.0, 1.0, 1.0]);
+                    tri(&mut c, 0.9, [-1.0, 3.0, 0.0], [1.0, 1.0, 0.0, 1.0]);
+                    let color = c.render_target().unwrap().to_rgba_vec();
+                    (color, c.depth_slot().unwrap().clone())
+                };
+                let (lazy, filled) = (run(false), run(true));
+                assert!(lazy.1.is_some(), "the draw allocates a buffer");
+                assert_eq!(lazy, filled, "fbo {fbo}, resize {resize}");
+            }
+        }
     }
 
     #[test]

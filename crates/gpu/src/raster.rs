@@ -236,6 +236,7 @@ pub fn draw_indexed(
         row_bytes: t.row_bytes(),
         format: t.format(),
         bpp: t.format().bytes_per_pixel(),
+        fast_index: t.width() <= FAST_TEXEL_MAX && t.height() <= FAST_TEXEL_MAX,
     });
 
     let height = target.height();
@@ -262,14 +263,27 @@ struct TexView<'a> {
     row_bytes: usize,
     format: PixelFormat,
     bpp: usize,
+    /// Both sides are at most [`FAST_TEXEL_MAX`], so [`texel_index_fast`]
+    /// stands in for [`texel_index`]; decided once per draw.
+    fast_index: bool,
 }
 
 impl TexView<'_> {
+    /// [`texel_index`] through the function this draw uses for it.
+    #[inline]
+    fn index(&self, coord: f32, size: u32) -> u32 {
+        if self.fast_index {
+            texel_index_fast(coord, size)
+        } else {
+            texel_index(coord, size)
+        }
+    }
+
     /// Byte offset of the texel nearest to `(u, v)` (clamp-to-edge).
     #[inline]
     fn texel_offset(&self, u: f32, v: f32) -> usize {
-        let x = texel_index_trunc(u, self.width);
-        let y = texel_index_trunc(v, self.height);
+        let x = self.index(u, self.width);
+        let y = self.index(v, self.height);
         y as usize * self.row_bytes + x as usize * self.bpp
     }
 
@@ -417,6 +431,7 @@ fn fill_triangles(
 ) -> u64 {
     let mut fragments = 0u64;
     let depth_active = pipeline.depth_test && depth.is_some();
+    let mut scratch = tex.map(|_| TexScratch::new());
     for t in tris {
         // Triangle-invariant edge factors: k = b.y - a.y, d = b.x - a.x
         // for the edges (p1,p2), (p2,p0), (p0,p1).
@@ -426,7 +441,7 @@ fn fill_triangles(
         let d1 = t.p0[0] - t.p2[0];
         let k2 = t.p1[1] - t.p0[1];
         let d2 = t.p1[0] - t.p0[0];
-        let lane = span_lane(geom, t, depth_active, tex, pipeline);
+        let mut lane = span_lane(geom, t, depth_active, tex, scratch.as_deref_mut(), pipeline);
         for py in t.min_y..t.max_y {
             let yc = py as f32 + 0.5;
             // Row-invariant second products of the three edge functions.
@@ -441,7 +456,7 @@ fn fill_triangles(
             // per-pixel predicate, then shade it without any per-pixel
             // test. Falls through to the scalar lane on non-finite edge
             // terms.
-            if let Some(lane) = &lane {
+            if let Some(lane) = &mut lane {
                 if let Some(n) =
                     fill_row_span(bytes, row_off, t, (k0, k1, k2), (r0, r1, r2), lane)
                 {
@@ -514,8 +529,12 @@ struct SpanLane<'a> {
     /// is bit-exact: an all-zero channel's products are `±0` or NaN (from
     /// `0 × ∞`), every one of which quantizes to byte 0 (also after
     /// modulation by a finite texel); an all-ones channel reduces to
-    /// `(w0 + w1) + w2` because `x * 1.0` is exactly `x` in IEEE
-    /// arithmetic (including for `-0.0`, infinities, and NaN).
+    /// `s = (w0 + w1) + w2` because `x * 1.0` is exactly `x` in IEEE
+    /// arithmetic (including for `-0.0`, infinities, and NaN). A textured
+    /// all-ones channel is then `quantize_unit((b / 255) · s)` for texel
+    /// byte `b`, which is `b` itself whenever `s` lies within
+    /// [`WHITE_SLACK`] of 1 — so [`shade_textured`] passes such chunks'
+    /// texels through, masked, with no float work after stage 1.
     flat01_mask: Option<u32>,
     /// The texture sampled by a textured span, if any.
     tex: Option<TexLane<'a>>,
@@ -530,19 +549,56 @@ struct TexLane<'a> {
     /// BGRA): bytes 0 and 2 of each gathered texel swap so that byte `i`
     /// of the texel modulates byte `i` of the interpolated color.
     swap_rb: bool,
+    /// The draw's working arrays for [`shade_textured`].
+    scratch: &'a mut TexScratch,
+}
+
+/// The working arrays of [`shade_textured`] for one [`SPAN_TILE`] chunk
+/// (~6.5 KB): zeroed once per textured draw and reused by every chunk of
+/// every row, so no chunk pays to zero them. Each stage writes `[..len]`
+/// of its arrays before any stage reads them, so no chunk sees another's
+/// values.
+struct TexScratch {
+    /// The three barycentric weights.
+    w: [[f32; SPAN_TILE]; 3],
+    /// The interpolated color by packed byte position (only `col[0]`, the
+    /// weight sum, under a flat 0/1 mask).
+    col: [[f32; SPAN_TILE]; 4],
+    /// Texel column and row indices.
+    tx: [u32; SPAN_TILE],
+    ty: [u32; SPAN_TILE],
+    /// Gathered texels in the target's byte order.
+    texel: [u32; SPAN_TILE],
+    /// Packed output pixels.
+    out: [u32; SPAN_TILE],
+}
+
+impl TexScratch {
+    fn new() -> Box<TexScratch> {
+        Box::new(TexScratch {
+            w: [[0.0; SPAN_TILE]; 3],
+            col: [[0.0; SPAN_TILE]; 4],
+            tx: [0; SPAN_TILE],
+            ty: [0; SPAN_TILE],
+            texel: [0; SPAN_TILE],
+            out: [0; SPAN_TILE],
+        })
+    }
 }
 
 /// Decides whether a triangle can take the branch-free span lane and
 /// builds its byte-ordered coefficients. The lane requires opaque blend
 /// (no read-back of destination bytes), no depth test in play, a 4-byte
 /// target format, and either no texture or a non-empty `Rgba8888`/
-/// `Bgra8888` one; everything else (alpha blending, depth testing,
-/// 565/A8 targets or textures, zero-area textures) takes the scalar lane.
+/// `Bgra8888` one (with the draw's `scratch`); everything else (alpha
+/// blending, depth testing, 565/A8 targets or textures, zero-area
+/// textures) takes the scalar lane.
 fn span_lane<'a>(
     geom: &TargetGeom,
     t: &ScreenTri,
     depth_active: bool,
     tex: Option<&'a TexView<'a>>,
+    scratch: Option<&'a mut TexScratch>,
     pipeline: &Pipeline<'_>,
 ) -> Option<SpanLane<'a>> {
     if !matches!(pipeline.blend, BlendMode::Opaque) || depth_active {
@@ -565,6 +621,7 @@ fn span_lane<'a>(
                     [t.uv0[1], t.uv1[1], t.uv2[1]],
                 ],
                 swap_rb: view.format != geom.format,
+                scratch: scratch?,
             }),
             _ => return None,
         },
@@ -691,7 +748,7 @@ fn fill_row_span(
     t: &ScreenTri,
     k: (f32, f32, f32),
     r: (f32, f32, f32),
-    lane: &SpanLane<'_>,
+    lane: &mut SpanLane<'_>,
 ) -> Option<u64> {
     let (k0, k1, k2) = k;
     let (r0, r1, r2) = r;
@@ -703,108 +760,144 @@ fn fill_row_span(
     let mut px = lo;
     while px < hi {
         let len = ((hi - px) as usize).min(SPAN_TILE);
-        let mut buf = [0u32; SPAN_TILE];
-        if let Some(tex) = &lane.tex {
-            shade_textured(&mut buf[..len], px, t, k, r, lane, tex);
-        } else if let Some(mask) = lane.flat01_mask {
-            // Flat 0/1 colors: one interpolant (the weight sum, which is
-            // what every all-ones channel evaluates to) quantized once and
-            // replicated across the pixel, zero channels masked off.
-            for (i, slot) in buf[..len].iter_mut().enumerate() {
-                let xc = (px + i as u32) as f32 + 0.5;
-                let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
-                let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
-                let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
-                let q = u32::from(quantize_unit(w0 + w1 + w2));
-                *slot = q.wrapping_mul(0x0101_0101) & mask;
-            }
-        } else {
-            for (i, slot) in buf[..len].iter_mut().enumerate() {
-                let xc = (px + i as u32) as f32 + 0.5;
-                let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
-                let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
-                let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
-                let q = |c: &[f32; 3]| u32::from(quantize_unit(w0 * c[0] + w1 * c[1] + w2 * c[2]));
-                *slot = q(&lane.ch[0])
-                    | q(&lane.ch[1]) << 8
-                    | q(&lane.ch[2]) << 16
-                    | q(&lane.ch[3]) << 24;
-            }
-        }
         let off = row_off + px as usize * 4;
-        for (dst, v) in bytes[off..off + len * 4].chunks_exact_mut(4).zip(&buf[..len]) {
-            dst.copy_from_slice(&v.to_le_bytes());
+        let dst = &mut bytes[off..off + len * 4];
+        if let Some(tex) = &mut lane.tex {
+            store_packed(
+                dst,
+                shade_textured(len, px, t, k, r, &lane.ch, lane.flat01_mask, tex),
+            );
+        } else {
+            let mut buf = [0u32; SPAN_TILE];
+            if let Some(mask) = lane.flat01_mask {
+                // Flat 0/1 colors: one interpolant (the weight sum, which
+                // is what every all-ones channel evaluates to) quantized
+                // once and replicated across the pixel, zero channels
+                // masked off.
+                for (i, slot) in buf[..len].iter_mut().enumerate() {
+                    let xc = (px + i as u32) as f32 + 0.5;
+                    let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
+                    let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
+                    let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
+                    let q = u32::from(quantize_unit(w0 + w1 + w2));
+                    *slot = q.wrapping_mul(0x0101_0101) & mask;
+                }
+            } else {
+                for (i, slot) in buf[..len].iter_mut().enumerate() {
+                    let xc = (px + i as u32) as f32 + 0.5;
+                    let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
+                    let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
+                    let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
+                    let q =
+                        |c: &[f32; 3]| u32::from(quantize_unit(w0 * c[0] + w1 * c[1] + w2 * c[2]));
+                    *slot = q(&lane.ch[0])
+                        | q(&lane.ch[1]) << 8
+                        | q(&lane.ch[2]) << 16
+                        | q(&lane.ch[3]) << 24;
+                }
+            }
+            store_packed(dst, &buf[..len]);
         }
         px += len as u32;
     }
     Some(u64::from(hi - lo))
 }
 
-/// Shades `out.len()` (at most [`SPAN_TILE`]) covered pixels of a textured
-/// span starting at column `px0`, packed in the target's byte order.
+/// Writes packed pixels to their target bytes, little-endian.
+#[inline]
+fn store_packed(dst: &mut [u8], pixels: &[u32]) {
+    for (d, v) in dst.chunks_exact_mut(4).zip(pixels) {
+        d.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// How far the weight sum `s = (w0 + w1) + w2` may stray from 1 while
+/// `quantize_unit((b / 255) · s) == b` still holds for every byte `b`
+/// (asserted exhaustively by tests over every f32 in `[1 − 2⁻¹⁰, 1 +
+/// 2⁻¹⁰]`; the identity itself holds out to about ±0.00196).
+const WHITE_SLACK: f32 = 1.0 / 1024.0;
+
+/// Shades `len` (at most [`SPAN_TILE`]) covered pixels of a textured span
+/// starting at column `px0`, packed in the target's byte order, into the
+/// draw's scratch, and returns them.
 ///
-/// Three stages over stack arrays, each a simple loop the compiler can
-/// vectorize: (1) the weights, the interpolated color and the texel byte
-/// offset; (2) the texel gather as `u32`s; (3) unpack, `/ 255.0`,
-/// modulate, [`quantize_unit`] and pack. Every expression is the scalar
-/// lane's: the same weights and interpolants, the texel decode of
-/// `Rgba::from_bytes`, the product order of `Rgba::modulate`. The texel
-/// index uses [`texel_index_trunc`], equal to [`texel_index`] for every
-/// input. With flat 0/1 vertex colors each all-ones channel is the weight
-/// sum and each all-zero channel is masked to byte 0 after packing (see
-/// [`SpanLane::flat01_mask`]).
-// Index loops over parallel stack arrays are the shape that vectorizes.
-#[allow(clippy::needless_range_loop)]
-fn shade_textured(
-    out: &mut [u32],
+/// Three stages over the per-draw [`TexScratch`] arrays, each a simple
+/// loop the compiler can vectorize: (1) the weights, the interpolated
+/// color and the texel column and row indices; (2) the texel gather as
+/// `u32`s; (3) unpack, `/ 255.0`, modulate, [`quantize_unit`] and pack.
+/// Every expression is the scalar lane's: the same weights and
+/// interpolants, the texel decode of `Rgba::from_bytes`, the product
+/// order of `Rgba::modulate`. The indices come from the draw's choice of
+/// [`texel_index_fast`] (equal to [`texel_index`] for every input at
+/// every size it is used for) or [`texel_index`] itself.
+///
+/// With flat 0/1 vertex colors (`flat01_mask`) each all-ones channel is
+/// the weight sum and each all-zero channel is masked to byte 0 after
+/// packing. When, in addition, every weight sum of the chunk lies within
+/// [`WHITE_SLACK`] of 1 — as on white-modulated quads, whose sums are 1
+/// up to rounding — stage 3 is the identity on each all-ones byte, so
+/// the chunk's output is its texels under the mask. Any other chunk, NaN
+/// sums included, takes stage 3 in full.
+// Index loops over parallel arrays are the shape that vectorizes.
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+fn shade_textured<'s>(
+    len: usize,
     px0: u32,
     t: &ScreenTri,
     k: (f32, f32, f32),
     r: (f32, f32, f32),
-    lane: &SpanLane<'_>,
-    tex: &TexLane<'_>,
-) {
+    ch: &[[f32; 3]; 4],
+    flat01_mask: Option<u32>,
+    tex: &'s mut TexLane<'_>,
+) -> &'s [u32] {
     let (k0, k1, k2) = k;
     let (r0, r1, r2) = r;
-    let len = out.len();
     let view = tex.view;
+    let TexScratch {
+        w,
+        col,
+        tx,
+        ty,
+        texel,
+        out,
+    } = &mut *tex.scratch;
 
-    // Stage 1: weights, interpolated color, texel offsets.
-    let mut w = [[0.0f32; SPAN_TILE]; 3];
+    // Stage 1: weights, interpolated color, texel indices.
     for i in 0..len {
         let xc = (px0 + i as u32) as f32 + 0.5;
         w[0][i] = ((xc - t.p1[0]) * k0 - r0) / t.area;
         w[1][i] = ((xc - t.p2[0]) * k1 - r1) / t.area;
         w[2][i] = ((xc - t.p0[0]) * k2 - r2) / t.area;
     }
-    let interp = |c: &[f32; 3], dst: &mut [f32; SPAN_TILE]| {
-        for i in 0..len {
-            dst[i] = w[0][i] * c[0] + w[1][i] * c[1] + w[2][i] * c[2];
-        }
-    };
-    let mut col = [[0.0f32; SPAN_TILE]; 4];
-    let flat = lane.flat01_mask.is_some();
-    if flat {
+    let interp = |c: &[f32; 3], i: usize| w[0][i] * c[0] + w[1][i] * c[1] + w[2][i] * c[2];
+    if flat01_mask.is_some() {
         for i in 0..len {
             col[0][i] = w[0][i] + w[1][i] + w[2][i];
         }
     } else {
-        for (dst, c) in col.iter_mut().zip(&lane.ch) {
-            interp(c, dst);
+        for (dst, c) in col.iter_mut().zip(ch) {
+            for i in 0..len {
+                dst[i] = interp(c, i);
+            }
         }
     }
-    let mut tc = [[0.0f32; SPAN_TILE]; 2];
-    interp(&tex.uv[0], &mut tc[0]);
-    interp(&tex.uv[1], &mut tc[1]);
-    let mut at = [0usize; SPAN_TILE];
-    for i in 0..len {
-        at[i] = view.texel_offset(tc[0][i], tc[1][i]);
+    let (tw, th) = (view.width, view.height);
+    if view.fast_index {
+        for i in 0..len {
+            tx[i] = texel_index_fast(interp(&tex.uv[0], i), tw);
+            ty[i] = texel_index_fast(interp(&tex.uv[1], i), th);
+        }
+    } else {
+        for i in 0..len {
+            tx[i] = texel_index(interp(&tex.uv[0], i), tw);
+            ty[i] = texel_index(interp(&tex.uv[1], i), th);
+        }
     }
 
     // Stage 2: gather.
-    let mut texel = [0u32; SPAN_TILE];
     for i in 0..len {
-        let b = &view.bytes[at[i]..at[i] + 4];
+        let at = ty[i] as usize * view.row_bytes + tx[i] as usize * 4;
+        let b = &view.bytes[at..at + 4];
         texel[i] = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     }
     if tex.swap_rb {
@@ -813,11 +906,24 @@ fn shade_textured(
         }
     }
 
-    // Stage 3: unpack, modulate, quantize, pack.
-    let mask = lane.flat01_mask.unwrap_or(u32::MAX);
+    // Stage 3: unpack, modulate, quantize, pack — or, for a white chunk,
+    // the texels themselves.
+    let out = &mut out[..len];
+    let mask = flat01_mask.unwrap_or(u32::MAX);
+    let near_one = 1.0 - WHITE_SLACK..=1.0 + WHITE_SLACK;
+    let white = flat01_mask.is_some()
+        && col[0][..len]
+            .iter()
+            .fold(true, |all, s| all & near_one.contains(s));
+    if white {
+        for i in 0..len {
+            out[i] = texel[i] & mask;
+        }
+        return out;
+    }
     out.fill(0);
     for c in 0..4 {
-        let src = &col[if flat { 0 } else { c }];
+        let src = &col[if flat01_mask.is_some() { 0 } else { c }];
         for i in 0..len {
             let unit = f32::from((texel[i] >> (8 * c)) as u8) / 255.0;
             out[i] |= u32::from(quantize_unit(unit * src[i])) << (8 * c);
@@ -826,6 +932,7 @@ fn shade_textured(
     for v in out.iter_mut() {
         *v &= mask;
     }
+    out
 }
 
 /// Computes the exact [`RasterMetrics`] that [`draw_indexed`] (or
@@ -1093,19 +1200,40 @@ fn texel_index(coord: f32, size: u32) -> u32 {
     scaled.min(size.saturating_sub(1))
 }
 
-/// [`texel_index`] without the `floor()` call, which lowers to a libm
-/// call on baseline x86-64 (the same problem [`quantize_unit`] avoids for
-/// `round()`).
+/// The largest texture side [`texel_index_fast`] serves: its scaled
+/// coordinate must stay below 2²³ for the rounding trick to hold. GLES
+/// caps textures at 2048 texels a side; larger images keep
+/// [`texel_index`].
+const FAST_TEXEL_MAX: u32 = 1 << 22;
+
+/// [`texel_index`] for sizes up to [`FAST_TEXEL_MAX`], with no `floor()`
+/// call (a libm call on baseline x86-64) and no float→int cast (a scalar
+/// `cvttss2si` in range-check branches on SSE2), so the textured span
+/// lane's index loop vectorizes. It is [`quantize_unit`]'s trick:
 ///
-/// Bit-for-bit equivalence: after the clamp the scaled coordinate is
-/// non-negative (or NaN), so the truncating cast *is* the floor, and both
-/// casts send NaN to 0. The `size - 1` clamp is applied to the integer
-/// after the cast, so NaN stays at texel 0 — clamping the float with
-/// `f32::min` first would turn NaN into the last texel. Asserted against
-/// [`texel_index`] over a sweep of the f32 bit space by tests.
+/// 1. `x = coord.max(0.0).min(1.0) · size` — the product `texel_index`
+///    floors (a clamp to `[0, 1]` then the same multiply, up to the sign
+///    of a zero), except that
+///    `f32::max` sends NaN to 0 where the cast in `texel_index` did; both
+///    end at texel 0. So `x ∈ [0, size] ⊆ [0, 2²²]`.
+/// 2. `t = x + 2²³` lies in `[2²³, 2²⁴)`, where the f32 spacing is
+///    exactly 1: the add rounds `x` to the nearest integer `n` (ties to
+///    even), and `n < 2²³` is `t`'s mantissa.
+/// 3. `r = t − 2²³ = n` exactly. `|n − x| ≤ 0.5`, so `floor(x)` is `n`,
+///    or `n − 1` when the add rounded up (`r > x`, and then `n ≥ 1`).
+///
+/// The `size − 1` clamp is the same integer clamp `texel_index` applies.
+/// Asserted against [`texel_index`] over a dense sweep of the f32 bit
+/// space by tests, and over all 2³² bit patterns by an ignored test.
+// `max`/`min`, not `clamp`: `clamp` keeps NaN, and step 1 needs NaN → 0.
+#[allow(clippy::manual_clamp)]
 #[inline]
-fn texel_index_trunc(coord: f32, size: u32) -> u32 {
-    ((coord.clamp(0.0, 1.0) * size as f32) as u32).min(size.saturating_sub(1))
+fn texel_index_fast(coord: f32, size: u32) -> u32 {
+    const TWO_23: f32 = 8_388_608.0;
+    let x = coord.max(0.0).min(1.0) * size as f32;
+    let t = x + TWO_23;
+    let r = t - TWO_23;
+    ((t.to_bits() & 0x7F_FFFF) - u32::from(r > x)).min(size.saturating_sub(1))
 }
 
 /// Samples `tex` at `(u, v)` with nearest filtering. A zero-area
@@ -1795,7 +1923,7 @@ mod tests {
     }
 
     #[test]
-    fn texel_index_trunc_matches_texel_index_across_the_f32_space() {
+    fn texel_index_fast_matches_texel_index_across_the_f32_space() {
         let sizes = [
             0u32,
             1,
@@ -1807,9 +1935,10 @@ mod tests {
             255,
             256,
             1024,
+            2048,
             4097,
-            (1 << 24) + 1,
-            u32::MAX,
+            FAST_TEXEL_MAX - 1,
+            FAST_TEXEL_MAX,
         ];
         let specials = [
             0.0f32,
@@ -1829,21 +1958,24 @@ mod tests {
         for size in sizes {
             for v in specials {
                 assert_eq!(
-                    texel_index_trunc(v, size),
+                    texel_index_fast(v, size),
                     texel_index(v, size),
                     "{v:?} @ {size}"
                 );
             }
-            // The neighbourhood of every texel boundary n/size.
-            for n in 0..=size.min(300) {
-                let base = n as f32 / size.max(1) as f32;
-                for ulps in -3i32..=3 {
-                    let v = f32::from_bits((base.to_bits() as i32).wrapping_add(ulps) as u32);
-                    assert_eq!(
-                        texel_index_trunc(v, size),
-                        texel_index(v, size),
-                        "{v:?} @ {size}"
-                    );
+            // The neighbourhood of every texel boundary n/size, and of its
+            // midpoint (n + 0.5)/size, where the add in step 2 ties.
+            for n in (0..=size.min(300)).chain(size.saturating_sub(300)..=size) {
+                for half in [0.0f32, 0.5] {
+                    let base = (n as f32 + half) / size.max(1) as f32;
+                    for ulps in -3i32..=3 {
+                        let v = f32::from_bits((base.to_bits() as i32).wrapping_add(ulps) as u32);
+                        assert_eq!(
+                            texel_index_fast(v, size),
+                            texel_index(v, size),
+                            "{v:?} @ {size}"
+                        );
+                    }
                 }
             }
         }
@@ -1852,9 +1984,9 @@ mod tests {
         let mut bits = 0u32;
         loop {
             let v = f32::from_bits(bits);
-            for size in [1u32, 9, 256] {
+            for size in [1u32, 9, 256, 2048, FAST_TEXEL_MAX] {
                 assert_eq!(
-                    texel_index_trunc(v, size),
+                    texel_index_fast(v, size),
                     texel_index(v, size),
                     "{bits:#010x} @ {size}"
                 );
@@ -1864,6 +1996,44 @@ mod tests {
                 break;
             }
             bits = next;
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 f32 bit patterns at 7 sizes: run in release with --include-ignored texel"]
+    fn texel_index_fast_matches_texel_index_over_every_f32() {
+        for size in [1u32, 2, 3, 255, 256, 2048, FAST_TEXEL_MAX] {
+            let sweep = |lo: u32, hi: u32| {
+                for bits in lo..=hi {
+                    let v = f32::from_bits(bits);
+                    assert_eq!(
+                        texel_index_fast(v, size),
+                        texel_index(v, size),
+                        "{bits:#010x} @ {size}"
+                    );
+                }
+            };
+            std::thread::scope(|s| {
+                s.spawn(|| sweep(0, u32::MAX / 2));
+                s.spawn(|| sweep(u32::MAX / 2 + 1, u32::MAX));
+            });
+        }
+    }
+
+    #[test]
+    fn white_modulate_is_the_identity_near_unit_weight_sums() {
+        // Every f32 weight sum within WHITE_SLACK of 1 (2^14 below 1 at
+        // spacing 2^-24, 2^13 above at 2^-23) against every texel byte:
+        // the textured span lane's stage 3, which the white lane skips.
+        let lo = (1.0 - WHITE_SLACK).to_bits();
+        let hi = (1.0 + WHITE_SLACK).to_bits();
+        assert_eq!(hi - lo, (1 << 14) + (1 << 13));
+        for b in 0..=255u8 {
+            let unit = f32::from(b) / 255.0;
+            for bits in lo..=hi {
+                let s = f32::from_bits(bits);
+                assert_eq!(quantize_unit(unit * s), b, "byte {b}, sum {s:?}");
+            }
         }
     }
 

@@ -63,6 +63,43 @@ fn arb_texture() -> impl Strategy<Value = Image> {
     })
 }
 
+/// A vertex color whose every channel is exactly 0 or 1 (zeros sometimes
+/// negative): the flat 0/1 shape the span lane folds to a weight sum and,
+/// when textured, passes texels through. `arb_color` almost never
+/// produces it.
+fn arb_flat01_color() -> impl Strategy<Value = Rgba> {
+    (0u8..16, any::<bool>()).prop_map(|(bits, neg)| {
+        let zero = if neg { -0.0 } else { 0.0 };
+        let ch = |i: u8| if bits >> i & 1 == 1 { 1.0 } else { zero };
+        Rgba {
+            r: ch(0),
+            g: ch(1),
+            b: ch(2),
+            a: ch(3),
+        }
+    })
+}
+
+/// An RGBA8888 or BGRA8888 texture of random texel bytes.
+fn texture_8888(w: u32, h: u32, bgra: bool, seed: u64) -> Image {
+    let format = if bgra {
+        PixelFormat::Bgra8888
+    } else {
+        PixelFormat::Rgba8888
+    };
+    let tex = Image::new(w, h, format);
+    let mut x = seed | 1;
+    tex.buffer().write(|b| {
+        for v in b.iter_mut() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *v = x as u8;
+        }
+    });
+    tex
+}
+
 proptest! {
     #[test]
     fn rgba_bytes_round_trip(r: u8, g: u8, b: u8, a: u8) {
@@ -264,6 +301,55 @@ proptest! {
         });
         prop_assert_eq!(raw(&fast), raw(&slow));
         prop_assert_eq!(fast_depth, slow_depth);
+    }
+
+    #[test]
+    fn textured_span_lane_matches_reference_with_flat_01_colors(
+        color in arb_flat01_color(),
+        tex_bgra: bool,
+        target_bgra: bool,
+        w in 129u32..=300, h in 1u32..=10,
+        one_to_one: bool,
+        tw in 1u32..=300, th in 1u32..=24,
+        uv in (-0.25f32..1.25, -0.25f32..1.25, -0.25f32..1.25, -0.25f32..1.25),
+        soup in prop::collection::vec(arb_textured_vertex(), 0..10),
+        seed: u64,
+    ) {
+        // Targets wider than one span chunk, so rows split into chunks of
+        // different lengths. A quad over the whole target, either mapped
+        // one texel per pixel (the texture is the target's size) or
+        // stretching a random uv window of a texture up to 300 wide, then
+        // a random textured soup; every vertex has the flat 0/1 color.
+        let (tw, th, (u0, v0, u1, v1)) =
+            if one_to_one { (w, h, (0.0, 0.0, 1.0, 1.0)) } else { (tw, th, uv) };
+        let texture = texture_8888(tw, th, tex_bgra, seed);
+        let mut verts: Vec<Vertex> = [
+            ([-1.0f32, -1.0, 0.0], [u0, v1]),
+            ([1.0, -1.0, 0.0], [u1, v1]),
+            ([1.0, 1.0, 0.0], [u1, v0]),
+            ([-1.0, -1.0, 0.0], [u0, v1]),
+            ([1.0, 1.0, 0.0], [u1, v0]),
+            ([-1.0, 1.0, 0.0], [u0, v0]),
+        ]
+        .iter()
+        .map(|&(p, uv)| Vertex::textured(p, uv))
+        .collect();
+        verts.extend(&soup[..soup.len() / 3 * 3]);
+        for v in &mut verts {
+            v.color = color;
+        }
+        let indices: Vec<u32> = (0..verts.len() as u32).collect();
+        let pipeline = Pipeline { texture: Some(&texture), ..Pipeline::default() };
+        let format = if target_bgra { PixelFormat::Bgra8888 } else { PixelFormat::Rgba8888 };
+        let fast = Image::new(w, h, format);
+        let slow = Image::new(w, h, format);
+        let mf = raster::draw_indexed(&fast, None, &verts, &indices, &pipeline);
+        let ms = raster::reference::draw_indexed(&slow, None, &verts, &indices, &pipeline);
+        prop_assert_eq!(mf, ms);
+        let raw = |img: &Image| img.read_rows(|rows| {
+            (0..img.height()).flat_map(|y| rows.row(y).to_vec()).collect::<Vec<u8>>()
+        });
+        prop_assert_eq!(raw(&fast), raw(&slow));
     }
 
     #[test]
