@@ -19,7 +19,8 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use cycada_gpu::raster::{self, Pipeline, Rect};
-use cycada_gpu::{Image, PixelFormat, Rgba, Vertex};
+use cycada_gpu::{DrawClass, GpuDevice, Image, PixelFormat, Rgba, Vertex};
+use cycada_sim::GpuCostModel;
 
 const W: u32 = 640;
 const H: u32 = 400;
@@ -155,7 +156,7 @@ fn bench_textured_quad(c: &mut Criterion) {
 
 fn bench_blit(c: &mut Criterion) {
     // Same-format unscaled: the memcpy fast path (the SurfaceFlinger
-    // full-screen post and the EAGL staging copy shape).
+    // full-screen post shape).
     let src = Image::new(W, H, PixelFormat::Rgba8888);
     src.fill(Rgba::RED);
     let dst = Image::new(W, H, PixelFormat::Rgba8888);
@@ -180,8 +181,8 @@ fn bench_blit(c: &mut Criterion) {
         })
     });
 
-    // Converting (BGRA→RGBA, the present-path staging copy before the
-    // formats match): row-sliced per-pixel, still one lock pair.
+    // Converting (BGRA→RGBA, the swizzle the present quad's identity
+    // lane runs): row-sliced per-pixel, still one lock pair.
     let bgra = Image::new(W, H, PixelFormat::Bgra8888);
     bgra.fill(Rgba::GREEN);
     c.bench_function("raster/blit_convert_rows", |b| {
@@ -196,6 +197,40 @@ fn bench_blit(c: &mut Criterion) {
     });
 }
 
+/// The two full-frame hops of one `hd-scenes` present: the BGRA drawable
+/// drawn into the RGBA back buffer by `presentRenderbuffer:`'s
+/// full-screen quad (the identity lane, swizzling in one pass), then the
+/// flinger's nearest-neighbour scale of that back buffer into a 341×384
+/// panel tile.
+fn bench_present_hops(c: &mut Criterion) {
+    let gpu = GpuDevice::new(GpuCostModel::sgx543());
+    let drawable = Image::new(1024, 768, PixelFormat::Bgra8888);
+    drawable.fill(Rgba::GREEN);
+    let back = Image::new(1024, 768, PixelFormat::Rgba8888);
+    c.bench_function("raster/present_bgra_drawable_1024x768", |b| {
+        b.iter(|| black_box(gpu.fullscreen_image(&back, &drawable, DrawClass::TwoD)))
+    });
+
+    let panel = Image::new(1024, 768, PixelFormat::Rgba8888);
+    let tile = Rect {
+        x: 341,
+        y: 384,
+        w: 341,
+        h: 384,
+    };
+    c.bench_function("raster/blit_scaled_tile_1024x768", |b| {
+        b.iter(|| {
+            black_box(raster::blit_clipped(
+                &back,
+                Rect::of_image(&back),
+                &panel,
+                tile,
+                Rect::of_image(&panel),
+            ))
+        })
+    });
+}
+
 criterion_group!(
     raster_plane,
     bench_clear,
@@ -204,5 +239,6 @@ criterion_group!(
     bench_textured_tri,
     bench_textured_quad,
     bench_blit,
+    bench_present_hops,
 );
 criterion_main!(raster_plane);

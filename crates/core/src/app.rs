@@ -544,6 +544,17 @@ impl AppGl {
         }
     }
 
+    /// The EAGL context handle on the iOS paths (an [`EaglContextId`] on
+    /// Cycada, the native stack's handle on native iOS).
+    pub fn eagl_context(&self) -> Option<EaglContextId> {
+        match &self.backend {
+            Backend::CycadaIos { eagl_ctx, .. } | Backend::NativeIos { eagl_ctx, .. } => {
+                Some(*eagl_ctx)
+            }
+            Backend::Android { .. } => None,
+        }
+    }
+
     /// The render target (off-screen drawable on iOS paths, back buffer on
     /// Android).
     ///

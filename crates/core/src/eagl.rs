@@ -13,7 +13,10 @@
 //! whose color renderbuffer is backed by an IOSurface; `presentRenderbuffer`
 //! moves those pixels to the screen. On Cycada that path is the full-screen
 //! textured quad of `aegl_bridge_draw_fbo_tex` followed by
-//! `eglSwapBuffers` (§5).
+//! `eglSwapBuffers` (§5). The quad samples the BGRA drawable directly,
+//! so each present makes one full-frame pass into the back buffer; the
+//! paper's `aegl_bridge_copy_tex_buf` conversion hop is a diplomat that
+//! charges the copy but moves no bytes (DESIGN.md §5f).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -70,17 +73,12 @@ pub const EAGL_METHODS: &[(&str, EaglMethodKind)] = &[
     ("setDebugLabel:", EaglMethodKind::NeverCalled),
 ];
 
+/// A context's IOSurface-backed drawable. The surface is BGRA (the
+/// iOS-native layout); presents texture from it directly, with no RGBA
+/// copy in between (see [`Eagl::present_renderbuffer`]).
 struct Drawable {
     iosurface: IOSurface,
     renderbuffer: u32,
-    /// RGBA staging image for the present path: the IOSurface drawable is
-    /// BGRA (the iOS-native layout), which the Android window path cannot
-    /// texture from directly, so presents stage through a conversion copy
-    /// (`aegl_bridge_copy_tex_buf` — a top GLES-time consumer in
-    /// Figures 7–10). The copy is an unscaled GPU blit, so it runs on the
-    /// raster fast plane's row-sliced path under one lock pair rather than
-    /// per-pixel locking (DESIGN.md §5b); virtual-time cost is unchanged.
-    staging: cycada_gpu::Image,
 }
 
 struct EaglRecord {
@@ -230,11 +228,14 @@ impl Eagl {
     /// `-[EAGLContext renderbufferStorage:fromDrawable:]`: allocates
     /// IOSurface-backed storage for the drawable and binds it to a fresh
     /// renderbuffer. Returns the renderbuffer name for FBO attachment.
+    /// Storing again replaces the context's drawable and releases the old
+    /// IOSurface.
     ///
     /// # Errors
     ///
-    /// Returns [`CycadaError::Eagl`] for unknown contexts or allocation
-    /// failures.
+    /// Returns [`CycadaError::Eagl`] for unknown contexts (a context
+    /// destroyed while its storage is being allocated included; the new
+    /// surface is then released) or allocation failures.
     pub fn renderbuffer_storage_from_drawable(
         &self,
         tid: SimTid,
@@ -246,20 +247,39 @@ impl Eagl {
         let iosurface = self
             .iosurface_bridge
             .create(tid, SurfaceProps::bgra(width, height))?;
+        let renderbuffer = match self.bind_drawable_storage(tid, &iosurface) {
+            Ok(renderbuffer) => renderbuffer,
+            Err(e) => {
+                self.iosurface_bridge.release(tid, &iosurface)?;
+                return Err(e);
+            }
+        };
+        // Look up and replace under one lock, then release whichever
+        // surface lost: the replaced drawable's, or the new one if the
+        // context is gone.
+        let (released, result) = match self.contexts.lock().get_mut(&ctx) {
+            Some(record) => {
+                let old = record.drawable.replace(Drawable {
+                    iosurface,
+                    renderbuffer,
+                });
+                (old.map(|d| d.iosurface), Ok(renderbuffer))
+            }
+            None => (
+                Some(iosurface),
+                Err(CycadaError::Eagl(format!("unknown EAGLContext {ctx}"))),
+            ),
+        };
+        if let Some(surface) = released {
+            self.iosurface_bridge.release(tid, &surface)?;
+        }
+        result
+    }
+
+    fn bind_drawable_storage(&self, tid: SimTid, iosurface: &IOSurface) -> Result<u32> {
         let renderbuffer = self.bridge.gen_renderbuffers(tid, 1)?[0];
         self.iosurface_bridge
             .renderbuffer_storage_io_surface(tid, iosurface.id(), renderbuffer)?;
-        let staging =
-            cycada_gpu::Image::new(width, height, cycada_gpu::PixelFormat::Rgba8888);
-        self.contexts
-            .lock()
-            .get_mut(&ctx)
-            .expect("checked above")
-            .drawable = Some(Drawable {
-            iosurface,
-            renderbuffer,
-            staging,
-        });
         Ok(renderbuffer)
     }
 
@@ -267,8 +287,10 @@ impl Eagl {
     /// diplomat renders the off-screen framebuffer contents into the
     /// default framebuffer with a full-screen textured quad
     /// (`aegl_bridge_draw_fbo_tex`), then `eglSwapBuffers` displays it.
-    /// Each hop (drawable → staging → back buffer → scanout) is a
-    /// whole-image blit (DESIGN.md §5g).
+    /// The quad samples the BGRA drawable directly, so the frame takes
+    /// one full-frame pass (drawable → back buffer) before the flinger's
+    /// blit to scanout. `aegl_bridge_copy_tex_buf` runs first and charges
+    /// the conversion copy the paper's chain makes (DESIGN.md §5f, §5g).
     ///
     /// # Errors
     ///
@@ -276,7 +298,7 @@ impl Eagl {
     pub fn present_renderbuffer(&self, tid: SimTid, ctx: EaglContextId) -> Result<()> {
         let _tspan = trace::span(trace::Category::Eagl, "presentRenderbuffer:");
         trace::bump(trace::Counter::EaglPresents);
-        let (window_surface, drawable_image, staging) = {
+        let (window_surface, drawable_image) = {
             let contexts = self.contexts.lock();
             let record = contexts
                 .get(&ctx)
@@ -285,18 +307,14 @@ impl Eagl {
                 .drawable
                 .as_ref()
                 .ok_or_else(|| CycadaError::Eagl("presentRenderbuffer without drawable".into()))?;
-            (
-                record.window_surface,
-                drawable.iosurface.as_image(),
-                drawable.staging.clone(),
-            )
+            (record.window_surface, drawable.iosurface.as_image())
         };
-        // Stage the BGRA drawable into an RGBA texture source, render it
-        // into the default framebuffer, then swap — the full unoptimized
-        // path of §5. Each step's byte work runs inside its diplomat
+        // Charge the BGRA → RGBA texture copy, render the drawable into
+        // the default framebuffer, then swap — the full unoptimized path
+        // of §5. Each step's byte work runs inside its diplomat
         // (DESIGN.md §5f).
-        self.egl_bridge.copy_tex_buf(tid, &drawable_image, &staging)?;
-        self.egl_bridge.draw_fbo_tex(tid, &staging)?;
+        self.egl_bridge.copy_tex_buf(tid, &drawable_image)?;
+        self.egl_bridge.draw_fbo_tex(tid, &drawable_image)?;
         self.egl_bridge.swap_buffers(tid, window_surface)?;
         Ok(())
     }
@@ -350,6 +368,11 @@ impl Eagl {
             .remove(&ctx)
             .ok_or_else(|| CycadaError::Eagl(format!("unknown EAGLContext {ctx}")))?;
         self.current.lock().retain(|_, c| *c != ctx);
+        // A storage that raced in after `delete_drawable` still leaves
+        // with the record.
+        if let Some(d) = record.drawable {
+            self.iosurface_bridge.release(tid, &d.iosurface)?;
+        }
         self.egl.destroy_surface(tid, record.window_surface)?;
         self.egl.destroy_context(record.egl_ctx)?;
         self.egl.release_mc_connection(record.connection)?;

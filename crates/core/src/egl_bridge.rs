@@ -18,7 +18,8 @@ use cycada_diplomat::{
     DiplomatEngine, DiplomatEntry, DiplomatPattern, DiplomatTable, FnId, HookKind,
 };
 use cycada_egl::{AndroidEgl, EglContextId, EglSurfaceId, McConnectionId};
-use cycada_gpu::Image;
+use cycada_gpu::raster::Rect;
+use cycada_gpu::{DrawClass, GpuDevice, Image};
 use cycada_kernel::SimTid;
 use cycada_linker::{DynamicLinker, LibraryImage};
 use cycada_sim::fn_id;
@@ -167,7 +168,9 @@ impl EglBridge {
 
     /// Renders an off-screen renderbuffer image into the current default
     /// framebuffer via a full-screen textured quad — the (inefficient)
-    /// `presentRenderbuffer` path of §5. Returns fragments shaded.
+    /// `presentRenderbuffer` path of §5. `src` may be the BGRA drawable
+    /// itself: the quad samples and converts it in the same pass.
+    /// Returns fragments shaded.
     ///
     /// # Errors
     ///
@@ -186,23 +189,23 @@ impl EglBridge {
         })
     }
 
-    /// Copies pixels between two GPU images (renderbuffer ↔ texture
-    /// staging in the present path).
+    /// The present path's texture-buffer copy of `src` (the BGRA
+    /// drawable), charged but not performed. In the paper's chain it
+    /// converts the drawable into an RGBA texture for `draw_fbo_tex`;
+    /// here the quad samples BGRA itself, so the copy's bytes would never
+    /// be read. The charge is that of a same-size blit of `src`: one
+    /// submit, one `blits` count and its copy cost (DESIGN.md §5f).
     ///
     /// # Errors
     ///
     /// Returns [`CycadaError::Egl`] if the thread has no current context.
-    pub fn copy_tex_buf(&self, tid: SimTid, src: &Image, dst: &Image) -> Result<()> {
+    pub fn copy_tex_buf(&self, tid: SimTid, src: &Image) -> Result<()> {
         let egl = self.egl.clone();
         self.call(tid, fn_id!("aegl_bridge_copy_tex_buf"), || {
             let gles = egl.gles_for_thread(tid)?;
-            gles.device().blit(
-                src,
-                cycada_gpu::raster::Rect::of_image(src),
-                dst,
-                cycada_gpu::raster::Rect::of_image(dst),
-                cycada_gpu::DrawClass::TwoD,
-            );
+            let rect = Rect::of_image(src);
+            gles.device()
+                .charge_blit_pixels(GpuDevice::blit_pixels(rect, rect), DrawClass::TwoD);
             Ok(())
         })
     }

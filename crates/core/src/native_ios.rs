@@ -177,11 +177,15 @@ impl NativeIosStack {
     }
 
     /// Native `renderbufferStorage:fromDrawable:`: IOSurface-backed
-    /// renderbuffer storage.
+    /// renderbuffer storage. Storing again replaces the context's drawable
+    /// and releases the old IOSurface.
     ///
     /// # Errors
     ///
-    /// Returns [`CycadaError::Eagl`]/[`CycadaError::IoSurface`] on failure.
+    /// Returns [`CycadaError::Eagl`] for unknown contexts (a context
+    /// destroyed while its storage is being allocated included; the new
+    /// surface is then released) and [`CycadaError::IoSurface`] on
+    /// allocation or release failure.
     pub fn renderbuffer_storage_from_drawable(
         &self,
         tid: SimTid,
@@ -189,6 +193,7 @@ impl NativeIosStack {
         width: u32,
         height: u32,
     ) -> Result<u32> {
+        self.api(ctx)?;
         let iosurface = self
             .iosurface
             .create(tid, SurfaceProps::bgra(width, height), None)
@@ -203,15 +208,28 @@ impl NativeIosStack {
             });
             rb
         });
-        self.contexts
-            .lock()
-            .get_mut(&ctx)
-            .ok_or_else(|| CycadaError::Eagl(format!("unknown EAGLContext {ctx}")))?
-            .drawable = Some(NativeDrawable {
-            iosurface,
-            renderbuffer,
-        });
-        Ok(renderbuffer)
+        // Look up and replace under one lock, then release whichever
+        // surface lost: the replaced drawable's, or the new one if the
+        // context is gone.
+        let (released, result) = match self.contexts.lock().get_mut(&ctx) {
+            Some(record) => {
+                let old = record.drawable.replace(NativeDrawable {
+                    iosurface,
+                    renderbuffer,
+                });
+                (old.map(|d| d.iosurface), Ok(renderbuffer))
+            }
+            None => (
+                Some(iosurface),
+                Err(CycadaError::Eagl(format!("unknown EAGLContext {ctx}"))),
+            ),
+        };
+        if let Some(surface) = released {
+            self.iosurface
+                .release(tid, &surface)
+                .map_err(CycadaError::from)?;
+        }
+        result
     }
 
     /// Native `-[EAGLContext dealloc]`: forgets the record, destroys the

@@ -1,7 +1,7 @@
 //! EAGL API surface tests: the 17 methods, the GCD dispatch semantics, and
 //! the native-iOS counterpart.
 
-use cycada::{CycadaDevice, DispatchQueue, IosDevice};
+use cycada::{CycadaDevice, CycadaError, DispatchQueue, IosDevice};
 use cycada_gles::{GlesVersion, TexFormat};
 
 fn device() -> CycadaDevice {
@@ -85,6 +85,82 @@ fn delete_drawable_releases_the_iosurface() {
     eagl.delete_drawable(tid, ctx).unwrap();
     assert_eq!(dev.iosurface_bridge().live_surfaces(), 0);
     assert!(eagl.drawable_image(ctx).is_err());
+}
+
+#[test]
+fn restoring_a_drawable_releases_the_replaced_iosurface() {
+    // Regression: a second renderbufferStorage:fromDrawable: overwrote the
+    // drawable without releasing the old IOSurface and its gralloc buffer.
+    let dev = device();
+    let tid = dev.main_tid();
+    let eagl = dev.eagl();
+    let buffers = dev.gralloc().live_buffers();
+    let ctx = eagl.init_with_api(tid, GlesVersion::V2).unwrap();
+    eagl.set_current_context(tid, Some(ctx)).unwrap();
+    let with_window = dev.gralloc().live_buffers();
+    let first = eagl
+        .renderbuffer_storage_from_drawable(tid, ctx, 32, 32)
+        .unwrap();
+    let second = eagl
+        .renderbuffer_storage_from_drawable(tid, ctx, 48, 16)
+        .unwrap();
+    assert_ne!(first, second);
+    assert_eq!(dev.iosurface_bridge().live_surfaces(), 1);
+    assert_eq!(dev.gralloc().live_buffers(), with_window + 1);
+    assert_eq!(eagl.drawable_image(ctx).unwrap().width(), 48);
+    eagl.present_renderbuffer(tid, ctx).unwrap();
+    eagl.destroy_context(tid, ctx).unwrap();
+    assert_eq!(dev.iosurface_bridge().live_surfaces(), 0);
+    assert_eq!(dev.gralloc().live_buffers(), buffers);
+}
+
+#[test]
+fn storage_on_an_unknown_context_errors_and_leaves_no_surface() {
+    let dev = device();
+    let tid = dev.main_tid();
+    let eagl = dev.eagl();
+    let err = eagl
+        .renderbuffer_storage_from_drawable(tid, 999, 32, 32)
+        .unwrap_err();
+    assert!(matches!(err, CycadaError::Eagl(_)), "{err}");
+    let ctx = eagl.init_with_api(tid, GlesVersion::V1).unwrap();
+    eagl.set_current_context(tid, Some(ctx)).unwrap();
+    eagl.destroy_context(tid, ctx).unwrap();
+    let err = eagl
+        .renderbuffer_storage_from_drawable(tid, ctx, 32, 32)
+        .unwrap_err();
+    assert!(matches!(err, CycadaError::Eagl(_)), "{err}");
+    assert_eq!(dev.iosurface_bridge().live_surfaces(), 0);
+}
+
+#[test]
+fn native_restoring_a_drawable_releases_the_replaced_iosurface() {
+    let dev = IosDevice::boot_with_display(Some((96, 64))).unwrap();
+    let tid = dev.main_tid();
+    let stack = dev.stack();
+    let live = || stack.coresurface().live_surfaces();
+    let ctx = stack.init_with_api(GlesVersion::V1);
+    stack.set_current_context(tid, Some(ctx)).unwrap();
+    stack
+        .renderbuffer_storage_from_drawable(tid, ctx, 32, 32)
+        .unwrap();
+    stack
+        .renderbuffer_storage_from_drawable(tid, ctx, 48, 16)
+        .unwrap();
+    assert_eq!(live(), 1);
+    assert_eq!(stack.drawable_image(ctx).unwrap().width(), 48);
+    stack.destroy_context(tid, ctx).unwrap();
+    assert_eq!(live(), 0);
+
+    let err = stack
+        .renderbuffer_storage_from_drawable(tid, 999, 32, 32)
+        .unwrap_err();
+    assert!(matches!(err, CycadaError::Eagl(_)), "{err}");
+    let err = stack
+        .renderbuffer_storage_from_drawable(tid, ctx, 32, 32)
+        .unwrap_err();
+    assert!(matches!(err, CycadaError::Eagl(_)), "{err}");
+    assert_eq!(live(), 0);
 }
 
 #[test]

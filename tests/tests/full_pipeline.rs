@@ -1,9 +1,11 @@
 //! End-to-end pipeline tests: iOS app code through the Cycada bridge to
 //! the display, compared against the native paths.
 
-use cycada::AppGl;
+use cycada::{AppGl, CycadaDevice, LIBEGLBRIDGE};
+use cycada_diplomat::{DiplomatEntry, DiplomatPattern, HookKind};
 use cycada_gles::{GlesVersion, Primitive};
-use cycada_sim::{Persona, Platform};
+use cycada_gpu::PixelFormat;
+use cycada_sim::{clock, Nanos, Persona, Platform};
 
 const SMALL: Option<(u32, u32)> = Some((128, 96));
 
@@ -223,4 +225,114 @@ fn extensions_differ_per_platform_as_apps_see_them() {
     let ios_exts = ios.extensions().unwrap().unwrap();
     assert!(ios_exts.contains("GL_APPLE_fence"));
     assert!(!ios_exts.contains("GL_NV_fence"));
+}
+
+/// One present of a BGRA drawable whose R and B differ at every pixel,
+/// on a 64×48 panel, with the GPU in span or reference mode. A
+/// `drawable` of the panel size takes the quad's identity lane (span
+/// mode); a half-size one takes the rasterized quad. Pins the present
+/// path's bytes and charges: one full-frame pass, and a
+/// `aegl_bridge_copy_tex_buf` that charges a same-size blit of the
+/// drawable and moves nothing.
+fn pin_present(reference: bool, drawable: (u32, u32)) {
+    const PANEL: (u32, u32) = (64, 48);
+    let (w, h) = drawable;
+    let dev = CycadaDevice::boot_with_display(Some(PANEL)).unwrap();
+    dev.gpu().set_reference_raster(reference);
+    let tid = dev.main_tid();
+    let eagl = dev.eagl();
+    let ctx = eagl.init_with_api(tid, GlesVersion::V1).unwrap();
+    eagl.set_current_context(tid, Some(ctx)).unwrap();
+    eagl.renderbuffer_storage_from_drawable(tid, ctx, w, h)
+        .unwrap();
+    let image = eagl.drawable_image(ctx).unwrap();
+    assert_eq!(image.format(), PixelFormat::Bgra8888);
+    let rgb = |x: u32, y: u32| {
+        let r = (x * 7 + y * 13) as u8;
+        [r, (x ^ (y * 3)) as u8, r ^ 0x5a]
+    };
+    image.map_rows(|rows| {
+        for y in 0..h {
+            for (x, px) in rows.row_mut(y).chunks_exact_mut(4).enumerate() {
+                let [r, g, b] = rgb(x as u32, y);
+                px.copy_from_slice(&[b, g, r, 255]);
+            }
+        }
+    });
+    // Warm-up present: resolves every diplomat symbol on the path.
+    eagl.present_renderbuffer(tid, ctx).unwrap();
+
+    // The back buffer the next present draws into.
+    let back = eagl
+        .android_egl()
+        .gles_for_thread(tid)
+        .unwrap()
+        .with_current(tid, |c| c.default_framebuffer())
+        .unwrap();
+    assert_eq!(back.format(), PixelFormat::Rgba8888);
+    let engine = dev.engine();
+    let copies = || engine.stats().get("aegl_bridge_copy_tex_buf").unwrap();
+    let (gpu0, copy0) = (dev.gpu().stats(), copies());
+    eagl.present_renderbuffer(tid, ctx).unwrap();
+    let (gpu1, copy1) = (dev.gpu().stats(), copies());
+
+    // Bytes: the drawable with R and B swapped, sampled nearest at pixel
+    // centers when scaled (an exact halving here).
+    let expected: Vec<u8> = (0..PANEL.1)
+        .flat_map(|y| {
+            (0..PANEL.0).flat_map(move |x| {
+                let [r, g, b] = rgb(x * w / PANEL.0, y * h / PANEL.1);
+                [r, g, b, 255]
+            })
+        })
+        .collect();
+    let mode = if reference { "reference" } else { "spans" };
+    assert_eq!(back.to_rgba_vec(), expected, "{mode} {w}x{h}: back buffer");
+    assert_eq!(
+        dev.kernel().display().scanout().to_vec(),
+        expected,
+        "{mode} {w}x{h}: scanout"
+    );
+
+    // Charges: one copy_tex_buf per present, costing the diplomat itself
+    // plus one submit and the copy cost of a w×h 2D blit.
+    let empty = DiplomatEntry::new(
+        "pin_present_empty_multi",
+        LIBEGLBRIDGE,
+        "aegl_bridge_copy_tex_buf",
+        DiplomatPattern::Multi,
+        HookKind::Gles,
+    );
+    engine.call(tid, &empty, || ()).unwrap();
+    let start = clock::now_ns();
+    engine.call(tid, &empty, || ()).unwrap();
+    let diplomat_ns = clock::now_ns() - start;
+    let cost = dev.gpu().cost_model();
+    let copy_ns = cost.command_submit_ns
+        + (f64::from(w * h) * 4.0 * cost.per_copy_byte_ns * cost.scale_2d).round() as Nanos;
+    assert_eq!(copy1.calls - copy0.calls, 1, "{mode} {w}x{h}");
+    assert_eq!(
+        copy1.total_ns - copy0.total_ns,
+        diplomat_ns + copy_ns,
+        "{mode} {w}x{h}: copy_tex_buf ledger charge"
+    );
+
+    // GPU stats: the copy's blit, the quad, the flinger's layer blit.
+    assert_eq!(gpu1.commands - gpu0.commands, 3, "{mode} {w}x{h}");
+    assert_eq!(gpu1.blits - gpu0.blits, 2, "{mode} {w}x{h}");
+    assert_eq!(gpu1.draws - gpu0.draws, 1, "{mode} {w}x{h}");
+    assert_eq!(
+        gpu1.fragments - gpu0.fragments,
+        u64::from(PANEL.0 * PANEL.1),
+        "{mode} {w}x{h}"
+    );
+    assert_eq!(gpu1.presents - gpu0.presents, 1, "{mode} {w}x{h}");
+}
+
+#[test]
+fn present_is_one_swizzled_pass_with_the_copy_charged() {
+    for reference in [false, true] {
+        pin_present(reference, (64, 48));
+        pin_present(reference, (32, 24));
+    }
 }

@@ -226,10 +226,16 @@ fn dropped_sessions_release_their_device_resources() {
             device.linker().replica_count(),
         )
     };
+    // Each cycle also re-stores its drawable once: the replaced IOSurface
+    // must be released, not orphaned.
     let cycle = |i: usize| {
         let mut app = AppGl::attach_cycada(&device, GlesVersion::V1).unwrap();
         let tex = drive_setup(&mut app, seed(i));
         drive_frames(&mut app, tex, seed(i), 1);
+        device
+            .eagl()
+            .renderbuffer_storage_from_drawable(app.tid(), app.eagl_context().unwrap(), W, H)
+            .unwrap();
         app
     };
     // One warm-up cycle: the device creates its default EGL connection
@@ -267,6 +273,9 @@ fn dropped_sessions_release_their_device_resources() {
         let mut app = AppGl::attach_native_ios(&ios, GlesVersion::V1).unwrap();
         let tex = drive_setup(&mut app, seed(i));
         drive_frames(&mut app, tex, seed(i), 1);
+        ios.stack()
+            .renderbuffer_storage_from_drawable(app.tid(), app.eagl_context().unwrap(), W, H)
+            .unwrap();
         drop(app);
         assert_eq!(
             ios.stack().coresurface().live_surfaces(),
