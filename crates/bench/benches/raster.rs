@@ -7,8 +7,9 @@
 //! spans of row slices. These benchmarks measure exactly that ratio — same
 //! scene, same bytes out (asserted by the equivalence tests), different
 //! locking and inner loop. `raster/*_reference` cases run the preserved
-//! per-pixel implementation as the baseline the ISSUE's ≥5× criterion is
-//! judged against.
+//! per-pixel implementation, which is also the production route for
+//! blended and 565/A8 draws, as the baseline the span rows are read
+//! against.
 //!
 //! Run `CRITERION_JSON_OUT=$(pwd)/BENCH_raster.json cargo bench --bench
 //! raster` from the repo root to refresh the committed results file (the
@@ -197,6 +198,43 @@ fn bench_blit(c: &mut Criterion) {
     });
 }
 
+/// The PassMark 3D shape at the hd panel size: four overlapping quads,
+/// each over three quarters of a 1024×768 target at its own depth, in one
+/// depth-tested draw with the 3D tests' interpolating green. Drawn in the
+/// order z = 0.5, 0.25, 0.75, 0.1, so the span lane's depth test both
+/// passes and rejects whole chunks and splits others. Each iteration
+/// clears the depth buffer first, as a frame's `glClear` does.
+fn bench_depth_tested_quads(c: &mut Criterion) {
+    let color = Rgba::new(0.3, 0.9, 0.5, 1.0);
+    let mut verts = Vec::new();
+    for (i, z) in [0.5f32, 0.25, 0.75, 0.1].into_iter().enumerate() {
+        let (x0, y0) = (-1.0 + 0.5 * (i % 2) as f32, -1.0 + 0.5 * (i / 2) as f32);
+        let (x1, y1) = (x0 + 1.5, y0 + 1.5);
+        for [x, y] in [[x0, y0], [x1, y0], [x1, y1], [x0, y0], [x1, y1], [x0, y1]] {
+            verts.push(Vertex::colored([x, y, z], color));
+        }
+    }
+    let indices: Vec<u32> = (0..verts.len() as u32).collect();
+    let pipeline = Pipeline {
+        depth_test: true,
+        ..Pipeline::default()
+    };
+    let img = Image::new(1024, 768, PixelFormat::Rgba8888);
+    let mut depth = raster::depth_buffer_for(&img);
+    c.bench_function("raster/depth_tested_quad_1024x768", |b| {
+        b.iter(|| {
+            depth.fill(f32::INFINITY);
+            black_box(raster::draw_indexed(
+                &img,
+                Some(&mut depth),
+                &verts,
+                &indices,
+                &pipeline,
+            ))
+        })
+    });
+}
+
 /// The two full-frame hops of one `hd-scenes` present: the BGRA drawable
 /// drawn into the RGBA back buffer by `presentRenderbuffer:`'s
 /// full-screen quad (the identity lane, swizzling in one pass), then the
@@ -238,6 +276,7 @@ criterion_group!(
     bench_small_tri,
     bench_textured_tri,
     bench_textured_quad,
+    bench_depth_tested_quads,
     bench_blit,
     bench_present_hops,
 );

@@ -14,10 +14,23 @@
 //! texture) and then works on plain byte slices. Triangle fills are
 //! span-based — per-row edge terms are hoisted so the per-candidate test
 //! is one multiply-subtract per edge — and run serially, triangle by
-//! triangle in submission order. Every path is byte-identical to the
-//! per-pixel [`reference`](mod@reference) rasterizer, which is kept as the executable
-//! specification (asserted against by property tests) and as the
-//! fallback for a texture that aliases its render target.
+//! triangle in submission order.
+//!
+//! A draw takes one of two routes, chosen once before any guard is taken:
+//!
+//! - the **span lane**: opaque blend, a 4-byte target, no texture or a
+//!   non-empty 4-byte one that does not alias the target, and finite edge
+//!   terms in every triangle; with or without a depth test;
+//! - the per-pixel [`reference`](mod@reference) rasterizer for everything
+//!   else: alpha blending, 565/A8 targets or textures, empty or aliasing
+//!   textures, and any triangle with a non-finite edge term. Each such
+//!   draw bumps the `raster-reference-draws` trace counter.
+//!
+//! The reference is the executable specification; the span lane is
+//! byte-identical to it (asserted by property tests), so the whole draw
+//! equals the reference's on either route.
+
+use cycada_sim::trace;
 
 use crate::format::{swap_rb, PixelFormat, Rgba};
 use crate::image::Image;
@@ -187,7 +200,8 @@ pub fn draw_triangles(
 }
 
 /// Draws an indexed triangle list (serial span rasterizer: one lock for
-/// the whole draw).
+/// the whole draw), or hands the whole draw to [`reference::draw_indexed`]
+/// when it is not one the span lane takes (see the module docs).
 ///
 /// # Panics
 ///
@@ -207,17 +221,14 @@ pub fn draw_indexed(
             "depth buffer size mismatch"
         );
     }
-    // A texture aliasing the render target would need the same buffer
-    // locked for read and write at once; keep the historical read-your-own
-    // -writes semantics by falling back to the per-pixel reference path.
-    if let Some(tex) = pipeline.texture {
-        if tex.aliases(target) {
-            return reference::draw_indexed(target, depth, vertices, indices, pipeline);
-        }
-    }
-
     let mut metrics = RasterMetrics::default();
-    let tris = prepare_triangles(target, vertices, indices, pipeline, &mut metrics);
+    let tris = span_eligible(target, pipeline)
+        .then(|| prepare_triangles(target, vertices, indices, pipeline, &mut metrics))
+        .filter(|tris| tris.iter().all(|t| t.finite));
+    let Some(tris) = tris else {
+        trace::bump(trace::Counter::RasterReferenceDraws);
+        return reference::draw_indexed(target, depth, vertices, indices, pipeline);
+    };
     if tris.is_empty() {
         return metrics;
     }
@@ -226,7 +237,6 @@ pub fn draw_indexed(
         width: target.width(),
         row_bytes: target.row_bytes(),
         format: target.format(),
-        bpp: target.format().bytes_per_pixel(),
     };
     let tex_guard = pipeline.texture.map(|t| (t, t.buffer().read_guard()));
     let tex_view = tex_guard.as_ref().map(|(t, g)| TexView {
@@ -235,16 +245,30 @@ pub fn draw_indexed(
         height: t.height(),
         row_bytes: t.row_bytes(),
         format: t.format(),
-        bpp: t.format().bytes_per_pixel(),
         fast_index: t.width() <= FAST_TEXEL_MAX && t.height() <= FAST_TEXEL_MAX,
     });
+    let depth = depth.filter(|_| pipeline.depth_test);
 
     let height = target.height();
     let mut guard = target.buffer().write_guard();
     let bytes = &mut guard[..geom.row_bytes * height as usize];
 
-    metrics.fragments = fill_triangles(bytes, depth, &geom, &tris, tex_view.as_ref(), pipeline);
+    metrics.fragments = fill_triangles(bytes, depth, &geom, &tris, tex_view.as_ref());
     metrics
+}
+
+/// Whether the span lane takes a draw with this target and pipeline:
+/// opaque blend, a 4-byte target, and no texture or a non-empty
+/// `Rgba8888`/`Bgra8888` one that does not alias the target (which would
+/// need one buffer locked for read and write at once). Decided once per
+/// draw, before any guard is taken.
+fn span_eligible(target: &Image, pipeline: &Pipeline<'_>) -> bool {
+    let four_byte = |f: PixelFormat| matches!(f, PixelFormat::Rgba8888 | PixelFormat::Bgra8888);
+    pipeline.blend == BlendMode::Opaque
+        && four_byte(target.format())
+        && pipeline.texture.is_none_or(|tex| {
+            four_byte(tex.format()) && tex.width() > 0 && tex.height() > 0 && !tex.aliases(target)
+        })
 }
 
 /// Per-draw target geometry.
@@ -252,7 +276,6 @@ struct TargetGeom {
     width: u32,
     row_bytes: usize,
     format: PixelFormat,
-    bpp: usize,
 }
 
 /// Read-only texture view sampled under the draw's single read guard.
@@ -262,43 +285,14 @@ struct TexView<'a> {
     height: u32,
     row_bytes: usize,
     format: PixelFormat,
-    bpp: usize,
     /// Both sides are at most [`FAST_TEXEL_MAX`], so [`texel_index_fast`]
     /// stands in for [`texel_index`]; decided once per draw.
     fast_index: bool,
 }
 
-impl TexView<'_> {
-    /// [`texel_index`] through the function this draw uses for it.
-    #[inline]
-    fn index(&self, coord: f32, size: u32) -> u32 {
-        if self.fast_index {
-            texel_index_fast(coord, size)
-        } else {
-            texel_index(coord, size)
-        }
-    }
-
-    /// Byte offset of the texel nearest to `(u, v)` (clamp-to-edge).
-    #[inline]
-    fn texel_offset(&self, u: f32, v: f32) -> usize {
-        let x = self.index(u, self.width);
-        let y = self.index(v, self.height);
-        y as usize * self.row_bytes + x as usize * self.bpp
-    }
-
-    /// As the reference's [`sample_nearest`], including the empty case.
-    fn sample_nearest(&self, u: f32, v: f32) -> Rgba {
-        if self.width == 0 || self.height == 0 {
-            return Rgba::BLACK;
-        }
-        let off = self.texel_offset(u, v);
-        self.format.decode(&self.bytes[off..off + self.bpp])
-    }
-}
-
 /// A triangle prepared for span filling: screen-space positions, signed
-/// area, clipped pixel bounding box, and per-vertex attributes.
+/// area, clipped pixel bounding box, hoisted edge factors and per-vertex
+/// attributes.
 struct ScreenTri {
     p0: [f32; 3],
     p1: [f32; 3],
@@ -308,6 +302,13 @@ struct ScreenTri {
     max_x: u32,
     min_y: u32,
     max_y: u32,
+    /// Triangle-invariant edge factors `k = b.y − a.y` for the edges
+    /// `(p1, p2)`, `(p2, p0)`, `(p0, p1)`.
+    k: (f32, f32, f32),
+    /// The matching `d = b.x − a.x`.
+    d: (f32, f32, f32),
+    /// Every edge term of every row is finite (see [`prepare_triangles`]).
+    finite: bool,
     c0: Rgba,
     c1: Rgba,
     c2: Rgba,
@@ -316,10 +317,33 @@ struct ScreenTri {
     uv2: [f32; 2],
 }
 
+impl ScreenTri {
+    /// The row-invariant second products `r = (yc − a.y) · d` of the
+    /// three edge functions at row `py`.
+    #[inline]
+    fn row_terms(&self, py: u32) -> (f32, f32, f32) {
+        let yc = py as f32 + 0.5;
+        (
+            (yc - self.p1[1]) * self.d.0,
+            (yc - self.p2[1]) * self.d.1,
+            (yc - self.p0[1]) * self.d.2,
+        )
+    }
+}
+
 /// Transforms vertices (counted in `metrics`) and performs the per-
 /// triangle setup: behind-the-eye rejection, perspective divide, viewport
-/// transform, degenerate rejection, and bounding-box/clip computation —
-/// all with the exact expressions of the [`reference`] rasterizer.
+/// transform, degenerate rejection, bounding-box/clip computation — all
+/// with the exact expressions of the [`reference`] rasterizer — and the
+/// hoisted edge factors.
+///
+/// A triangle is `finite` when its `k` factors, vertex `x`s, area and the
+/// row terms of its first and last rows are. That covers every row: each
+/// row term `r = (yc − a.y) · d` is a chain of rounded monotone functions
+/// of the row index (cast, add-constant, subtract-constant,
+/// multiply-by-constant), so every row's `r` lies between the first and
+/// the last row's, and is finite when both are. With every term finite
+/// and the area nonzero, no weight of the triangle can be NaN.
 fn prepare_triangles(
     target: &Image,
     vertices: &[Vertex],
@@ -386,7 +410,7 @@ fn prepare_triangles(
             continue; // empty pixel bounds; nothing to fill
         }
 
-        tris.push(ScreenTri {
+        let mut t = ScreenTri {
             p0,
             p1,
             p2,
@@ -395,20 +419,31 @@ fn prepare_triangles(
             max_x,
             min_y,
             max_y,
+            k: (p2[1] - p1[1], p0[1] - p2[1], p1[1] - p0[1]),
+            d: (p2[0] - p1[0], p0[0] - p2[0], p1[0] - p0[0]),
+            finite: false,
             c0: c0.1,
             c1: c1.1,
             c2: c2.1,
             uv0: c0.2,
             uv1: c1.2,
             uv2: c2.2,
-        });
+        };
+        let (first, last) = (t.row_terms(min_y), t.row_terms(max_y - 1));
+        t.finite = [
+            t.k.0, t.k.1, t.k.2, first.0, first.1, first.2, last.0, last.1, last.2, p0[0], p1[0],
+            p2[0], area,
+        ]
+        .iter()
+        .all(|v| v.is_finite());
+        tris.push(t);
     }
     tris
 }
 
 /// Rasterizes every prepared triangle, in submission order, into the
-/// target's `bytes` and (when present) its `depth` buffer. Returns
-/// fragments shaded.
+/// target's `bytes` and (when the draw depth-tests) its `depth` buffer.
+/// Returns fragments shaded. Every triangle must be `finite`.
 ///
 /// Span math: for the edge function through `a`,`b` the reference
 /// rasterizer evaluates, at each pixel center `(X, Y)`,
@@ -427,90 +462,20 @@ fn fill_triangles(
     geom: &TargetGeom,
     tris: &[ScreenTri],
     tex: Option<&TexView<'_>>,
-    pipeline: &Pipeline<'_>,
 ) -> u64 {
     let mut fragments = 0u64;
-    let depth_active = pipeline.depth_test && depth.is_some();
     let mut scratch = tex.map(|_| TexScratch::new());
+    let width = geom.width as usize;
+    // One chunk's depth pass mask, shared by every row of the draw.
+    let mut pass = [0u32; SPAN_TILE];
     for t in tris {
-        // Triangle-invariant edge factors: k = b.y - a.y, d = b.x - a.x
-        // for the edges (p1,p2), (p2,p0), (p0,p1).
-        let k0 = t.p2[1] - t.p1[1];
-        let d0 = t.p2[0] - t.p1[0];
-        let k1 = t.p0[1] - t.p2[1];
-        let d1 = t.p0[0] - t.p2[0];
-        let k2 = t.p1[1] - t.p0[1];
-        let d2 = t.p1[0] - t.p0[0];
-        let mut lane = span_lane(geom, t, depth_active, tex, scratch.as_deref_mut(), pipeline);
+        let mut lane = span_lane(geom, t, tex.zip(scratch.as_deref_mut()));
         for py in t.min_y..t.max_y {
-            let yc = py as f32 + 0.5;
-            // Row-invariant second products of the three edge functions.
-            let r0 = (yc - t.p1[1]) * d0;
-            let r1 = (yc - t.p2[1]) * d1;
-            let r2 = (yc - t.p0[1]) * d2;
             let row_off = py as usize * geom.row_bytes;
-            let depth_row = py as usize * geom.width as usize;
-            // Branch-free span lane for the hot shapes (opaque, no depth
-            // test, 4-byte target, untextured or 4-byte texture): find the
-            // covered interval with O(log W) evaluations of the exact
-            // per-pixel predicate, then shade it without any per-pixel
-            // test. Falls through to the scalar lane on non-finite edge
-            // terms.
-            if let Some(lane) = &mut lane {
-                if let Some(n) =
-                    fill_row_span(bytes, row_off, t, (k0, k1, k2), (r0, r1, r2), lane)
-                {
-                    fragments += n;
-                    continue;
-                }
-            }
-            // Scalar lane: coverage is re-evaluated at every candidate
-            // (one mul-sub per edge). The span lane above must locate its
-            // interval with this exact predicate — analytic span endpoints
-            // would differ near edges by float rounding, and the contract
-            // is byte-identity with the reference, not "close".
-            for px in t.min_x..t.max_x {
-                let xc = px as f32 + 0.5;
-                let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
-                let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
-                let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
-                if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
-                    continue;
-                }
-                fragments += 1;
-
-                let z = w0 * t.p0[2] + w1 * t.p1[2] + w2 * t.p2[2];
-                if pipeline.depth_test {
-                    if let Some(d) = depth.as_deref_mut() {
-                        let idx = depth_row + px as usize;
-                        if z > d[idx] {
-                            continue;
-                        }
-                        d[idx] = z;
-                    }
-                }
-
-                let mut color = Rgba {
-                    r: w0 * t.c0.r + w1 * t.c1.r + w2 * t.c2.r,
-                    g: w0 * t.c0.g + w1 * t.c1.g + w2 * t.c2.g,
-                    b: w0 * t.c0.b + w1 * t.c1.b + w2 * t.c2.b,
-                    a: w0 * t.c0.a + w1 * t.c1.a + w2 * t.c2.a,
-                };
-                if let Some(tv) = tex {
-                    let u = w0 * t.uv0[0] + w1 * t.uv1[0] + w2 * t.uv2[0];
-                    let v = w0 * t.uv0[1] + w1 * t.uv1[1] + w2 * t.uv2[1];
-                    color = tv.sample_nearest(u, v).modulate(color);
-                }
-
-                let off = row_off + px as usize * geom.bpp;
-                let out = match pipeline.blend {
-                    BlendMode::Opaque => color,
-                    BlendMode::Alpha => {
-                        color.over(geom.format.decode(&bytes[off..off + geom.bpp]))
-                    }
-                };
-                encode_fast(geom.format, out, &mut bytes[off..off + geom.bpp]);
-            }
+            let depth_row = depth
+                .as_deref_mut()
+                .map(|d| (&mut d[py as usize * width..][..width], &mut pass));
+            fragments += fill_row_span(bytes, row_off, depth_row, t, t.row_terms(py), &mut lane);
         }
     }
     fragments
@@ -586,46 +551,28 @@ impl TexScratch {
     }
 }
 
-/// Decides whether a triangle can take the branch-free span lane and
-/// builds its byte-ordered coefficients. The lane requires opaque blend
-/// (no read-back of destination bytes), no depth test in play, a 4-byte
-/// target format, and either no texture or a non-empty `Rgba8888`/
-/// `Bgra8888` one (with the draw's `scratch`); everything else (alpha
-/// blending, depth testing, 565/A8 targets or textures, zero-area
-/// textures) takes the scalar lane.
+/// Builds a triangle's byte-ordered span coefficients for a draw that
+/// [`span_eligible`] admitted (4-byte target; no texture, or a non-empty
+/// 4-byte one with the draw's scratch).
 fn span_lane<'a>(
     geom: &TargetGeom,
     t: &ScreenTri,
-    depth_active: bool,
-    tex: Option<&'a TexView<'a>>,
-    scratch: Option<&'a mut TexScratch>,
-    pipeline: &Pipeline<'_>,
-) -> Option<SpanLane<'a>> {
-    if !matches!(pipeline.blend, BlendMode::Opaque) || depth_active {
-        return None;
-    }
+    tex: Option<(&'a TexView<'a>, &'a mut TexScratch)>,
+) -> SpanLane<'a> {
     let by = |f: fn(&Rgba) -> f32| [f(&t.c0), f(&t.c1), f(&t.c2)];
     let ch = match geom.format {
-        PixelFormat::Rgba8888 => [by(|c| c.r), by(|c| c.g), by(|c| c.b), by(|c| c.a)],
         PixelFormat::Bgra8888 => [by(|c| c.b), by(|c| c.g), by(|c| c.r), by(|c| c.a)],
-        _ => return None,
+        _ => [by(|c| c.r), by(|c| c.g), by(|c| c.b), by(|c| c.a)],
     };
-    let tex = match tex {
-        None => None,
-        Some(view) if view.width == 0 || view.height == 0 => return None,
-        Some(view) => match view.format {
-            PixelFormat::Rgba8888 | PixelFormat::Bgra8888 => Some(TexLane {
-                view,
-                uv: [
-                    [t.uv0[0], t.uv1[0], t.uv2[0]],
-                    [t.uv0[1], t.uv1[1], t.uv2[1]],
-                ],
-                swap_rb: view.format != geom.format,
-                scratch: scratch?,
-            }),
-            _ => return None,
-        },
-    };
+    let tex = tex.map(|(view, scratch)| TexLane {
+        view,
+        uv: [
+            [t.uv0[0], t.uv1[0], t.uv2[0]],
+            [t.uv0[1], t.uv1[1], t.uv2[1]],
+        ],
+        swap_rb: view.format != geom.format,
+        scratch,
+    });
     let mut flat01_mask = Some(0u32);
     for (i, c) in ch.iter().enumerate() {
         if c.iter().all(|&v| v == 0.0) {
@@ -637,24 +584,24 @@ fn span_lane<'a>(
             break;
         }
     }
-    Some(SpanLane {
+    SpanLane {
         ch,
         flat01_mask,
         tex,
-    })
+    }
 }
 
 /// The sub-interval of `[lo, hi)` on which `!(w(px) < 0.0)` holds, found
 /// with O(log) evaluations of `w`.
 ///
 /// Requires `w` to be a weakly monotone sequence with no NaN values (the
-/// caller guarantees this by checking that every term of the edge
-/// expression is finite). The covered set is then a prefix, a suffix,
-/// everything, or nothing — which of the four is read off the two end
-/// values, and the single boundary is binary-searched with the exact
-/// predicate, so the result matches a pixel-by-pixel scan bit for bit.
+/// caller guarantees this by only searching `finite` triangles). The
+/// covered set is then a prefix, a suffix, everything, or nothing — which
+/// of the four is read off the two end values, and the single boundary is
+/// binary-searched with the exact predicate, so the result matches a
+/// pixel-by-pixel scan bit for bit.
 fn edge_interval(w: impl Fn(u32) -> f32, lo: u32, hi: u32) -> (u32, u32) {
-    // The negated comparison is the scalar lane's predicate verbatim — it
+    // The negated comparison is the reference's predicate verbatim — it
     // must stay `!(w < 0)`, not `w >= 0`, so NaN counts as covered there too.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     let covers = |px: u32| !(w(px) < 0.0);
@@ -690,71 +637,61 @@ fn edge_interval(w: impl Fn(u32) -> f32, lo: u32, hi: u32) -> (u32, u32) {
     }
 }
 
-/// The covered pixel interval `[lo, hi)` of one triangle row, or `None`
-/// when an edge term is non-finite (monotonicity, and with it the
-/// interval search, is then not guaranteed; callers fall back to testing
-/// every candidate with the scalar predicate). `lo >= hi` means the row
-/// covers nothing.
+/// The covered pixel interval `[lo, hi)` of one row of a `finite`
+/// triangle. `lo >= hi` means the row covers nothing.
 ///
 /// Each barycentric weight `w(px)` is a chain of rounded monotone
 /// functions of `px` (cast, add-constant, multiply-by-constant,
 /// divide-by-constant), and rounding preserves weak monotonicity, so per
 /// edge the covered set really is contiguous and [`edge_interval`] —
 /// which evaluates the exact per-pixel expressions — finds the same
-/// boundary a linear scan would. The finiteness guard matters: with every
-/// term finite and `area` nonzero, no intermediate can be NaN (the
-/// weights may still overflow to ±∞, which stays monotone and compares
-/// like the scalar lane).
+/// boundary the reference's per-pixel test would. Finiteness matters:
+/// with every term finite and `area` nonzero, no intermediate can be NaN
+/// (the weights may still overflow to ±∞, which stays monotone and
+/// compares like the reference).
 #[inline]
-fn covered_span(t: &ScreenTri, k: (f32, f32, f32), r: (f32, f32, f32)) -> Option<(u32, u32)> {
-    let (k0, k1, k2) = k;
+fn covered_span(t: &ScreenTri, r: (f32, f32, f32)) -> (u32, u32) {
+    let (k0, k1, k2) = t.k;
     let (r0, r1, r2) = r;
-    if t.min_x >= t.max_x {
-        return Some((t.min_x, t.min_x));
-    }
-    if ![k0, k1, k2, r0, r1, r2, t.p0[0], t.p1[0], t.p2[0], t.area]
-        .iter()
-        .all(|v| v.is_finite())
-    {
-        return None;
-    }
     let (l0, h0) =
         edge_interval(|px| ((px as f32 + 0.5 - t.p1[0]) * k0 - r0) / t.area, t.min_x, t.max_x);
     let (l1, h1) =
         edge_interval(|px| ((px as f32 + 0.5 - t.p2[0]) * k1 - r1) / t.area, t.min_x, t.max_x);
     let (l2, h2) =
         edge_interval(|px| ((px as f32 + 0.5 - t.p0[0]) * k2 - r2) / t.area, t.min_x, t.max_x);
-    Some((l0.max(l1).max(l2), h0.min(h1).min(h2)))
+    (l0.max(l1).max(l2), h0.min(h1).min(h2))
 }
 
 /// Width of the stack buffer the span lane shades into between stores.
 const SPAN_TILE: usize = 128;
 
-/// Fills one row's covered span without per-pixel branches. Returns the
-/// fragment count, or `None` when an edge term is non-finite — the caller
-/// then takes the scalar lane, which handles arbitrary values.
+/// Fills one row's covered span without per-pixel branches and returns
+/// its fragment count. When the draw depth-tests, `depth` holds the row
+/// of the depth buffer and the draw's pass-mask scratch.
 ///
-/// Byte-identity with the scalar lane rests on two facts. First,
-/// [`covered_span`] finds exactly the pixels the scalar lane's coverage
-/// test accepts. Second, the interior loops repeat the scalar lane's
-/// weight, interpolation, sampling and [`quantize_unit`] expressions
+/// Byte-identity with the reference rests on two facts. First,
+/// [`covered_span`] finds exactly the pixels the reference's coverage
+/// test accepts. Second, the interior loops repeat the reference's
+/// weight, interpolation, depth, sampling and quantization expressions
 /// verbatim — the same arithmetic, merely restructured so the compiler
-/// can vectorize it: no coverage test, a cast-free quantize, and packed
-/// `u32` stores. Textured spans are shaded by [`shade_textured`].
+/// can vectorize it: no coverage test, a cast-free quantize
+/// ([`quantize_unit`]), and packed `u32` stores. Textured spans are
+/// shaded by [`shade_textured`]; a depth-tested chunk is tested by
+/// [`depth_test_chunk`] and stored under its pass mask.
 #[inline]
 fn fill_row_span(
     bytes: &mut [u8],
     row_off: usize,
+    mut depth: Option<(&mut [f32], &mut [u32; SPAN_TILE])>,
     t: &ScreenTri,
-    k: (f32, f32, f32),
     r: (f32, f32, f32),
     lane: &mut SpanLane<'_>,
-) -> Option<u64> {
-    let (k0, k1, k2) = k;
+) -> u64 {
+    let (k0, k1, k2) = t.k;
     let (r0, r1, r2) = r;
-    let (lo, hi) = covered_span(t, k, r)?;
+    let (lo, hi) = covered_span(t, r);
     if lo >= hi {
-        return Some(0);
+        return 0;
     }
 
     let mut px = lo;
@@ -762,10 +699,22 @@ fn fill_row_span(
         let len = ((hi - px) as usize).min(SPAN_TILE);
         let off = row_off + px as usize * 4;
         let dst = &mut bytes[off..off + len * 4];
+        let keep = match &mut depth {
+            None => None,
+            Some((d, pass)) => {
+                let n = depth_test_chunk(&mut d[px as usize..][..len], px, t, r, &mut pass[..len]);
+                if n == 0 {
+                    px += len as u32;
+                    continue;
+                }
+                (n < len).then_some(&pass[..len])
+            }
+        };
         if let Some(tex) = &mut lane.tex {
             store_packed(
                 dst,
-                shade_textured(len, px, t, k, r, &lane.ch, lane.flat01_mask, tex),
+                shade_textured(len, px, t, r, &lane.ch, lane.flat01_mask, tex),
+                keep,
             );
         } else {
             let mut buf = [0u32; SPAN_TILE];
@@ -796,18 +745,62 @@ fn fill_row_span(
                         | q(&lane.ch[3]) << 24;
                 }
             }
-            store_packed(dst, &buf[..len]);
+            store_packed(dst, &buf[..len], keep);
         }
         px += len as u32;
     }
-    Some(u64::from(hi - lo))
+    u64::from(hi - lo)
 }
 
-/// Writes packed pixels to their target bytes, little-endian.
+/// The reference's depth test over one chunk of `pass.len()` covered
+/// pixels starting at column `px0`: each pixel's `z = w0·z0 + w1·z1 +
+/// w2·z2` passes unless `z > d`, and a pass writes `z` to `d`. Sets
+/// `pass[i]` to all-ones or zero and returns the number of passes.
 #[inline]
-fn store_packed(dst: &mut [u8], pixels: &[u32]) {
-    for (d, v) in dst.chunks_exact_mut(4).zip(pixels) {
-        d.copy_from_slice(&v.to_le_bytes());
+fn depth_test_chunk(
+    d: &mut [f32],
+    px0: u32,
+    t: &ScreenTri,
+    r: (f32, f32, f32),
+    pass: &mut [u32],
+) -> usize {
+    let (k0, k1, k2) = t.k;
+    let (r0, r1, r2) = r;
+    let mut passed = 0;
+    for (i, (slot, m)) in d.iter_mut().zip(pass.iter_mut()).enumerate() {
+        let xc = (px0 + i as u32) as f32 + 0.5;
+        let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
+        let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
+        let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
+        let z = w0 * t.p0[2] + w1 * t.p1[2] + w2 * t.p2[2];
+        // `!(z > d)`, not `z <= d`: a NaN on either side passes, as in
+        // the reference.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let ok = !(z > *slot);
+        *slot = if ok { z } else { *slot };
+        *m = 0u32.wrapping_sub(u32::from(ok));
+        passed += usize::from(ok);
+    }
+    passed
+}
+
+/// Writes packed pixels to their target bytes, little-endian; under a
+/// depth pass mask `keep` (all-ones keeps the new pixel, zero the old
+/// one), only the passing ones.
+#[inline]
+fn store_packed(dst: &mut [u8], pixels: &[u32], keep: Option<&[u32]>) {
+    match keep {
+        None => {
+            for (d, v) in dst.chunks_exact_mut(4).zip(pixels) {
+                d.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        Some(keep) => {
+            for ((d, v), m) in dst.chunks_exact_mut(4).zip(pixels).zip(keep) {
+                let old = u32::from_le_bytes([d[0], d[1], d[2], d[3]]);
+                d.copy_from_slice(&(v & m | old & !m).to_le_bytes());
+            }
+        }
     }
 }
 
@@ -825,7 +818,7 @@ const WHITE_SLACK: f32 = 1.0 / 1024.0;
 /// loop the compiler can vectorize: (1) the weights, the interpolated
 /// color and the texel column and row indices; (2) the texel gather as
 /// `u32`s; (3) unpack, `/ 255.0`, modulate, [`quantize_unit`] and pack.
-/// Every expression is the scalar lane's: the same weights and
+/// Every expression is the reference's: the same weights and
 /// interpolants, the texel decode of `Rgba::from_bytes`, the product
 /// order of `Rgba::modulate`. The indices come from the draw's choice of
 /// [`texel_index_fast`] (equal to [`texel_index`] for every input at
@@ -839,18 +832,17 @@ const WHITE_SLACK: f32 = 1.0 / 1024.0;
 /// the chunk's output is its texels under the mask. Any other chunk, NaN
 /// sums included, takes stage 3 in full.
 // Index loops over parallel arrays are the shape that vectorizes.
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+#[allow(clippy::needless_range_loop)]
 fn shade_textured<'s>(
     len: usize,
     px0: u32,
     t: &ScreenTri,
-    k: (f32, f32, f32),
     r: (f32, f32, f32),
     ch: &[[f32; 3]; 4],
     flat01_mask: Option<u32>,
     tex: &'s mut TexLane<'_>,
 ) -> &'s [u32] {
-    let (k0, k1, k2) = k;
+    let (k0, k1, k2) = t.k;
     let (r0, r1, r2) = r;
     let view = tex.view;
     let TexScratch {
@@ -943,11 +935,11 @@ fn shade_textured<'s>(
 /// exactly while its bytes come from a row copy: coverage does not depend
 /// on blending, texturing or the depth test (the fill loops count a
 /// fragment *before* the depth reject), so the count is a pure
-/// function of the prepared triangles. Each row's count is found with the
-/// same `edge_interval` search the span lane uses — O(log W) evaluations
-/// of the exact per-pixel predicate — falling back to a scalar predicate
-/// scan when an edge term is non-finite (where monotonicity, and thus the
-/// search, is not guaranteed).
+/// function of the prepared triangles. Each row of a `finite` triangle is
+/// counted with the same `covered_span` search the span lane uses —
+/// O(log W) evaluations of the exact per-pixel predicate; the rows of any
+/// other triangle with the reference's predicate at every pixel (where
+/// monotonicity, and thus the search, is not guaranteed).
 pub fn coverage_metrics(
     target: &Image,
     vertices: &[Vertex],
@@ -957,30 +949,21 @@ pub fn coverage_metrics(
     let mut metrics = RasterMetrics::default();
     let tris = prepare_triangles(target, vertices, indices, pipeline, &mut metrics);
     for t in &tris {
-        let k0 = t.p2[1] - t.p1[1];
-        let d0 = t.p2[0] - t.p1[0];
-        let k1 = t.p0[1] - t.p2[1];
-        let d1 = t.p0[0] - t.p2[0];
-        let k2 = t.p1[1] - t.p0[1];
-        let d2 = t.p1[0] - t.p0[0];
         for py in t.min_y..t.max_y {
-            let yc = py as f32 + 0.5;
-            let r0 = (yc - t.p1[1]) * d0;
-            let r1 = (yc - t.p2[1]) * d1;
-            let r2 = (yc - t.p0[1]) * d2;
-            metrics.fragments += row_coverage(t, (k0, k1, k2), (r0, r1, r2));
+            metrics.fragments += row_coverage(t, t.row_terms(py));
         }
     }
     metrics
 }
 
-/// Counts the covered pixels of one triangle row with the span lane's
-/// interval search, or the scalar predicate when a term is non-finite.
-fn row_coverage(t: &ScreenTri, k: (f32, f32, f32), r: (f32, f32, f32)) -> u64 {
-    if let Some((lo, hi)) = covered_span(t, k, r) {
+/// Counts the covered pixels of one triangle row: the span lane's
+/// interval search on a `finite` triangle, else the per-pixel predicate.
+fn row_coverage(t: &ScreenTri, r: (f32, f32, f32)) -> u64 {
+    if t.finite {
+        let (lo, hi) = covered_span(t, r);
         return u64::from(hi.saturating_sub(lo));
     }
-    let (k0, k1, k2) = k;
+    let (k0, k1, k2) = t.k;
     let (r0, r1, r2) = r;
     let mut n = 0u64;
     for px in t.min_x..t.max_x {
@@ -1154,39 +1137,6 @@ fn quantize_unit(v: f32) -> u8 {
     ((t.to_bits() & 0xFF) + u32::from(x - r >= 0.5)) as u8
 }
 
-/// [`PixelFormat::encode`] with [`quantize_unit`] in place of
-/// `Rgba::to_bytes` — byte-identical output, no libm round. Used by the
-/// raster inner loops; the general-purpose `encode` remains the readable
-/// spec (and what the [`reference`] paths go through).
-#[inline]
-fn encode_fast(fmt: PixelFormat, color: Rgba, out: &mut [u8]) {
-    match fmt {
-        PixelFormat::Rgba8888 => {
-            out[..4].copy_from_slice(&[
-                quantize_unit(color.r),
-                quantize_unit(color.g),
-                quantize_unit(color.b),
-                quantize_unit(color.a),
-            ]);
-        }
-        PixelFormat::Bgra8888 => {
-            out[..4].copy_from_slice(&[
-                quantize_unit(color.b),
-                quantize_unit(color.g),
-                quantize_unit(color.r),
-                quantize_unit(color.a),
-            ]);
-        }
-        PixelFormat::Rgb565 => {
-            let v: u16 = (u16::from(quantize_unit(color.r) >> 3) << 11)
-                | (u16::from(quantize_unit(color.g) >> 2) << 5)
-                | u16::from(quantize_unit(color.b) >> 3);
-            out[..2].copy_from_slice(&v.to_le_bytes());
-        }
-        PixelFormat::Alpha8 => out[0] = quantize_unit(color.a),
-    }
-}
-
 /// Maps a normalized texture coordinate to a texel index with
 /// clamp-to-edge semantics.
 ///
@@ -1255,8 +1205,11 @@ fn sample_nearest(tex: &Image, u: f32, v: f32) -> Rgba {
 /// [`Image::pixel_rgba`] and therefore pays a lock round-trip per pixel —
 /// that cost is exactly what `benches/raster.rs` baselines against. The
 /// fast paths must produce byte-identical framebuffers (property-tested
-/// over random triangle soups), and they fall back to these routines when
-/// an operation's images alias each other.
+/// over random triangle soups). These routines are also a production
+/// route: [`draw_indexed`] hands them every draw its span lane does not
+/// take (alpha blending, 565/A8 targets or textures, empty or aliasing
+/// textures, non-finite edge terms), and [`blit_clipped`] keeps their
+/// per-pixel visit order for a source aliasing its destination.
 pub mod reference {
     use super::*;
 
@@ -1718,6 +1671,35 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_edge_terms_send_the_draw_to_the_reference() {
+        // A vertex at 1e30 keeps every screen position finite, but its
+        // row terms overflow: the triangle is not `finite`, so the whole
+        // draw (the finite triangle after it too) takes the reference.
+        let verts = [
+            Vertex::colored([1.0e30, 1.0e30, 0.0], Rgba::RED),
+            Vertex::colored([-0.9, -0.8, 0.0], Rgba::GREEN),
+            Vertex::colored([0.9, -0.3, 0.0], Rgba::BLUE),
+            Vertex::colored([-0.9, -0.9, 0.0], Rgba::WHITE),
+            Vertex::colored([0.9, -0.9, 0.0], Rgba::WHITE),
+            Vertex::colored([0.0, 0.9, 0.0], Rgba::WHITE),
+        ];
+        let indices = [0u32, 1, 2, 3, 4, 5];
+        let pipeline = Pipeline::default();
+        let fast = Image::new(37, 29, PixelFormat::Rgba8888);
+        let slow = Image::new(37, 29, PixelFormat::Rgba8888);
+        let mut metrics = RasterMetrics::default();
+        let tris = prepare_triangles(&fast, &verts, &indices, &pipeline, &mut metrics);
+        assert_eq!(tris.iter().map(|t| t.finite).collect::<Vec<_>>(), [false, true]);
+        let before = trace::counter(trace::Counter::RasterReferenceDraws);
+        let mf = draw_indexed(&fast, None, &verts, &indices, &pipeline);
+        assert!(trace::counter(trace::Counter::RasterReferenceDraws) > before);
+        let ms = reference::draw_indexed(&slow, None, &verts, &indices, &pipeline);
+        assert_eq!(mf, ms);
+        assert_eq!(fast.to_rgba_vec(), slow.to_rgba_vec());
+        assert_eq!(coverage_metrics(&fast, &verts, &indices, &pipeline), ms);
+    }
+
+    #[test]
     fn self_texturing_draw_matches_reference() {
         // Texture aliasing the target exercises the reference fallback.
         let a = Image::new(16, 16, PixelFormat::Rgba8888);
@@ -1877,29 +1859,6 @@ mod tests {
             s.spawn(|| sweep(0, u32::MAX / 2));
             s.spawn(|| sweep(u32::MAX / 2 + 1, u32::MAX));
         });
-    }
-
-    #[test]
-    fn encode_fast_matches_format_encode() {
-        for fmt in [
-            PixelFormat::Rgba8888,
-            PixelFormat::Bgra8888,
-            PixelFormat::Rgb565,
-            PixelFormat::Alpha8,
-        ] {
-            let bpp = fmt.bytes_per_pixel();
-            for i in 0..4096u32 {
-                // A spread of in-range, out-of-range and denormal-ish
-                // component values.
-                let f = |k: u32| (i.wrapping_mul(2_654_435_761).wrapping_add(k) % 4099) as f32 / 2048.0 - 0.5;
-                let c = Rgba { r: f(0), g: f(1), b: f(2), a: f(3) };
-                let mut slow = vec![0u8; bpp];
-                let mut fast = vec![0u8; bpp];
-                fmt.encode(c, &mut slow);
-                encode_fast(fmt, c, &mut fast);
-                assert_eq!(fast, slow, "{fmt} sample {i}");
-            }
-        }
     }
 
     #[test]

@@ -32,6 +32,25 @@ fn arb_uv_coord() -> impl Strategy<Value = f32> {
     })
 }
 
+/// A position coordinate far outside the ±10 band of [`arb_vertex`]:
+/// `±∞`, `±f32::MAX`, or `±10^e` for `e` in `[20, 38.5]`. Such vertices
+/// push the screen-space edge terms of a triangle past `f32::MAX`, which
+/// sends the draw to the reference route.
+fn arb_wild_coord() -> impl Strategy<Value = f32> {
+    (0u8..8, 20.0f64..38.5, any::<bool>()).prop_map(|(pick, e, neg)| {
+        let v = match pick {
+            0 => f32::INFINITY,
+            1 => f32::MAX,
+            _ => 10f64.powf(e).min(f64::from(f32::MAX)) as f32,
+        };
+        if neg {
+            -v
+        } else {
+            v
+        }
+    })
+}
+
 /// [`arb_vertex`] plus a texture coordinate.
 fn arb_textured_vertex() -> impl Strategy<Value = Vertex> {
     (arb_vertex(), arb_uv_coord(), arb_uv_coord()).prop_map(|(v, u, t)| Vertex { uv: [u, t], ..v })
@@ -274,8 +293,18 @@ proptest! {
         alpha_blend: bool,
         depth_test: bool,
         bgra_target: bool,
-        w in 1u32..40, h in 1u32..40,
+        w in 1u32..=300, h in 1u32..40,
+        wild in prop::collection::vec((any::<usize>(), arb_wild_coord(), arb_wild_coord()), 0..6),
     ) {
+        // Widths up to 300 cross the span lane's 128-pixel chunk
+        // boundaries; `wild` moves up to five random vertices to huge or
+        // infinite x and y, whose triangles have non-finite edge terms.
+        let mut verts = verts;
+        let len = verts.len();
+        for (i, x, y) in wild {
+            verts[i % len].pos[0] = x;
+            verts[i % len].pos[1] = y;
+        }
         let n = verts.len() / 3 * 3;
         let indices: Vec<u32> = (0..n as u32).collect();
         let pipeline = Pipeline {
@@ -300,7 +329,8 @@ proptest! {
             (0..img.height()).flat_map(|y| rows.row(y).to_vec()).collect::<Vec<u8>>()
         });
         prop_assert_eq!(raw(&fast), raw(&slow));
-        prop_assert_eq!(fast_depth, slow_depth);
+        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&fast_depth), bits(&slow_depth));
     }
 
     #[test]
@@ -314,42 +344,67 @@ proptest! {
         uv in (-0.25f32..1.25, -0.25f32..1.25, -0.25f32..1.25, -0.25f32..1.25),
         soup in prop::collection::vec(arb_textured_vertex(), 0..10),
         seed: u64,
+        depth_test: bool,
+        quad_z in (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0),
     ) {
         // Targets wider than one span chunk, so rows split into chunks of
         // different lengths. A quad over the whole target, either mapped
         // one texel per pixel (the texture is the target's size) or
         // stretching a random uv window of a texture up to 300 wide, then
         // a random textured soup; every vertex has the flat 0/1 color.
+        // With `depth_test` the quad's corners get their own z and the
+        // depth buffer starts random in [-1, 1), so chunks pass in part;
+        // the quad is drawn twice, mirrored the second time, so every
+        // pixel the first pass wrote meets a depth tie (`z > d` passes).
         let (tw, th, (u0, v0, u1, v1)) =
             if one_to_one { (w, h, (0.0, 0.0, 1.0, 1.0)) } else { (tw, th, uv) };
+        let (za, zb, zc, zd) = quad_z;
         let texture = texture_8888(tw, th, tex_bgra, seed);
-        let mut verts: Vec<Vertex> = [
-            ([-1.0f32, -1.0, 0.0], [u0, v1]),
-            ([1.0, -1.0, 0.0], [u1, v1]),
-            ([1.0, 1.0, 0.0], [u1, v0]),
-            ([-1.0, -1.0, 0.0], [u0, v1]),
-            ([1.0, 1.0, 0.0], [u1, v0]),
-            ([-1.0, 1.0, 0.0], [u0, v0]),
-        ]
-        .iter()
-        .map(|&(p, uv)| Vertex::textured(p, uv))
-        .collect();
+        let quad = |u0: f32, u1: f32| {
+            [
+                ([-1.0f32, -1.0, za], [u0, v1]),
+                ([1.0, -1.0, zb], [u1, v1]),
+                ([1.0, 1.0, zc], [u1, v0]),
+                ([-1.0, -1.0, za], [u0, v1]),
+                ([1.0, 1.0, zc], [u1, v0]),
+                ([-1.0, 1.0, zd], [u0, v0]),
+            ]
+            .map(|(p, uv)| Vertex::textured(p, uv))
+        };
+        let mut verts: Vec<Vertex> = quad(u0, u1).to_vec();
+        if depth_test {
+            verts.extend(quad(u1, u0));
+        }
         verts.extend(&soup[..soup.len() / 3 * 3]);
         for v in &mut verts {
             v.color = color;
         }
         let indices: Vec<u32> = (0..verts.len() as u32).collect();
-        let pipeline = Pipeline { texture: Some(&texture), ..Pipeline::default() };
+        let pipeline = Pipeline { texture: Some(&texture), depth_test, ..Pipeline::default() };
         let format = if target_bgra { PixelFormat::Bgra8888 } else { PixelFormat::Rgba8888 };
         let fast = Image::new(w, h, format);
         let slow = Image::new(w, h, format);
-        let mf = raster::draw_indexed(&fast, None, &verts, &indices, &pipeline);
-        let ms = raster::reference::draw_indexed(&slow, None, &verts, &indices, &pipeline);
+        let mut x = seed.rotate_left(17) | 1;
+        let mut fast_depth: Vec<f32> = (0..fast.pixel_count())
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+            })
+            .collect();
+        let mut slow_depth = fast_depth.clone();
+        let mf = raster::draw_indexed(&fast, Some(&mut fast_depth), &verts, &indices, &pipeline);
+        let ms = raster::reference::draw_indexed(
+            &slow, Some(&mut slow_depth), &verts, &indices, &pipeline,
+        );
         prop_assert_eq!(mf, ms);
         let raw = |img: &Image| img.read_rows(|rows| {
             (0..img.height()).flat_map(|y| rows.row(y).to_vec()).collect::<Vec<u8>>()
         });
         prop_assert_eq!(raw(&fast), raw(&slow));
+        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&fast_depth), bits(&slow_depth));
     }
 
     #[test]

@@ -169,11 +169,17 @@ pub enum Counter {
     /// on: there is no caller to report to, and each bump is a context,
     /// surface or drawable the shared device may still be holding.
     SessionTeardownErrors,
+    /// Draws the span rasterizer hands whole to the per-pixel reference
+    /// (alpha blend, a 565/A8 target or texture, an empty or aliasing
+    /// texture, non-finite edge terms). Always on: each bump is a draw off
+    /// the fast path, and a draw from a device in reference-raster mode
+    /// never counts.
+    RasterReferenceDraws,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 26] = [
         Counter::DiplomatCalls,
         Counter::PersonaSwitches,
         Counter::ImpersonationsBegun,
@@ -199,6 +205,7 @@ impl Counter {
         Counter::DamageFullFallbacks,
         Counter::FleetDeadlineMisses,
         Counter::SessionTeardownErrors,
+        Counter::RasterReferenceDraws,
     ];
 
     /// Stable kebab-case name (used in summaries and exports).
@@ -229,6 +236,7 @@ impl Counter {
             Counter::DamageFullFallbacks => "damage-full-fallbacks",
             Counter::FleetDeadlineMisses => "fleet-deadline-misses",
             Counter::SessionTeardownErrors => "session-teardown-errors",
+            Counter::RasterReferenceDraws => "raster-reference-draws",
         }
     }
 }
