@@ -96,7 +96,7 @@ fn main() {
     let reports: Vec<_> = shapes.iter().map(run_shape).collect();
 
     let out = std::env::var("CYCADA_FLEET_JSON_OUT").unwrap_or_else(|_| DEFAULT_OUT.to_owned());
-    std::fs::write(&out, fleet_json(&reports))
+    std::fs::write(&out, fleet_json(&criterion::host_json(), &reports))
         .unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out}");
 }

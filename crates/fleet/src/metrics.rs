@@ -101,9 +101,9 @@ pub fn report_json(report: &FleetReport) -> String {
 }
 
 /// Renders the committed `BENCH_fleet.json` document from several fleet
-/// shapes' reports.
-pub fn fleet_json(reports: &[FleetReport]) -> String {
-    let mut out = String::from("{\"bench\":\"fleet\",\"fleets\":[\n");
+/// shapes' reports, under `host`, a JSON object naming the measuring host.
+pub fn fleet_json(host: &str, reports: &[FleetReport]) -> String {
+    let mut out = format!("{{\"bench\":\"fleet\",\"host\":{host},\"fleets\":[\n");
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");

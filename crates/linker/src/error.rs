@@ -18,8 +18,6 @@ pub enum LinkerError {
         /// The missing symbol.
         symbol: String,
     },
-    /// A replica handle refers to a replica that was unloaded.
-    NoSuchReplica(u64),
 }
 
 impl fmt::Display for LinkerError {
@@ -32,7 +30,6 @@ impl fmt::Display for LinkerError {
             LinkerError::SymbolNotFound { library, symbol } => {
                 write!(f, "symbol {symbol:?} not found in {library:?} or its dependencies")
             }
-            LinkerError::NoSuchReplica(id) => write!(f, "no such replica: {id}"),
         }
     }
 }

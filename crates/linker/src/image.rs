@@ -1,8 +1,11 @@
 //! Library images: the on-disk description of a `.so`.
 
 use std::any::Any;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::Mutex;
 
 /// Per-instance library state — the library's global/initialization data,
 /// created afresh by the constructor on every load (and on every replica).
@@ -14,12 +17,25 @@ pub type Constructor = Arc<dyn Fn() -> LibraryState + Send + Sync>;
 /// A registered library image: what the linker knows about a `.so` file
 /// before any instance is loaded.
 ///
+/// The image is the one owner of what every instance shares: its name,
+/// its dependencies, its constructor and its symbol table (symbol name →
+/// export index, built once, at the image's first lookup). An instance
+/// adds only what DLR makes per replica: a base address, against which
+/// symbol addresses are computed at lookup, and the state its constructor
+/// run produced. Cloning an image bumps a reference count.
+///
 /// Use [`LibraryImage::builder`] to construct one.
 #[derive(Clone)]
-pub struct LibraryImage {
+pub struct LibraryImage(Arc<ImageData>);
+
+struct ImageData {
     name: String,
     deps: Vec<String>,
-    symbols: Vec<String>,
+    /// The export list, moved into `symbols` by the first lookup.
+    exports: Mutex<Vec<String>>,
+    /// Built lazily: a device boot registers every image, and building
+    /// the vendor GLES table there would add about a quarter to it.
+    symbols: OnceLock<HashMap<String, u64>>,
     constructor: Constructor,
     replicable: bool,
 }
@@ -38,38 +54,48 @@ impl LibraryImage {
 
     /// The image (file) name, e.g. `"libGLESv2_tegra.so"`.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// Names of libraries this one depends on (DT_NEEDED entries).
     pub fn deps(&self) -> &[String] {
-        &self.deps
-    }
-
-    /// Exported symbol names.
-    pub fn symbols(&self) -> &[String] {
-        &self.symbols
+        &self.0.deps
     }
 
     /// Whether `dlforce` may create fresh instances of this library.
     /// libc is marked non-replicable: "We do not reload libc; all
     /// lib\[rary\] instances use a single, shared libc instance."
     pub fn replicable(&self) -> bool {
-        self.replicable
+        self.0.replicable
+    }
+
+    /// The position of `symbol` in the export list; for a name exported
+    /// more than once, its last occurrence.
+    pub(crate) fn symbol_index(&self, symbol: &str) -> Option<u64> {
+        let symbols = self.0.symbols.get_or_init(|| {
+            let exports = std::mem::take(&mut *self.0.exports.lock());
+            (0..).zip(exports).map(|(i, s)| (s, i)).collect()
+        });
+        symbols.get(symbol).copied()
     }
 
     pub(crate) fn run_constructor(&self) -> LibraryState {
-        (self.constructor)()
+        (self.0.constructor)()
     }
 }
 
 impl fmt::Debug for LibraryImage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let symbols = self
+            .0
+            .symbols
+            .get()
+            .map_or_else(|| self.0.exports.lock().len(), HashMap::len);
         f.debug_struct("LibraryImage")
-            .field("name", &self.name)
-            .field("deps", &self.deps)
-            .field("symbols", &self.symbols.len())
-            .field("replicable", &self.replicable)
+            .field("name", &self.0.name)
+            .field("deps", &self.0.deps)
+            .field("symbols", &symbols)
+            .field("replicable", &self.0.replicable)
             .finish()
     }
 }
@@ -125,15 +151,16 @@ impl LibraryImageBuilder {
     /// Finishes the image. Images without an explicit constructor get unit
     /// state.
     pub fn build(self) -> LibraryImage {
-        LibraryImage {
+        LibraryImage(Arc::new(ImageData {
             name: self.name,
             deps: self.deps,
-            symbols: self.symbols,
+            exports: Mutex::new(self.symbols),
+            symbols: OnceLock::new(),
             constructor: self
                 .constructor
                 .unwrap_or_else(|| Arc::new(|| Arc::new(()) as LibraryState)),
             replicable: self.replicable,
-        }
+        }))
     }
 }
 
@@ -157,7 +184,9 @@ mod tests {
             .build();
         assert_eq!(img.name(), "libnvrm.so");
         assert_eq!(img.deps(), ["libnvos.so"]);
-        assert_eq!(img.symbols(), ["NvRmOpen", "NvRmClose"]);
+        assert_eq!(img.symbol_index("NvRmOpen"), Some(0));
+        assert_eq!(img.symbol_index("NvRmClose"), Some(1));
+        assert_eq!(img.symbol_index("NvRmMissing"), None);
         assert!(img.replicable());
     }
 

@@ -1,7 +1,6 @@
 //! Loaded library instances.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,15 +28,16 @@ pub struct SymbolAddr {
 
 /// One loaded instance of a library image.
 ///
-/// Holds the instance's unique virtual address range, its resolved symbol
-/// table, the per-instance state produced by the constructor, and strong
+/// Holds what paper §8.1 makes per replica: the instance's unique base
+/// address and the state produced by its constructor run, plus strong
 /// references to the dependency instances it was linked against — an
-/// isolated tree under DLR.
+/// isolated tree under DLR. The symbol table stays with the shared
+/// [`LibraryImage`]; a symbol's address is `base_va + 0x10·(index + 1)`,
+/// computed at lookup.
 pub struct LoadedLibrary {
     image: LibraryImage,
     instance: InstanceId,
     base_va: u64,
-    symbols: HashMap<String, u64>,
     state: LibraryState,
     deps: Vec<Arc<LoadedLibrary>>,
 }
@@ -49,18 +49,11 @@ impl LoadedLibrary {
         base_va: u64,
         deps: Vec<Arc<LoadedLibrary>>,
     ) -> Self {
-        let symbols = image
-            .symbols()
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.clone(), base_va + 0x10 * (i as u64 + 1)))
-            .collect();
         let state = image.run_constructor();
         LoadedLibrary {
             image,
             instance,
             base_va,
-            symbols,
             state,
             deps,
         }
@@ -95,8 +88,8 @@ impl LoadedLibrary {
 
     /// Looks up a symbol in this instance only (no dependency search).
     pub fn local_symbol(&self, symbol: &str) -> Option<SymbolAddr> {
-        self.symbols.get(symbol).map(|&va| SymbolAddr {
-            va,
+        self.image.symbol_index(symbol).map(|i| SymbolAddr {
+            va: self.base_va + 0x10 * (i + 1),
             instance: self.instance,
         })
     }

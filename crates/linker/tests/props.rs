@@ -98,6 +98,36 @@ proptest! {
     }
 
     #[test]
+    fn symbol_addresses_are_pinned_to_the_last_export_index(
+        picks in prop::collection::vec(0u8..8, 0..24),
+    ) {
+        // Eight names over up to 24 exports: most lists repeat a name.
+        let symbols: Vec<String> = picks.iter().map(|p| format!("sym{p}")).collect();
+        let linker = DynamicLinker::new();
+        linker.register_image(LibraryImage::builder("libp.so").symbols(symbols.clone()).build());
+        let shared = linker.dlopen("libp.so").unwrap();
+        let r1 = linker.dlforce("libp.so").unwrap();
+        let r2 = linker.dlforce("libp.so").unwrap();
+        for p in 0u8..8 {
+            let name = format!("sym{p}");
+            let last = symbols.iter().rposition(|s| *s == name);
+            let mut offsets = Vec::new();
+            for lib in [&shared, r1.root(), r2.root()] {
+                let addr = lib.local_symbol(&name);
+                prop_assert_eq!(
+                    addr.map(|a| a.va),
+                    last.map(|i| lib.base_va() + 0x10 * (i as u64 + 1)),
+                    "{} in {}",
+                    name,
+                    lib.instance_id()
+                );
+                offsets.push(addr.map(|a| a.va - lib.base_va()));
+            }
+            prop_assert!(offsets.iter().all(|o| *o == offsets[0]), "{}: {:?}", name, offsets);
+        }
+    }
+
+    #[test]
     fn dlclose_unloads_at_zero_refs(opens in 1usize..8) {
         let linker = chain_linker(1);
         for _ in 0..opens {

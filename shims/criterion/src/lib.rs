@@ -15,7 +15,8 @@
 //! when the `CRITERION_JSON_OUT` environment variable names a file,
 //! `criterion_main!` writes every benchmark's summary there as JSON,
 //! under a `host` block naming the core count, build profile and git
-//! revision the numbers were measured on.
+//! revision the numbers were measured on. Harness-less benches that
+//! write their own JSON take the same block from [`host_json`].
 //!
 //! Under `cargo test` (cargo passes `--test` to harness-less bench
 //! binaries) each benchmark runs a single iteration as a smoke test.
@@ -152,17 +153,25 @@ impl Criterion {
 }
 
 /// The measuring host: available cores, build profile, and the short
-/// git revision of the working directory ("unknown" outside a checkout).
-fn host_json() -> String {
-    let rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned());
+/// git revision of the working directory ("unknown" outside a checkout),
+/// suffixed `-dirty` when tracked files differ from that revision.
+pub fn host_json() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_owned())
+    };
+    let rev = match git(&["rev-parse", "--short", "HEAD"]).filter(|s| !s.is_empty()) {
+        None => "unknown".to_owned(),
+        Some(rev) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(status) if !status.is_empty() => format!("{rev}-dirty"),
+            _ => rev,
+        },
+    };
     format!(
         "{{\"cores\": {}, \"profile\": \"{}\", \"git_rev\": \"{}\"}}",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
